@@ -52,9 +52,11 @@ STOCHASTIC_TOL = 1e-9
 EIGEN_ONE_TOL = 1e-8
 """Eigenvalues within this distance of 1 count as the unit eigenvalue."""
 
+_SUM_ROUNDING = 4 * np.finfo(np.float64).eps
+"""Per-entry slack on a row sum that still counts as exactly 1."""
+
 _STATIONARY_RESIDUAL = 1e-13
 _STATIONARY_MAX_ITER = 10**6
-_JACOBI_OFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,10 @@ def validate(model: ChainModel, tol: float = STOCHASTIC_TOL) -> ChainModel:
 
     Checks run in a fixed order and the first failure wins: duplicate
     labels, array shapes, negative entries, transition row sums, initial
-    sum. After all checks pass, rows and the initial law are rescaled to
-    sum to exactly 1.0 so that tiny input drift does not propagate.
+    sum. After all checks pass, negative drift is clipped to 0 and rows
+    and the initial law whose sums are off 1 by more than rounding are
+    rescaled, so tiny input drift does not propagate and
+    ``validate(validate(m))`` equals ``validate(m)`` bit for bit.
 
     Raises
     ------
@@ -195,7 +199,21 @@ def validate(model: ChainModel, tol: float = STOCHASTIC_TOL) -> ChainModel:
         raise BadInitial(f"initial distribution sums to {q.sum()}, not 1")
     P = np.clip(P, 0.0, None)
     q = np.clip(q, 0.0, None)
-    return ChainModel(model.states, q / q.sum(), P / P.sum(axis=1, keepdims=True))
+    return ChainModel(model.states, _rescaled(q[None, :])[0], _rescaled(P))
+
+
+def _rescaled(rows: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Rows divided by their sums, except rows already summing to 1.
+
+    A row of ``k`` entries counts as summing to 1 when its sum is within
+    ``4 k`` machine epsilons of 1, several times what the rounding of one
+    division and one sum can leave. A rescaled row lands inside that
+    margin, so rescaling is a fixed point: validating a validated model
+    returns it bit for bit.
+    """
+    sums = rows.sum(axis=1, keepdims=True)
+    off = np.abs(sums - 1.0) > _SUM_ROUNDING * rows.shape[1]
+    return np.where(off, rows / sums, rows)
 
 
 def transition_power(P: NDArray[np.float64], n: int) -> NDArray[np.float64]:
@@ -354,38 +372,6 @@ def _stationary_distribution(P: NDArray[np.float64]) -> NDArray[np.float64]:
     return sol / s
 
 
-def _jacobi_eigenvalues(S: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps continue until the off-diagonal Frobenius norm drops below
-    ``1e-12``. Quadratic convergence makes a generous sweep cap safe.
-    """
-    A = np.array(S, dtype=np.float64)
-    k = A.shape[0]
-    if k == 1:
-        return A.diagonal().copy()
-    for _ in range(200):
-        off = math.sqrt(max(0.0, (A**2).sum() - (A.diagonal() ** 2).sum()))
-        if off <= _JACOBI_OFF_TOL:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = A[p, q]
-                if abs(apq) <= _JACOBI_OFF_TOL / (k * k):
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(k)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                A = (A + A.T) / 2.0
-    return np.sort(A.diagonal().copy())
-
-
 @dataclass(frozen=True)
 class SpectralInfo:
     """Spectral summary of a chain's multiplicative reversiblization.
@@ -446,7 +432,7 @@ def spectral(model: ChainModel) -> SpectralInfo:
     root = np.sqrt(pi)
     sym = (root[:, None] * M) / root[None, :]
     sym = (sym + sym.T) / 2.0
-    eigenvalues = _jacobi_eigenvalues(sym)
+    eigenvalues = np.linalg.eigvalsh(sym)  # ascending
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     if abs(eigenvalues[-1] - 1.0) > EIGEN_ONE_TOL:
         raise MquiltError(

@@ -30,7 +30,15 @@ from .composition import (
 from .errors import FormatError, MixedFrameworks, MquiltError
 from .fit import FitConfig, fit_chain
 from .influence import QuiltShape, Variant, approx_max_influence, approx_offset_threshold, exact_max_influence
-from .mechanism import Framework, Window, count_state_query, release, score
+from .mechanism import (
+    Framework,
+    Window,
+    count_state_query,
+    quilt_scores,
+    release,
+    release_record,
+    score,
+)
 from .oracle import (
     check_joint_remote_bound,
     empirical_epsilon,
@@ -146,14 +154,20 @@ def _cmd_release(args) -> int:
     framework = Framework(horizon, window, models)
     variant = Variant(args.variant)
     k = framework.k
+    if len(data) == horizon != window.length:
+        # The file holds the whole trajectory; release only the window.
+        data = StateSequence(data.values[window.start - 1 : window.end])
 
     if args.query == "histogram":
         seeds = _histogram_seeds(args.seed, k)
+        epsilon = args.epsilon / k
+        # The search does not depend on the query: one search serves every bucket.
+        search = quilt_scores(framework, epsilon, variant, scope=args.scope)
         records, entry_ids = [], []
         for s in range(k):
             q = count_state_query(s, k, framework.states[s])
-            rec = release(
-                data, q, args.epsilon / k, framework, variant, seeds[s],
+            rec = release_record(
+                search, data, q, epsilon, framework, variant, seeds[s],
                 scope=args.scope,
             )
             records.append(rec)
@@ -442,7 +456,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("release", help="release a noisy query over a window")
     p.add_argument("--model", required=True, help="model JSON path(s), comma separated")
-    p.add_argument("--data", required=True, help="trajectory CSV covering the window")
+    p.add_argument(
+        "--data",
+        required=True,
+        help="trajectory CSV holding the window, or the whole horizon",
+    )
     p.add_argument("--query", required=True, help="'count:<state>' or 'histogram'")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--variant", choices=["exact", "approx"], default="exact")

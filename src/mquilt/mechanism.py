@@ -7,6 +7,18 @@ worst best-score across nodes and models becomes the Laplace scale. The
 empty quilt (whole window nearby, zero influence) is always a candidate,
 so the scale never exceeds ``window length / epsilon``.
 
+The search only scans offsets that can still win, and returns exactly what
+the scan of every offset would. Influence is never negative, so a quilt
+with ``n`` nearby nodes scores at least ``n / epsilon``. A search capped at
+offset ``c`` leaves out only quilts with at least ``c + 1`` nearby nodes,
+and its scale ``sigma_c`` is at least the full search's, since it takes
+each node's minimum over fewer candidates. Once ``(c + 1) / epsilon >
+sigma_c``, every left-out quilt scores strictly above every node's capped
+minimum, so the capped winners are the full search's winners, ties
+included. Rounding is monotone, so the same holds for the computed
+scores, bit for bit. Otherwise the cap grows to
+``max(2c, floor(sigma_c * epsilon) + 1)`` and the search runs again.
+
 Scores depend only on the framework, the budget, and the variant, never on
 the observed data, so records can be replayed and audited.
 """
@@ -20,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .chains import ChainModel, StateSequence, marginal, spectral, validate
+from .chains import ChainModel, SpectralInfo, StateSequence, marginal, spectral, validate
 from .errors import (
     BadShape,
     BadState,
@@ -43,15 +55,9 @@ __all__ = [
     "score",
     "quilt_scores",
     "release",
+    "release_record",
     "unit_laplace",
 ]
-
-DEFAULT_CAP_THRESHOLD = 512
-"""Window length beyond which the offset search is capped."""
-
-DEFAULT_MAX_OFFSET = 64
-"""Offset cap used once the window exceeds the threshold."""
-
 
 @dataclass(frozen=True, order=True)
 class Window:
@@ -283,6 +289,13 @@ def unit_laplace(rng: np.random.Generator) -> float:
 
 # --------------------------------------------------------------- quilt search
 
+_FIRST_CAP = 8
+"""Offset cap of the first pruned round. Windows of at most twice the cap
+go straight to the full search, which costs them about as much as a round."""
+
+_BLOCK_FLOATS = 1_000_000
+"""Size bound of the blocked temporaries in the exact influence kernel."""
+
 
 def _pair_indices(live: NDArray[np.bool_]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
     idx = np.nonzero(live)[0]
@@ -300,47 +313,21 @@ def _select(
     return min(cands, key=lambda c: c[:5])
 
 
-def _search_node(
+def _best_quilt(
     i: int,
     L: int,
     epsilon: float,
-    exact_parts: tuple | None,
-    approx_terms: NDArray[np.float64] | None,
-    max_offset: int | None,
+    e_left: NDArray[np.float64],
+    e_right: NDArray[np.float64],
+    e_two: NDArray[np.float64],
     two_sided_only: bool,
 ) -> tuple[float, QuiltShape]:
-    """Minimize the score over candidate quilts at local node ``i``."""
-    na_full, nb_full = i - 1, L - i
-    na = na_full if max_offset is None else min(na_full, max_offset)
-    nb = nb_full if max_offset is None else min(nb_full, max_offset)
+    """Minimize the score at local node ``i`` over the given influences.
 
-    if exact_parts is not None:
-        c_left, c_right = exact_parts  # arrays (na, P) and (nb, P)
-        if c_left.shape[1] == 0:
-            e_left = np.zeros(na)
-            e_right = np.zeros(nb)
-            e_two = np.zeros((na, nb))
-        else:
-            e_left = c_left.max(axis=1) if na else np.zeros(0)
-            e_right = c_right.max(axis=1) if nb else np.zeros(0)
-            if na and nb:
-                # Blocked over the left offsets to bound the temporary at a
-                # few million floats regardless of window size.
-                pairs = c_left.shape[1]
-                e_two = np.empty((na, nb))
-                block = max(1, int(4_000_000 // max(1, nb * pairs)))
-                for lo in range(0, na, block):
-                    hi = min(na, lo + block)
-                    e_two[lo:hi] = (
-                        c_left[lo:hi, None, :] + c_right[None, :, :]
-                    ).max(axis=2)
-            else:
-                e_two = np.zeros((na, nb))
-    else:
-        t = approx_terms  # t[x-1] = spectral term at offset x
-        e_left = 2.0 * t[:na]
-        e_right = t[:nb]
-        e_two = 2.0 * t[:na, None] + t[None, :nb]
+    ``e_left[a-1]``, ``e_right[b-1]`` and ``e_two[a-1, b-1]`` bound the
+    influence of the one- and two-sided quilts at offsets ``a`` and ``b``.
+    """
+    na, nb = e_left.size, e_right.size
 
     def scores(e: NDArray[np.float64], nearby: NDArray[np.float64]):
         s = np.full(e.shape, np.inf)
@@ -391,39 +378,131 @@ def _search_node(
     return best[0], best[5]
 
 
-def _exact_node_parts(
-    margs: NDArray[np.float64],
-    log_powers: list[NDArray[np.float64]],
+def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
+    """Marginal laws of the first ``L`` nodes, one row per node."""
+    margs = np.empty((L, model.k))
+    margs[0] = model.initial
+    for t in range(1, L):
+        nxt = np.clip(margs[t - 1] @ model.transition, 0.0, None)
+        margs[t] = nxt / nxt.sum()
+    return margs
+
+
+def _log_powers(
+    P: NDArray[np.float64], cap: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Logs of ``P^0 .. P^cap`` and the forward log-ratio maxima.
+
+    ``right_max[j, u, v] = max_x log(P^j[u, x] / P^j[v, x])``, skipping
+    slots where both entries vanish.
+    """
+    k = P.shape[0]
+    log_powers = np.empty((cap + 1, k, k))
+    right_max = np.zeros((cap + 1, k, k))
+    power = np.eye(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_powers[0] = np.log(power)
+        for j in range(1, cap + 1):
+            power = np.clip(power @ P, 0.0, 1.0)
+            log_powers[j] = np.log(power)
+            diff = log_powers[j][:, None, :] - log_powers[j][None, :, :]
+            right_max[j] = np.nanmax(diff, axis=2)
+    return log_powers, right_max
+
+
+def _exact_influences(
+    log_margs: NDArray[np.float64],
+    log_powers: NDArray[np.float64],
     right_max: NDArray[np.float64],
     i: int,
     na: int,
     nb: int,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Backward and forward log-ratio maxima for all offsets at node ``i``.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Exact influences at node ``i`` of every quilt with offsets ``a <= na``
+    and ``b <= nb``: left-only ``(na,)``, right-only ``(nb,)``, two-sided
+    ``(na, nb)``.
 
-    Returns arrays of shape (na, P) and (nb, P) over live ordered value
-    pairs at the node. The backward part folds in the marginal ratio that
-    Bayes inversion contributes per pair.
+    Per live ordered value pair, the backward part is a log-ratio maximum
+    of the joint law of ``(X_{i-a}, X_i)`` plus the marginal ratio that
+    Bayes inversion contributes; the forward part is read from
+    ``right_max``. Both orders of every pair are maximized over, so no
+    influence comes out negative, even after rounding.
     """
-    m_i = margs[i - 1]
-    live = m_i > 0.0
-    uu, vv = _pair_indices(live)
+    log_m = log_margs[i - 1]
+    uu, vv = _pair_indices(log_m > -np.inf)
     if uu.size == 0:
-        return np.zeros((na, 0)), np.zeros((nb, 0))
-    with np.errstate(divide="ignore"):
-        log_m = np.log(m_i)
-    d_pair = log_m[vv] - log_m[uu]
-    c_left = np.empty((na, uu.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(1, na + 1):
-            log_m_past = np.log(margs[i - a - 1])
+        return np.zeros(na), np.zeros(nb), np.zeros((na, nb))
+    pairs = uu.size
+    # log m_{i-a} for a = 1..na, nearest node first
+    log_past = log_margs[i - 1 - na : i - 1][::-1]
+    c_left = np.empty((na, pairs))
+    block = max(1, _BLOCK_FLOATS // (log_m.size * pairs))
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, na, block):
+            hi = min(na, lo + block)
             # log of joint(x, u) = m_past[x] * P^a[x, u], columns compared.
-            log_joint = log_m_past[:, None] + log_powers[a]
-            c_left[a - 1] = (
-                np.nanmax(log_joint[:, uu] - log_joint[:, vv], axis=0) + d_pair
+            log_joint = log_past[lo:hi, :, None] + log_powers[lo + 1 : hi + 1]
+            c_left[lo:hi] = np.nanmax(
+                log_joint[:, :, uu] - log_joint[:, :, vv], axis=1
             )
-    c_right = right_max[1 : nb + 1, uu, vv] if nb else np.zeros((0, uu.size))
-    return c_left, c_right
+    c_left += log_m[vv] - log_m[uu]
+    c_right = right_max[1 : nb + 1, uu, vv]
+    e_two = np.empty((na, nb))
+    block = max(1, _BLOCK_FLOATS // max(1, nb * pairs))
+    for lo in range(0, na, block):
+        hi = min(na, lo + block)
+        e_two[lo:hi] = (c_left[lo:hi, None, :] + c_right[None, :, :]).max(axis=2)
+    return c_left.max(axis=1), c_right.max(axis=1), e_two
+
+
+def _search_model(
+    model: ChainModel,
+    log_margs: NDArray[np.float64] | None,
+    info: SpectralInfo | None,
+    L: int,
+    epsilon: float,
+    two_sided_only: bool,
+    cap: int,
+) -> list[tuple[float, QuiltShape]]:
+    """Best score and quilt of every local node over offsets up to ``cap``.
+
+    Influences are exact when ``log_margs`` (the log marginals of the
+    searched nodes) is given and spectral bounds from ``info`` otherwise.
+    With ``cap >= L - 1`` this is the full search.
+    """
+    if log_margs is not None:
+        log_powers, right_max = _log_powers(model.transition, cap)
+    else:
+        terms = np.array([_spectral_term(info, x) for x in range(1, cap + 1)])
+    best = []
+    for i in range(1, L + 1):
+        na, nb = min(i - 1, cap), min(L - i, cap)
+        if log_margs is not None:
+            e = _exact_influences(log_margs, log_powers, right_max, i, na, nb)
+        else:
+            e = (2.0 * terms[:na], terms[:nb], 2.0 * terms[:na, None] + terms[None, :nb])
+        best.append(_best_quilt(i, L, epsilon, *e, two_sided_only))
+    return best
+
+
+def _pruned_search(
+    model: ChainModel,
+    log_margs: NDArray[np.float64] | None,
+    info: SpectralInfo | None,
+    L: int,
+    epsilon: float,
+    two_sided_only: bool,
+) -> list[tuple[float, QuiltShape]]:
+    """:func:`_search_model` over all offsets, searching only those that can
+    still win (see the module docstring)."""
+    cap = _FIRST_CAP
+    while 2 * cap < L:
+        best = _search_model(model, log_margs, info, L, epsilon, two_sided_only, cap)
+        sigma = max(s for s, _ in best)
+        if (cap + 1) / epsilon > sigma:
+            return best
+        cap = max(2 * cap, math.floor(sigma * epsilon) + 1)
+    return _search_model(model, log_margs, info, L, epsilon, two_sided_only, L - 1)
 
 
 def quilt_scores(
@@ -433,8 +512,6 @@ def quilt_scores(
     *,
     scope: str = "window",
     approx_two_sided_only: bool = False,
-    cap_threshold: int = DEFAULT_CAP_THRESHOLD,
-    max_offset: int = DEFAULT_MAX_OFFSET,
 ) -> tuple[float, dict[int, tuple[ActiveQuilt, ...]]]:
     """Run the per-model, per-node quilt search and return the noise scale.
 
@@ -444,8 +521,15 @@ def quilt_scores(
     ``scope`` chooses the node loop: ``"window"`` treats the release window
     as its own chain (initial law advanced to the window start), while
     ``"chain"`` searches every node of the full horizon, which can only
-    raise the noise scale. Windows longer than ``cap_threshold`` restrict
-    all offsets to ``max_offset``; the empty quilt keeps the search total.
+    raise the noise scale.
+
+    Per model, the search first admits only offsets up to a small cap ``c``.
+    A quilt outside the cap has at least ``c + 1`` nearby nodes, so it
+    scores at least ``(c + 1) / epsilon``; once that exceeds the model's
+    capped scale, no such quilt can win at any node and the capped result
+    is the full result bit for bit, ties included. Otherwise the cap grows
+    to ``max(2c, floor(sigma_c * epsilon) + 1)``, and the full search runs
+    once the cap reaches half the window.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")
@@ -459,55 +543,34 @@ def quilt_scores(
         L = framework.horizon
         offset = 0
         search_models = list(framework.models)
-    cap = max_offset if L > cap_threshold else None
-    max_power = L - 1 if cap is None else min(L - 1, cap)
+    two_sided_only = variant is Variant.APPROX and approx_two_sided_only
 
     sigma_max = 0.0
     active: dict[int, tuple[ActiveQuilt, ...]] = {}
     for idx, model in enumerate(search_models):
-        exact = variant is Variant.EXACT
-        if exact:
-            margs = np.empty((L, model.k))
-            margs[0] = model.initial
-            for t in range(1, L):
-                nxt = np.clip(margs[t - 1] @ model.transition, 0.0, None)
-                margs[t] = nxt / nxt.sum()
-            log_powers: list[NDArray[np.float64]] = []
-            right_max = np.zeros((max_power + 1, model.k, model.k))
-            power = np.eye(model.k)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_powers.append(np.log(power))
-                for j in range(1, max_power + 1):
-                    power = np.clip(power @ model.transition, 0.0, 1.0)
-                    log_powers.append(np.log(power))
-                    diff = log_powers[j][:, None, :] - log_powers[j][None, :, :]
-                    right_max[j] = np.nanmax(diff, axis=2)
-            approx_terms = None
+        if variant is Variant.EXACT:
+            with np.errstate(divide="ignore"):
+                log_margs, info = np.log(_marginals(model, L)), None
         else:
-            info = spectral(model)
-            xs = np.arange(1, max(max_power, 1) + 1)
-            approx_terms = np.array([_spectral_term(info, int(x)) for x in xs])
-
-        quilts: list[ActiveQuilt] = []
-        model_sigma = 0.0
-        for i in range(1, L + 1):
-            na = i - 1 if cap is None else min(i - 1, cap)
-            nb = L - i if cap is None else min(L - i, cap)
-            parts = (
-                _exact_node_parts(margs, log_powers, right_max, i, na, nb)
-                if exact
-                else None
-            )
-            sigma_i, shape = _search_node(
-                i, L, epsilon, parts, approx_terms, cap,
-                two_sided_only=(not exact) and approx_two_sided_only,
-            )
-            global_shape = QuiltShape(i + offset, shape.left, shape.right)
-            quilts.append(ActiveQuilt(i + offset, global_shape, sigma_i))
-            model_sigma = max(model_sigma, sigma_i)
-        active[idx] = tuple(quilts)
-        sigma_max = max(sigma_max, model_sigma)
+            log_margs, info = None, spectral(model)
+        best = _pruned_search(model, log_margs, info, L, epsilon, two_sided_only)
+        active[idx] = tuple(
+            ActiveQuilt(i + offset, QuiltShape(i + offset, shape.left, shape.right), s)
+            for i, (s, shape) in enumerate(best, start=1)
+        )
+        sigma_max = max(sigma_max, max(s for s, _ in best))
     return sigma_max, active
+
+
+def _window_values(data: StateSequence, framework: Framework) -> NDArray[np.int64]:
+    values = data.values if isinstance(data, StateSequence) else np.asarray(data)
+    if values.ndim != 1 or values.size != framework.window.length:
+        raise LengthMismatch(
+            f"data has length {values.size}, window needs {framework.window.length}"
+        )
+    if values.size and (values.min() < 0 or values.max() >= framework.k):
+        raise BadState(f"data mentions states outside 0..{framework.k - 1}")
+    return values
 
 
 def release(
@@ -520,31 +583,48 @@ def release(
     *,
     scope: str = "window",
     approx_two_sided_only: bool = False,
-    cap_threshold: int = DEFAULT_CAP_THRESHOLD,
-    max_offset: int = DEFAULT_MAX_OFFSET,
 ) -> ReleaseRecord:
     """Release a noisy query value over the framework's window.
 
-    The query value is rescaled to sensitivity 1, then Laplace noise at the
-    searched scale is added. The returned record carries the noisy output,
-    the scale, and the winning quilts; consumers un-scale on read.
+    Runs :func:`quilt_scores` and hands its result to
+    :func:`release_record`, which adds the noise.
     """
-    values = data.values if isinstance(data, StateSequence) else np.asarray(data)
-    if values.ndim != 1 or values.size != framework.window.length:
-        raise LengthMismatch(
-            f"data has length {values.size}, window needs {framework.window.length}"
-        )
-    if values.size and (values.min() < 0 or values.max() >= framework.k):
-        raise BadState(f"data mentions states outside 0..{framework.k - 1}")
-    sigma_max, active = quilt_scores(
+    _window_values(data, framework)
+    search = quilt_scores(
         framework,
         epsilon,
         variant,
         scope=scope,
         approx_two_sided_only=approx_two_sided_only,
-        cap_threshold=cap_threshold,
-        max_offset=max_offset,
     )
+    return release_record(
+        search, data, query, epsilon, framework, variant, seed, scope=scope
+    )
+
+
+def release_record(
+    search: tuple[float, Mapping[int, tuple[ActiveQuilt, ...]]],
+    data: StateSequence,
+    query: LipschitzQuery,
+    epsilon: float,
+    framework: Framework,
+    variant: Variant,
+    seed: int,
+    *,
+    scope: str = "window",
+) -> ReleaseRecord:
+    """Release a noisy query value at the scale a finished search found.
+
+    ``search`` is what :func:`quilt_scores` returned for ``framework``,
+    ``epsilon``, ``variant`` and ``scope``; it does not depend on the data
+    or the query, so several queries over one window (the buckets of a
+    histogram) can share it. The query value is rescaled to sensitivity 1,
+    then Laplace noise at the searched scale is added. The returned record
+    carries the noisy output, the scale, and the winning quilts; consumers
+    un-scale on read.
+    """
+    values = _window_values(data, framework)
+    sigma_max, active = search
     rng = np.random.default_rng(seed)
     noise = unit_laplace(rng)
     scaled = float(query.evaluate(values)) / query.lipschitz_constant

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mquilt.chains import (
+    EIGEN_ONE_TOL,
     ChainModel,
     StateSequence,
     backward_conditional,
@@ -105,6 +106,35 @@ def test_spectral_eigenvalues_in_unit_interval():
         assert 0.0 < info.gap <= 1.0
 
 
+def test_spectral_matches_hand_computed_spectrum():
+    # Two-state chains are reversible, so P P* = P^2 with eigenvalues 1 and
+    # (1 - p - q)^2.
+    p, q = 0.2, 0.3
+    info = spectral(ChainModel.from_arrays([0.5, 0.5], [[1 - p, p], [q, 1 - q]]))
+    np.testing.assert_allclose(info.eigenvalues, [0.25, 1.0], atol=1e-12)
+    assert info.gap == pytest.approx(0.75, abs=1e-12)
+    # A symmetric lazy walk on three states: P = (1 - a) I + (a / 3) J has
+    # eigenvalues 1 and 1 - a (twice), and P P* = P^2.
+    a = 0.6
+    P = (1 - a) * np.eye(3) + a / 3
+    info = spectral(ChainModel.from_arrays([1 / 3] * 3, P))
+    np.testing.assert_allclose(info.eigenvalues, [0.16, 0.16, 1.0], atol=1e-12)
+    assert info.gap == pytest.approx(0.84, abs=1e-12)
+
+
+def test_spectral_sticky_thirty_state_chain():
+    rng = np.random.default_rng(20170707)
+    P = rng.random((30, 30)) + 0.05
+    P = 0.2 * P / P.sum(axis=1, keepdims=True) + 0.8 * np.eye(30)
+    info = spectral(ChainModel.from_arrays(np.full(30, 1 / 30), P))
+    lam = info.eigenvalues
+    assert np.all(np.diff(lam) >= 0)
+    assert abs(lam[-1] - 1.0) <= EIGEN_ONE_TOL
+    want = np.sort(np.linalg.eigvals(P @ info.reversal).real)
+    np.testing.assert_allclose(lam, np.clip(want, 0.0, None), atol=1e-10)
+    assert info.gap == pytest.approx(1.0 - lam[-2], abs=1e-12)
+
+
 def test_spectral_single_state_gap_is_one():
     m = ChainModel.from_arrays([1.0], [[1.0]])
     assert spectral(m).gap == 1.0
@@ -166,6 +196,20 @@ def test_validate_normalizes_tiny_drift():
     out = validate(m)
     np.testing.assert_allclose(out.transition.sum(axis=1), 1.0, atol=0)
     assert out.initial.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_validate_is_a_fixed_point():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        k = int(rng.integers(1, 40))
+        P = rng.random((k, k)) + rng.choice([0.0, 0.05])
+        q = rng.random(k) + 0.05
+        once = validate(
+            ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+        )
+        twice = validate(once)
+        assert twice.initial.tobytes() == once.initial.tobytes()
+        assert twice.transition.tobytes() == once.transition.tobytes()
 
 
 def test_state_index_round_trip_and_unknown():

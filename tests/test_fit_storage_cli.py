@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mquilt import cli, mechanism
 from mquilt.chains import ChainModel, StateSequence
 from mquilt.cli import main
 from mquilt.errors import (
@@ -164,6 +165,26 @@ def test_ledger_replay_reproduces_search(tmp_path):
     assert replay_matches(entry)
 
 
+@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_ledger_replay_matches_random_chains(tmp_path, k, variant):
+    # Rows normalized by the caller rather than by validate, as in a model
+    # file: the ledger round trip must not move their last bits.
+    rng = np.random.default_rng(k)
+    path = tmp_path / "ledger.jsonl"
+    for n in range(20):
+        P = rng.random((k, k)) + 0.05
+        q = rng.random(k) + 0.05
+        model = ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+        fw = Framework(40, Window(10, 33), (model,))
+        data = StateSequence(rng.integers(0, k, 24))
+        rec = release(data, count_state_query(0, k), 1.5, fw, variant, n)
+        append_release(path, fw, rec)
+    entries = read_ledger(path)
+    assert len(entries) == 20
+    assert all(replay_matches(e) for e in entries)
+
+
 def test_ledger_replay_detects_tampering(tmp_path):
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record()
@@ -279,6 +300,37 @@ def test_cli_histogram_release_composes(tmp_path, capsys):
     assert payload["composition"]["epsilon"] == pytest.approx(1.0)
     for rec in payload["records"]:
         assert rec["epsilon"] == pytest.approx(0.5)
+
+
+def test_cli_histogram_runs_one_search(tmp_path, capsys, monkeypatch):
+    model = ChainModel.from_arrays(
+        [0.2, 0.5, 0.3], [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]
+    )
+    model_path, data_path = tmp_path / "m3.json", tmp_path / "d3.csv"
+    save_model(model, model_path)
+    values = np.array([0, 2, 1, 1, 0, 2, 2, 1, 0, 1] * 3)
+    save_sequence(values, data_path)
+    calls = []
+    search = mechanism.quilt_scores
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mechanism, "quilt_scores", counting)
+    monkeypatch.setattr(cli, "quilt_scores", counting)
+    argv = ["release", "--model", str(model_path), "--data", str(data_path),
+            "--query", "histogram", "--epsilon", "1.2", "--variant", "approx",
+            "--seed", "9", "--json"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    # The same records as one release per bucket with the bucket's seed.
+    fw = Framework(30, Window(1, 30), (model,))
+    for s, (got, seed) in enumerate(zip(records, cli._histogram_seeds(9, 3))):
+        want = release(StateSequence(values), count_state_query(s, 3), 1.2 / 3, fw,
+                       Variant.APPROX, seed)
+        assert got == json.loads(json.dumps(want.to_dict()))
 
 
 def test_cli_release_ledger_compose_round_trip(tmp_path, capsys):
@@ -414,3 +466,28 @@ def test_cli_windowed_release_with_horizon(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["record"]["window"] == {"start": 3, "end": 5}
     assert payload["record"]["scope"] == "chain"
+
+
+def test_cli_window_of_full_trajectory(tmp_path, capsys):
+    model_path, _ = _write_inputs(tmp_path)
+    walk, part, short = (str(tmp_path / n) for n in ("walk.csv", "part.csv", "short.csv"))
+    argv = ["simulate", "--model", model_path, "--T", "200", "--seed", "3", "--out", walk]
+    assert main(argv) == 0
+    values = load_sequence(walk).values
+    save_sequence(values[60:110], part)
+    save_sequence(values[:120], short)
+    outputs = []
+    for data in (walk, part):
+        argv = ["release", "--model", model_path, "--data", data, "--query", "count:0",
+                "--epsilon", "1.0", "--seed", "4", "--window", "61:110",
+                "--horizon", "200", "--json"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        outputs.append(json.loads(capsys.readouterr().out)["record"])
+    assert outputs[0] == outputs[1]
+    argv = ["release", "--model", model_path, "--data", walk, "--query", "count:0",
+            "--epsilon", "1.0", "--seed", "4", "--window", "1:50", "--horizon", "200"]
+    assert main(argv) == 0
+    argv[4] = short
+    assert main(argv) == 2
+    assert "data has length 120, window needs 50" in capsys.readouterr().err

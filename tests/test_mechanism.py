@@ -1,8 +1,13 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mquilt import mechanism
 from mquilt.chains import ChainModel, StateSequence, marginal, random_model
 from mquilt.errors import (
     BadShape,
@@ -186,17 +191,111 @@ def test_windowed_search_equals_subchain_search():
         assert got.score == pytest.approx(want.score, abs=1e-12)
 
 
-def test_offset_cap_applies_beyond_threshold():
-    sigma, active = quilt_scores(
-        _full(LAZY, 12), 1.0, Variant.EXACT, cap_threshold=8, max_offset=2
-    )
-    for aq in active[0]:
-        if aq.shape.left is not None:
-            assert aq.shape.left <= 2
-        if aq.shape.right is not None:
-            assert aq.shape.right <= 2
-    uncapped, _ = quilt_scores(_full(LAZY, 12), 1.0, Variant.EXACT)
-    assert sigma >= uncapped - 1e-12
+def _chain(seed, k, stay=0.0):
+    """A random chain; ``stay`` moves that much of every row onto the diagonal."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((k, k)) + 0.05
+    P = (1.0 - stay) * P / P.sum(axis=1, keepdims=True) + stay * np.eye(k)
+    q = rng.random(k) + 0.05
+    return ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+
+
+@contextlib.contextmanager
+def _rounds():
+    """Record the offset cap of every search round run inside the block."""
+    caps = []
+    inner = mechanism._search_model
+
+    def counting(*args):
+        caps.append(args[-1])
+        return inner(*args)
+
+    with mock.patch.object(mechanism, "_search_model", counting):
+        yield caps
+
+
+def _unpruned(fw, eps, variant, **kw):
+    """The search with every offset admitted from the start."""
+    with mock.patch.object(mechanism, "_FIRST_CAP", fw.horizon):
+        return quilt_scores(fw, eps, variant, **kw)
+
+
+@st.composite
+def _instances(draw, lengths):
+    k = draw(st.integers(2, 5))
+    stay = draw(st.sampled_from([0.0, 0.0, 0.3, 0.9, 0.98]))
+    model = _chain(draw(st.integers(0, 2**32 - 1)), k, stay)
+    L = draw(lengths)
+    start = draw(st.integers(1, 4))
+    fw = Framework(start + L - 1, Window(start, start + L - 1), (model,))
+    eps = draw(st.floats(0.5, 3.0))
+    return fw, eps, draw(st.sampled_from(list(Variant))), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_instances(st.integers(1, 200)))
+def test_pruned_search_equals_unpruned_search(inst):
+    fw, eps, variant, two_sided_only = inst
+    kw = dict(approx_two_sided_only=two_sided_only)
+    assert quilt_scores(fw, eps, variant, **kw) == _unpruned(fw, eps, variant, **kw)
+
+
+def _brute_force_check(fw, eps, variant):
+    (model,) = fw.models
+    L = fw.horizon
+    info = spectral(model) if variant is Variant.APPROX else None
+
+    def influence(shape):
+        if info is None:
+            return exact_max_influence(model, shape)
+        return approx_max_influence(info, shape)
+
+    sigma, active = quilt_scores(fw, eps, variant)
+    wanted = []
+    for i, aq in enumerate(active[0], start=1):
+        scored = {s: score(s, influence(s), eps, L) for s in enumerate_quilts(L, i)}
+        best = min(scored.values())
+        assert aq.score == pytest.approx(best, rel=1e-9)
+        assert scored[aq.shape] <= best * (1 + 1e-9)
+        wanted.append(best)
+    assert sigma == pytest.approx(max(wanted), rel=1e-9)
+
+
+# Windows longer than 16 nodes are where the capped rounds run.
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(17, 30), st.floats(0.2, 3.0),
+       st.sampled_from([0.0, 0.9]))
+def test_pruned_exact_search_matches_brute_force(seed, L, eps, stay):
+    _brute_force_check(_full(_chain(seed, 2, stay), L), eps, Variant.EXACT)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(17, 30),
+       st.floats(0.5, 6.0), st.sampled_from([0.0, 0.9]))
+def test_pruned_approx_search_matches_brute_force(seed, k, L, eps, stay):
+    _brute_force_check(_full(_chain(seed, k, stay), L), eps, Variant.APPROX)
+
+
+def test_sticky_chain_needs_several_rounds():
+    for variant, eps in ((Variant.EXACT, 0.5), (Variant.APPROX, 4.0)):
+        fw = _full(_chain(5, 3, 0.97), 150)
+        with _rounds() as caps:
+            got = quilt_scores(fw, eps, variant)
+        assert len(caps) >= 2 and caps[0] == mechanism._FIRST_CAP
+        assert caps == sorted(caps)
+        assert got == _unpruned(fw, eps, variant)
+
+
+def test_fast_chain_needs_one_round():
+    with _rounds() as caps:
+        quilt_scores(_full(_chain(3, 4), 200), 1.0, Variant.EXACT)
+    assert caps == [mechanism._FIRST_CAP]
+
+
+def test_short_window_runs_full_search_at_once():
+    with _rounds() as caps:
+        quilt_scores(_full(LAZY, 12), 1.0, Variant.EXACT)
+    assert caps == [11]
 
 
 def test_release_determinism_and_decomposition():
