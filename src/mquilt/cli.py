@@ -215,7 +215,7 @@ def _cmd_release(args) -> int:
 
 
 def _entries_by_ids(path: str, ids: Sequence[int]) -> list[LedgerEntry]:
-    table = {e.entry_id: e for e in read_ledger(path)}
+    table = {e.entry_id: e for e in read_ledger(path, ids)}
     missing = [i for i in ids if i not in table]
     if missing:
         raise FormatError(f"ledger has no entries {missing}")

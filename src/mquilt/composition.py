@@ -27,9 +27,10 @@ from .errors import (
     NotApproxVariant,
     OverlappingWindows,
     QuiltMismatch,
+    TooManyWindows,
 )
 from .influence import QuiltShape, Variant, influence_over_set
-from .mechanism import Framework, ReleaseRecord, Window
+from .mechanism import Framework, ReleaseRecord
 
 __all__ = [
     "CompositionRule",
@@ -381,10 +382,10 @@ def compose_auto(
 
     Identical windows take the budget-sum rule. Two disjoint windows take
     the approximate-parallel rule when both releases qualify, otherwise
-    the general parallel rule. More than two pairwise-disjoint windows are
-    folded left to right through the parallel rules; that fold is a
-    heuristic, not a proved bound, and is flagged as such in the checks.
-    Anything else (partial overlap) is rejected with guidance.
+    the general parallel rule. The parallel rules are proved for two
+    windows only, so three or more disjoint windows raise
+    ``TooManyWindows``; partial overlap raises ``OverlappingWindows``.
+    Both messages say how to compose instead.
     """
     records = list(records)
     if not records:
@@ -406,52 +407,13 @@ def compose_auto(
                 "windows partially overlap; compose same-window groups with a "
                 "sequential rule first, then compose the disjoint results"
             )
-    if len(records) == 2:
-        a, b = records[order[0]], records[order[1]]
-        pair_ids = [ids[order[0]], ids[order[1]]]
-        if a.variant is Variant.APPROX and b.variant is Variant.APPROX:
-            return compose_parallel_mqm_approx(a, b, framework, input_ids=pair_ids)
-        return compose_parallel_general(a, b, framework, input_ids=pair_ids)
-    # Pairwise fold over three or more disjoint windows. Each step treats
-    # the running composite as one release spanning its windows' hull.
-    running = records[order[0]]
-    running_ids = [ids[order[0]]]
-    checks: list[Check] = [
-        Check(
-            "pairwise-fold",
-            True,
-            "three or more disjoint windows folded pairwise; the result is a "
-            "heuristic aggregate, not a proved single-rule bound",
+    if len(records) > 2:
+        raise TooManyWindows(
+            f"{len(records)} disjoint windows have no proved single-rule bound; "
+            "compose them pairwise (rule thm2 or thm3 on two records at a time)"
         )
-    ]
-    eps = running.epsilon
-    hull = running.window
-    for n in order[1:]:
-        nxt = records[n]
-        synthetic = ReleaseRecord(
-            variant=running.variant,
-            epsilon=eps,
-            sigma_max=running.sigma_max,
-            output=0.0,
-            query_id="composite",
-            lipschitz_constant=1.0,
-            seed=0,
-            window=hull,
-            active_quilts=running.active_quilts,
-        )
-        if synthetic.variant is Variant.APPROX and nxt.variant is Variant.APPROX:
-            step = compose_parallel_mqm_approx(
-                synthetic, nxt, framework, input_ids=["composite", ids[n]]
-            )
-        else:
-            step = compose_parallel_general(
-                synthetic, nxt, framework, input_ids=["composite", ids[n]]
-            )
-        eps = step.epsilon
-        checks.extend(step.checks)
-        hull = Window(hull.start, nxt.window.end)
-        running = nxt
-        running_ids.append(ids[n])
-    return CompositionReport(
-        float(eps), CompositionRule.GENERAL_PARALLEL, tuple(checks), tuple(ids)
-    )
+    a, b = records[order[0]], records[order[1]]
+    pair_ids = [ids[order[0]], ids[order[1]]]
+    if a.variant is Variant.APPROX and b.variant is Variant.APPROX:
+        return compose_parallel_mqm_approx(a, b, framework, input_ids=pair_ids)
+    return compose_parallel_general(a, b, framework, input_ids=pair_ids)

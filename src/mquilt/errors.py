@@ -97,6 +97,10 @@ class NotApproxVariant(MquiltError):
     """A rule restricted to approximate-influence releases got another kind."""
 
 
+class TooManyWindows(MquiltError):
+    """More disjoint windows than any parallel rule is proved for."""
+
+
 # --------------------------------------------------------------------- oracle
 
 

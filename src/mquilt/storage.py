@@ -3,6 +3,14 @@
 Models are JSON documents; trajectories are one-column CSV files with a
 ``state`` header; releases append to a JSON-lines ledger guarded by an
 advisory file lock, so concurrent writers get distinct monotone ids.
+
+Ledger operations cost what they touch, not what the ledger holds. An
+append reads only the ledger's last line, backwards from the end of the
+file, and gives the new entry that line's id + 1; so a ledger is
+append-only, its ids increase down the file, and it must not be reordered
+by hand (a reader refuses ids that do not increase). A read streams the
+file, decodes every line and checks its id, so damage anywhere is refused,
+but builds entries only for the ids asked for.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ import csv
 import datetime
 import fcntl
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -126,17 +135,43 @@ class LedgerEntry:
             "record": self.record.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LedgerEntry":
-        try:
-            return cls(
-                int(d["id"]),
-                str(d["timestamp"]),
-                framework_from_dict(d["framework"]),
-                ReleaseRecord.from_dict(d["record"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"malformed ledger entry: {exc}") from exc
+
+# Bytes read per step when looking for the ledger's last line.
+_TAIL_BLOCK = 1 << 16
+
+
+def _line_doc(line: bytes, where: str, skim: bool = False) -> dict:
+    """Decode one ledger line and check its id; ``where`` names it in errors.
+
+    With ``skim`` the line's floats stay as text, which about halves the
+    decoding time of a line read only for its id; its JSON syntax is still
+    checked in full.
+    """
+    try:
+        doc = json.loads(line, parse_float=str if skim else None)
+    except ValueError as exc:
+        raise FormatError(f"{where} is not valid JSON: {exc}") from exc
+    entry_id = doc.get("id") if isinstance(doc, dict) else None
+    if type(entry_id) is not int or entry_id < 1:
+        raise FormatError(f"{where} has no positive integer id: {line[:80]!r}")
+    return doc
+
+
+def _last_line(fh) -> tuple[bytes, bool]:
+    """The last non-blank line of a binary file, read backwards from its end
+    in blocks, and whether the file ends with a newline."""
+    pos = fh.seek(0, os.SEEK_END)
+    tail = b""
+    while pos > 0:
+        step = min(_TAIL_BLOCK, pos)
+        pos -= step
+        fh.seek(pos)
+        tail = fh.read(step) + tail
+        body = tail.rstrip()
+        cut = body.rfind(b"\n")
+        if cut >= 0:
+            return body[cut + 1 :], tail.endswith(b"\n")
+    return tail.strip(), tail.endswith(b"\n")
 
 
 def append_release(
@@ -144,25 +179,33 @@ def append_release(
 ) -> LedgerEntry:
     """Append one release to the ledger and return its entry.
 
-    Holds an exclusive advisory lock for the read-max-id-then-append
-    critical section, so parallel writers cannot collide on ids.
+    The new id is the last line's id + 1. Reading that line and appending
+    happen under one exclusive advisory lock, so parallel writers cannot
+    collide on ids. The cost does not depend on the ledger's length.
+
+    Raises
+    ------
+    FormatError
+        The last line is not a ledger entry (for instance a torn write).
     """
     path = Path(path)
-    with open(path, "a+") as fh:
+    with open(path, "a+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
-            fh.seek(0)
-            last = 0
-            for line in fh:
-                if line.strip():
-                    last = max(last, int(json.loads(line)["id"]))
+            last, terminated = _last_line(fh)
+            last_id = 0
+            if last:
+                last_id = _line_doc(last, f"{path} last line", skim=True)["id"]
             entry = LedgerEntry(
-                last + 1,
+                last_id + 1,
                 datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 framework,
                 record,
             )
-            fh.write(json.dumps(entry.to_dict()) + "\n")
+            # A last line without its newline (written by hand, or a write
+            # cut short after the closing brace) must not absorb this entry.
+            lead = b"" if terminated or not last else b"\n"
+            fh.write(lead + json.dumps(entry.to_dict()).encode() + b"\n")
             fh.flush()
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
@@ -197,18 +240,53 @@ def replay_matches(entry: LedgerEntry) -> bool:
     )
 
 
-def read_ledger(path: str | Path) -> list[LedgerEntry]:
-    """Parse every entry of a JSON-lines ledger, in file order."""
+def read_ledger(
+    path: str | Path, ids: Iterable[int] | None = None
+) -> list[LedgerEntry]:
+    """Entries of a JSON-lines ledger in file order: all of them, or only
+    those whose id is in ``ids``.
+
+    The file is streamed line by line. Every line is decoded and its id
+    checked, so a damaged line or ids that do not increase are refused
+    even where that entry was not asked for; only the asked-for entries
+    are built. Consecutive entries with equal framework documents share
+    one (frozen) ``Framework``.
+
+    Raises
+    ------
+    FormatError
+        No ledger at ``path``, or a line that is not a ledger entry.
+    """
+    wanted = None if ids is None else set(ids)
     entries = []
+    last_id, raw_framework, framework = 0, None, None
     try:
-        text = Path(path).read_text()
+        fh = open(path, "rb")
     except FileNotFoundError as exc:
         raise FormatError(f"no ledger at {path}") from exc
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            entries.append(LedgerEntry.from_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path} line {n} is not valid JSON: {exc}") from exc
+    with fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path} line {n}"
+            doc = _line_doc(line, where, skim=wanted is not None)
+            if doc["id"] <= last_id:
+                raise FormatError(
+                    f"{where} has id {doc['id']} after id {last_id}; "
+                    "ledger ids must increase"
+                )
+            last_id = doc["id"]
+            if wanted is not None:
+                if last_id not in wanted:
+                    continue
+                doc = json.loads(line)  # was skimmed; now its floats are needed
+            try:
+                if framework is None or doc["framework"] != raw_framework:
+                    raw_framework = doc["framework"]
+                    framework = framework_from_dict(raw_framework)
+                record = ReleaseRecord.from_dict(doc["record"])
+                timestamp = str(doc["timestamp"])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{where} is a malformed entry: {exc!r}") from exc
+            entries.append(LedgerEntry(last_id, timestamp, framework, record))
     return entries

@@ -21,6 +21,7 @@ from mquilt.errors import (
     NotApproxVariant,
     OverlappingWindows,
     QuiltMismatch,
+    TooManyWindows,
 )
 from mquilt.influence import QuiltShape, Variant, influence_over_set
 from mquilt.mechanism import (
@@ -263,18 +264,18 @@ def test_auto_rejects_partial_overlap():
         compose_auto([], fw)
 
 
-def test_auto_folds_three_disjoint_windows():
+def test_auto_refuses_three_disjoint_windows():
+    # The parallel rules are proved for two windows; three must be composed
+    # pairwise rather than folded into one unproved number.
     fw = Framework(5, Window(1, 5), (IND,))
     recs = [
         _released(0.3, (1, 1)),
         _released(0.4, (3, 3)),
         _released(0.5, (5, 5)),
     ]
-    rep = compose_auto(recs, fw)
-    assert rep.rule.value == "thm2"
-    assert rep.checks[0].name == "pairwise-fold"
-    # independent chain: nothing crosses windows, so the worst budget wins
-    assert rep.epsilon == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(TooManyWindows, match="pairwise"):
+        compose_auto(recs, fw)
+    assert compose_auto(recs[:2], fw).rule.value == "thm2"
 
 
 def test_composed_budget_never_below_worst_input():

@@ -1,9 +1,11 @@
 import json
+import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mquilt import cli, mechanism
+from mquilt import cli, mechanism, storage
 from mquilt.chains import ChainModel, StateSequence
 from mquilt.cli import main
 from mquilt.errors import (
@@ -202,6 +204,158 @@ def test_read_ledger_rejects_garbage(tmp_path):
     path.write_text("{broken\n")
     with pytest.raises(FormatError):
         read_ledger(path)
+
+
+def _entry_line(**record_changes) -> str:
+    fw, rec = _make_record()
+    doc = {"id": 1, "timestamp": "t", "framework": framework_to_dict(fw),
+           "record": {**rec.to_dict(), **record_changes}}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "last_line",
+    ['{"id": 1, "trunc', '{"id": "x"}', '{"no-id": 1}', "[1, 2]"],
+    ids=["torn", "string-id", "no-id", "not-an-object"],
+)
+def test_damaged_last_line_is_a_format_error(tmp_path, capsys, last_line):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(_entry_line() + "\n" + last_line)
+    fw, rec = _make_record()
+    with pytest.raises(FormatError, match="last line"):
+        append_release(path, fw, rec)
+    with pytest.raises(FormatError, match="line 2"):
+        read_ledger(path)
+    model_path, data_path = _write_inputs(tmp_path)
+    argv = ["release", "--model", model_path, "--data", data_path,
+            "--query", "count:0", "--epsilon", "1.0", "--seed", "1",
+            "--ledger", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        _entry_line(variant="bogus"),
+        _entry_line(active_quilts=[1]),
+        _entry_line(epsilon="high"),
+        json.dumps({"id": 1, "timestamp": "t"}),
+    ],
+    ids=["unknown-variant", "quilts-not-a-map", "epsilon-not-a-number", "no-record"],
+)
+def test_malformed_entry_is_a_format_error(tmp_path, line):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(FormatError, match="line 1"):
+        read_ledger(path)
+    with pytest.raises(FormatError, match="line 1"):
+        read_ledger(path, ids=[1])
+
+
+def test_read_ledger_refuses_ids_that_do_not_increase(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fw, rec = _make_record()
+    for _ in range(3):
+        append_release(path, fw, rec)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+    with pytest.raises(FormatError, match="must increase"):
+        read_ledger(path, ids=[1])
+
+
+def test_append_after_unterminated_last_line(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fw, rec = _make_record()
+    append_release(path, fw, rec)
+    path.write_text(path.read_text().rstrip("\n"))
+    assert append_release(path, fw, rec).entry_id == 2
+    assert [e.entry_id for e in read_ledger(path)] == [1, 2]
+
+
+def _append_ten(path, barrier):
+    fw, rec = _make_record()
+    barrier.wait(timeout=60)
+    for _ in range(10):
+        append_release(path, fw, rec)
+
+
+def test_parallel_writers_get_distinct_ids(tmp_path):
+    # Four writers on two cores: the last-line read and the append must
+    # stay inside one lock, or two writers take the same id.
+    path = tmp_path / "ledger.jsonl"
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(4)
+    procs = [
+        ctx.Process(target=_append_ten, args=(str(path), barrier)) for _ in range(4)
+    ]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    assert not any(p.is_alive() for p in procs)
+    assert [p.exitcode for p in procs] == [0] * 4
+    lines = path.read_text().splitlines()
+    assert sorted(json.loads(line)["id"] for line in lines) == list(range(1, 41))
+    assert [e.entry_id for e in read_ledger(path)] == list(range(1, 41))
+
+
+def test_read_ledger_by_ids_matches_full_read(tmp_path, capsys):
+    path = tmp_path / "ledger.jsonl"
+    other = ChainModel.from_arrays([0.5, 0.5], [[0.6, 0.4], [0.1, 0.9]])
+    one = Framework(4, Window(1, 4), (LAZY,))
+    two = Framework(4, Window(1, 4), (LAZY, other))
+    data = StateSequence(np.array([0, 1, 0, 0]))
+    # Model sets alternate in runs, so a framework kept from one entry
+    # would be wrong for the next.
+    for n, fw in enumerate([one, one, two, one, two, two, one]):
+        rec = release(data, count_state_query(0, 2), 0.5 + n, fw, Variant.EXACT, n)
+        append_release(path, fw, rec)
+    full = read_ledger(path)
+    assert full[0].framework is full[1].framework
+    for ids in ([2, 3, 4], [7, 1], [5], []):
+        part = read_ledger(path, ids)
+        want = [e for e in full if e.entry_id in ids]
+        assert [e.entry_id for e in part] == [e.entry_id for e in want]
+        for got, exp in zip(part, want):
+            assert got.record.to_dict() == exp.record.to_dict()
+            assert got.framework.window == exp.framework.window
+            assert len(got.framework.models) == len(exp.framework.models)
+            assert all(
+                a.equal_to(b)
+                for a, b in zip(got.framework.models, exp.framework.models)
+            )
+    # Damage on a line that was not asked for is still refused.
+    with open(path, "a") as fh:
+        fh.write("{not json\n")
+    with pytest.raises(FormatError, match="line 8"):
+        read_ledger(path, [1])
+    argv = ["compose", "--ledger", str(path), "--ids", "1,2", "--rule", "thm6"]
+    assert main(argv) == 2
+    assert "line 8 is not valid JSON" in capsys.readouterr().err
+
+
+def test_append_decodes_only_the_last_line(tmp_path, monkeypatch):
+    # Guards against appends that re-read the ledger, which made writing n
+    # entries cost O(n^2).
+    path = tmp_path / "ledger.jsonl"
+    fw, rec = _make_record()
+    append_release(path, fw, rec)
+    doc = json.loads(path.read_text())
+    with open(path, "a") as fh:
+        for n in range(2, 501):
+            fh.write(json.dumps({**doc, "id": n}) + "\n")
+    calls = []
+
+    def counting_loads(*args, **kwargs):
+        calls.append(1)
+        return json.loads(*args, **kwargs)
+
+    monkeypatch.setattr(
+        storage, "json", SimpleNamespace(loads=counting_loads, dumps=json.dumps)
+    )
+    assert append_release(path, fw, rec).entry_id == 501
+    assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------- CLI
