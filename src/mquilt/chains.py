@@ -1,9 +1,9 @@
 """Finite time-homogeneous Markov chain models.
 
 This module holds the chain representation used everywhere else: validation,
-marginals, forward and backward conditionals over a time gap, the spectral
-quantities of the multiplicative reversiblization (stationary distribution,
-time reversal, eigenvalues, eigen-gap), and seeded trajectory sampling.
+marginals, transition powers, the spectral quantities of the multiplicative
+reversiblization (stationary distribution, time reversal, eigenvalues,
+eigen-gap), and seeded trajectory sampling.
 
 Conventions
 -----------
@@ -38,8 +38,6 @@ __all__ = [
     "SpectralInfo",
     "validate",
     "marginal",
-    "forward_conditional",
-    "backward_conditional",
     "transition_power",
     "spectral",
     "sample",
@@ -54,9 +52,6 @@ EIGEN_ONE_TOL = 1e-8
 
 _SUM_ROUNDING = 4 * np.finfo(np.float64).eps
 """Per-entry slack on a row sum that still counts as exactly 1."""
-
-_STATIONARY_RESIDUAL = 1e-13
-_STATIONARY_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -250,44 +245,6 @@ def marginal(model: ChainModel, t: int) -> NDArray[np.float64]:
     return model.initial @ transition_power(model.transition, t - 1)
 
 
-def forward_conditional(model: ChainModel, b: int) -> NDArray[np.float64]:
-    """Matrix ``M[v, u] = P(X_{i+b} = u | X_i = v)``, which is ``P^b``.
-
-    The chain is time homogeneous so the result does not depend on ``i``.
-    """
-    if b < 1:
-        raise InvalidTime(f"forward gap must be >= 1, got {b}")
-    return transition_power(model.transition, b)
-
-
-def backward_conditional(model: ChainModel, i: int, a: int) -> NDArray[np.float64]:
-    """Matrix ``M[v, u] = P(X_{i-a} = u | X_i = v)`` via Bayes inversion.
-
-    Rows ``v`` with ``P(X_i = v) = 0`` are undefined and returned as NaN;
-    downstream maximizations skip them.
-
-    Parameters
-    ----------
-    i : int
-        1-based node being conditioned on.
-    a : int
-        Backward gap, ``1 <= a <= i - 1``.
-    """
-    if a < 1:
-        raise InvalidTime(f"backward gap must be >= 1, got {a}")
-    if i - a < 1:
-        raise InvalidTime(f"node {i} has no ancestor at gap {a}")
-    m_past = marginal(model, i - a)
-    m_now = marginal(model, i)
-    Pa = transition_power(model.transition, a)
-    out = np.full((model.k, model.k), np.nan)
-    defined = m_now > 0.0
-    # joint[u, v] = P(X_{i-a}=u, X_i=v); divide columns by P(X_i=v).
-    joint = m_past[:, None] * Pa
-    out[defined, :] = (joint[:, defined] / m_now[defined]).T
-    return out
-
-
 def _positive_adjacency(P: NDArray[np.float64]) -> NDArray[np.bool_]:
     return P > 0.0
 
@@ -332,35 +289,14 @@ def _period(adj: NDArray[np.bool_]) -> int:
 
 
 def _stationary_distribution(P: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Stationary law by power iteration with a linear-solve fallback.
+    """Stationary law from the balance equations ``pi (P - I) = 0`` and
+    ``sum(pi) = 1``, solved by least squares.
 
-    Iterates ``pi <- pi P`` from the uniform vector until the l1 residual
-    falls below a tight threshold (stalls included), then falls back to
-    solving ``pi (P - I) = 0`` with the normalization constraint if the
-    iteration cap is hit without convergence.
+    The caller has checked that ``P`` is irreducible and aperiodic, so the
+    solution is unique; rounding below zero is clipped and the result
+    renormalized.
     """
     k = P.shape[0]
-    pi = np.full(k, 1.0 / k)
-    best = pi
-    best_res = float(np.abs(pi @ P - pi).sum())
-    stall = 0
-    for _ in range(_STATIONARY_MAX_ITER):
-        nxt = pi @ P
-        total = nxt.sum()
-        if total > 0:
-            nxt = nxt / total
-        res = float(np.abs(nxt @ P - nxt).sum())
-        if res < best_res:
-            best, best_res = nxt, res
-            stall = 0
-        else:
-            stall += 1
-        pi = nxt
-        if best_res <= _STATIONARY_RESIDUAL or stall > 64:
-            break
-    if best_res <= 1e-10:
-        return best
-    # Slow mixing: solve the balance equations directly instead.
     A = np.vstack([P.T - np.eye(k), np.ones((1, k))])
     b = np.zeros(k + 1)
     b[-1] = 1.0

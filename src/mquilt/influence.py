@@ -5,9 +5,17 @@ pairs of values at the protected node, between conditional laws of a set of
 observed nodes. Two routes compute it for quilt-shaped sets:
 
 ``exact``
-    Direct computation from forward and backward conditionals. The quilt
-    factorizes across the protected node, so the maximization separates
-    into a backward part and a forward part per value pair.
+    One batched kernel, :func:`_exact_influences`. Given ``X_i``, the
+    quilt nodes before and after it are independent, so the maximization
+    separates into a backward part and a forward part per ordered value
+    pair. The backward part at offset ``a`` compares columns of the log
+    joint law of ``(X_{i-a}, X_i)``, built from the marginal at ``i - a``
+    and ``P^a``; the forward part at offset ``b`` compares rows of
+    ``P^b``. The kernel takes these per offset, as stacks: the quilt
+    search passes every offset up to its cap at once, and
+    :func:`exact_max_influence` passes the one row of a single shape,
+    built directly with :func:`~mquilt.chains.transition_power`, so a
+    far-away offset costs no table up to it.
 
 ``approx``
     A spectral upper bound that only needs the stationary minimum and the
@@ -24,14 +32,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .chains import (
     ChainModel,
     SpectralInfo,
-    backward_conditional,
-    forward_conditional,
     marginal,
     spectral,
+    transition_power,
     validate,
 )
 from .errors import BadShape, EmptyThetaSet
@@ -129,16 +137,77 @@ def nearby_size(shape: QuiltShape, T: int) -> int:
     return T
 
 
-def _pairwise_log_ratio_max(rows: np.ndarray) -> np.ndarray:
-    """``out[u, v] = max_x log(rows[u, x] / rows[v, x])`` skipping 0/0 slots.
+_BLOCK_FLOATS = 1_000_000
+"""Size bound of the blocked temporaries in :func:`_exact_influences`."""
 
-    ``rows`` must contain conditional distributions (each row sums to 1),
-    so every output entry is at least 0 and never minus infinity.
+
+def _log_ratio_max(log_rows: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``out[u, v] = max_x (log_rows[u, x] - log_rows[v, x])``, skipping
+    slots where both entries are ``-inf``.
+
+    For the rows of ``log P^b`` this is the forward part of the exact
+    influence at offset ``b`` for every ordered value pair.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(rows)
-        diff = logs[:, None, :] - logs[None, :, :]
+    with np.errstate(invalid="ignore"):
+        diff = log_rows[:, None, :] - log_rows[None, :, :]
     return np.nanmax(diff, axis=2)
+
+
+def _pair_indices(live: NDArray[np.bool_]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """Both orders of every pair of distinct live values."""
+    idx = np.nonzero(live)[0]
+    if idx.size < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    uu, vv = np.meshgrid(idx, idx, indexing="ij")
+    keep = uu != vv
+    return uu[keep], vv[keep]
+
+
+def _exact_influences(
+    log_m: NDArray[np.float64],
+    log_past: NDArray[np.float64],
+    log_powers: NDArray[np.float64],
+    right_max: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Exact influences of ``X_i`` on every quilt over the given offsets.
+
+    ``log_m`` is ``log P(X_i)``. Row ``r`` of ``log_past`` and
+    ``log_powers`` holds ``log P(X_{i-a})`` and ``log P^a`` for the
+    ``r``-th backward offset ``a``; row ``s`` of ``right_max`` holds
+    :func:`_log_ratio_max` of ``log P^b`` for the ``s``-th forward offset
+    ``b``. Returns the influences of the left-only ``(na,)``, right-only
+    ``(nb,)`` and two-sided ``(na, nb)`` quilts.
+
+    Per live ordered value pair, the backward part is a log-ratio maximum
+    of the joint law of ``(X_{i-a}, X_i)`` plus the marginal ratio that
+    Bayes inversion contributes, and the forward part is read from
+    ``right_max``. Both orders of every pair are maximized over, so no
+    influence comes out negative, even after rounding. With fewer than two
+    live values there is no secret pair and every influence is 0.
+    """
+    na, nb = log_past.shape[0], right_max.shape[0]
+    uu, vv = _pair_indices(log_m > -np.inf)
+    if uu.size == 0:
+        return np.zeros(na), np.zeros(nb), np.zeros((na, nb))
+    pairs = uu.size
+    c_left = np.empty((na, pairs))
+    block = max(1, _BLOCK_FLOATS // (log_m.size * pairs))
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, na, block):
+            hi = min(na, lo + block)
+            # log of joint(x, u) = m_past[x] * P^a[x, u], columns compared.
+            log_joint = log_past[lo:hi, :, None] + log_powers[lo:hi]
+            c_left[lo:hi] = np.nanmax(
+                log_joint[:, :, uu] - log_joint[:, :, vv], axis=1
+            )
+    c_left += log_m[vv] - log_m[uu]
+    c_right = right_max[:, uu, vv]
+    e_two = np.empty((na, nb))
+    block = max(1, _BLOCK_FLOATS // max(1, nb * pairs))
+    for lo in range(0, na, block):
+        hi = min(na, lo + block)
+        e_two[lo:hi] = (c_left[lo:hi, None, :] + c_right[None, :, :]).max(axis=2)
+    return c_left.max(axis=1), c_right.max(axis=1), e_two
 
 
 def exact_max_influence(model: ChainModel, shape: QuiltShape) -> InfluenceValue:
@@ -151,28 +220,37 @@ def exact_max_influence(model: ChainModel, shape: QuiltShape) -> InfluenceValue:
     fewer than two values are reachable there are no secret pairs to
     separate and the influence is 0. The result is ``inf`` when some
     realization is possible under one value and impossible under another.
+
+    This is one offset pair of :func:`_exact_influences`, the kernel the
+    quilt search runs over every offset.
     """
     model = validate(model)
     if shape.is_empty:
         return InfluenceValue(0.0, Variant.EXACT)
-    if shape.left is not None and shape.node - shape.left < 1:
-        raise BadShape(f"left offset {shape.left} invalid for node {shape.node}")
-    if shape.right is not None and shape.right < 1:
-        raise BadShape(f"right offset {shape.right} must be >= 1")
-    m_now = marginal(model, shape.node)
-    live = np.nonzero(m_now > 0.0)[0]
-    if live.size < 2:
-        return InfluenceValue(0.0, Variant.EXACT)
-    n = live.size
-    total = np.zeros((n, n))
-    if shape.left is not None:
-        B = backward_conditional(model, shape.node, shape.left)
-        total = total + _pairwise_log_ratio_max(B[live])
-    if shape.right is not None:
-        F = forward_conditional(model, shape.right)
-        total = total + _pairwise_log_ratio_max(F[live])
-    np.fill_diagonal(total, 0.0)
-    return InfluenceValue(float(total.max()), Variant.EXACT)
+    i, a, b = shape.node, shape.left, shape.right
+    if a is not None and not 1 <= a <= i - 1:
+        raise BadShape(f"left offset {a} invalid for node {i}")
+    if b is not None and b < 1:
+        raise BadShape(f"right offset {b} must be >= 1")
+    # One row per side that the quilt has; a missing side gets zero rows.
+    k, P = model.k, model.transition
+    log_past, log_powers = np.empty((0, k)), np.empty((0, k, k))
+    right_max = np.empty((0, k, k))
+    with np.errstate(divide="ignore"):
+        log_m = np.log(marginal(model, i))
+        if a is not None:
+            log_past = np.log(marginal(model, i - a))[None]
+            log_powers = np.log(transition_power(P, a))[None]
+        if b is not None:
+            right_max = _log_ratio_max(np.log(transition_power(P, b)))[None]
+    e_left, e_right, e_two = _exact_influences(log_m, log_past, log_powers, right_max)
+    if shape.is_two_sided:
+        value = e_two[0, 0]
+    elif a is not None:
+        value = e_left[0]
+    else:
+        value = e_right[0]
+    return InfluenceValue(float(value), Variant.EXACT)
 
 
 def approx_offset_threshold(info: SpectralInfo) -> float:

@@ -42,7 +42,15 @@ from .errors import (
     MixedFrameworks,
     MquiltError,
 )
-from .influence import InfluenceValue, QuiltShape, Variant, _spectral_term, nearby_size
+from .influence import (
+    InfluenceValue,
+    QuiltShape,
+    Variant,
+    _exact_influences,
+    _log_ratio_max,
+    _spectral_term,
+    nearby_size,
+)
 
 __all__ = [
     "Window",
@@ -293,19 +301,6 @@ _FIRST_CAP = 8
 """Offset cap of the first pruned round. Windows of at most twice the cap
 go straight to the full search, which costs them about as much as a round."""
 
-_BLOCK_FLOATS = 1_000_000
-"""Size bound of the blocked temporaries in the exact influence kernel."""
-
-
-def _pair_indices(live: NDArray[np.bool_]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    idx = np.nonzero(live)[0]
-    if idx.size < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    uu, vv = np.meshgrid(idx, idx, indexing="ij")
-    keep = uu != vv
-    return uu[keep], vv[keep]
-
-
 def _select(
     cands: list[tuple[float, int, int, int, int, QuiltShape]]
 ) -> tuple[float, int, int, int, int, QuiltShape]:
@@ -320,7 +315,6 @@ def _best_quilt(
     e_left: NDArray[np.float64],
     e_right: NDArray[np.float64],
     e_two: NDArray[np.float64],
-    two_sided_only: bool,
 ) -> tuple[float, QuiltShape]:
     """Minimize the score at local node ``i`` over the given influences.
 
@@ -354,25 +348,24 @@ def _best_quilt(
             (float(s2[ai, bi]), int(nearby2[ai, bi]), 0, ai + 1, bi + 1,
              QuiltShape(i, ai + 1, bi + 1))
         )
-    if not two_sided_only:
-        if na:
-            aa = np.arange(1, na + 1)
-            nearby_l = (L - i + aa).astype(float)
-            sl = scores(e_left, nearby_l)
-            j = int(np.lexsort((aa, nearby_l, sl))[0])
-            cands.append(
-                (float(sl[j]), int(nearby_l[j]), 1, int(aa[j]), 0,
-                 QuiltShape(i, int(aa[j]), None))
-            )
-        if nb:
-            bb = np.arange(1, nb + 1)
-            nearby_r = (i + bb - 1).astype(float)
-            sr = scores(e_right, nearby_r)
-            j = int(np.lexsort((bb, nearby_r, sr))[0])
-            cands.append(
-                (float(sr[j]), int(nearby_r[j]), 1, 0, int(bb[j]),
-                 QuiltShape(i, None, int(bb[j])))
-            )
+    if na:
+        aa = np.arange(1, na + 1)
+        nearby_l = (L - i + aa).astype(float)
+        sl = scores(e_left, nearby_l)
+        j = int(np.lexsort((aa, nearby_l, sl))[0])
+        cands.append(
+            (float(sl[j]), int(nearby_l[j]), 1, int(aa[j]), 0,
+             QuiltShape(i, int(aa[j]), None))
+        )
+    if nb:
+        bb = np.arange(1, nb + 1)
+        nearby_r = (i + bb - 1).astype(float)
+        sr = scores(e_right, nearby_r)
+        j = int(np.lexsort((bb, nearby_r, sr))[0])
+        cands.append(
+            (float(sr[j]), int(nearby_r[j]), 1, 0, int(bb[j]),
+             QuiltShape(i, None, int(bb[j])))
+        )
     cands.append((L / epsilon, L, 2, 0, 0, QuiltShape(i, None, None)))
     best = _select(cands)
     return best[0], best[5]
@@ -400,59 +393,13 @@ def _log_powers(
     log_powers = np.empty((cap + 1, k, k))
     right_max = np.zeros((cap + 1, k, k))
     power = np.eye(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         log_powers[0] = np.log(power)
         for j in range(1, cap + 1):
             power = np.clip(power @ P, 0.0, 1.0)
             log_powers[j] = np.log(power)
-            diff = log_powers[j][:, None, :] - log_powers[j][None, :, :]
-            right_max[j] = np.nanmax(diff, axis=2)
+            right_max[j] = _log_ratio_max(log_powers[j])
     return log_powers, right_max
-
-
-def _exact_influences(
-    log_margs: NDArray[np.float64],
-    log_powers: NDArray[np.float64],
-    right_max: NDArray[np.float64],
-    i: int,
-    na: int,
-    nb: int,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Exact influences at node ``i`` of every quilt with offsets ``a <= na``
-    and ``b <= nb``: left-only ``(na,)``, right-only ``(nb,)``, two-sided
-    ``(na, nb)``.
-
-    Per live ordered value pair, the backward part is a log-ratio maximum
-    of the joint law of ``(X_{i-a}, X_i)`` plus the marginal ratio that
-    Bayes inversion contributes; the forward part is read from
-    ``right_max``. Both orders of every pair are maximized over, so no
-    influence comes out negative, even after rounding.
-    """
-    log_m = log_margs[i - 1]
-    uu, vv = _pair_indices(log_m > -np.inf)
-    if uu.size == 0:
-        return np.zeros(na), np.zeros(nb), np.zeros((na, nb))
-    pairs = uu.size
-    # log m_{i-a} for a = 1..na, nearest node first
-    log_past = log_margs[i - 1 - na : i - 1][::-1]
-    c_left = np.empty((na, pairs))
-    block = max(1, _BLOCK_FLOATS // (log_m.size * pairs))
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, na, block):
-            hi = min(na, lo + block)
-            # log of joint(x, u) = m_past[x] * P^a[x, u], columns compared.
-            log_joint = log_past[lo:hi, :, None] + log_powers[lo + 1 : hi + 1]
-            c_left[lo:hi] = np.nanmax(
-                log_joint[:, :, uu] - log_joint[:, :, vv], axis=1
-            )
-    c_left += log_m[vv] - log_m[uu]
-    c_right = right_max[1 : nb + 1, uu, vv]
-    e_two = np.empty((na, nb))
-    block = max(1, _BLOCK_FLOATS // max(1, nb * pairs))
-    for lo in range(0, na, block):
-        hi = min(na, lo + block)
-        e_two[lo:hi] = (c_left[lo:hi, None, :] + c_right[None, :, :]).max(axis=2)
-    return c_left.max(axis=1), c_right.max(axis=1), e_two
 
 
 def _search_model(
@@ -461,7 +408,6 @@ def _search_model(
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
-    two_sided_only: bool,
     cap: int,
 ) -> list[tuple[float, QuiltShape]]:
     """Best score and quilt of every local node over offsets up to ``cap``.
@@ -478,10 +424,15 @@ def _search_model(
     for i in range(1, L + 1):
         na, nb = min(i - 1, cap), min(L - i, cap)
         if log_margs is not None:
-            e = _exact_influences(log_margs, log_powers, right_max, i, na, nb)
+            e = _exact_influences(
+                log_margs[i - 1],
+                log_margs[i - 1 - na : i - 1][::-1],  # nearest node first
+                log_powers[1 : na + 1],
+                right_max[1 : nb + 1],
+            )
         else:
             e = (2.0 * terms[:na], terms[:nb], 2.0 * terms[:na, None] + terms[None, :nb])
-        best.append(_best_quilt(i, L, epsilon, *e, two_sided_only))
+        best.append(_best_quilt(i, L, epsilon, *e))
     return best
 
 
@@ -491,18 +442,17 @@ def _pruned_search(
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
-    two_sided_only: bool,
 ) -> list[tuple[float, QuiltShape]]:
     """:func:`_search_model` over all offsets, searching only those that can
     still win (see the module docstring)."""
     cap = _FIRST_CAP
     while 2 * cap < L:
-        best = _search_model(model, log_margs, info, L, epsilon, two_sided_only, cap)
+        best = _search_model(model, log_margs, info, L, epsilon, cap)
         sigma = max(s for s, _ in best)
         if (cap + 1) / epsilon > sigma:
             return best
         cap = max(2 * cap, math.floor(sigma * epsilon) + 1)
-    return _search_model(model, log_margs, info, L, epsilon, two_sided_only, L - 1)
+    return _search_model(model, log_margs, info, L, epsilon, L - 1)
 
 
 def quilt_scores(
@@ -511,7 +461,6 @@ def quilt_scores(
     variant: Variant,
     *,
     scope: str = "window",
-    approx_two_sided_only: bool = False,
 ) -> tuple[float, dict[int, tuple[ActiveQuilt, ...]]]:
     """Run the per-model, per-node quilt search and return the noise scale.
 
@@ -543,7 +492,6 @@ def quilt_scores(
         L = framework.horizon
         offset = 0
         search_models = list(framework.models)
-    two_sided_only = variant is Variant.APPROX and approx_two_sided_only
 
     sigma_max = 0.0
     active: dict[int, tuple[ActiveQuilt, ...]] = {}
@@ -553,7 +501,7 @@ def quilt_scores(
                 log_margs, info = np.log(_marginals(model, L)), None
         else:
             log_margs, info = None, spectral(model)
-        best = _pruned_search(model, log_margs, info, L, epsilon, two_sided_only)
+        best = _pruned_search(model, log_margs, info, L, epsilon)
         active[idx] = tuple(
             ActiveQuilt(i + offset, QuiltShape(i + offset, shape.left, shape.right), s)
             for i, (s, shape) in enumerate(best, start=1)
@@ -582,7 +530,6 @@ def release(
     seed: int,
     *,
     scope: str = "window",
-    approx_two_sided_only: bool = False,
 ) -> ReleaseRecord:
     """Release a noisy query value over the framework's window.
 
@@ -590,13 +537,7 @@ def release(
     :func:`release_record`, which adds the noise.
     """
     _window_values(data, framework)
-    search = quilt_scores(
-        framework,
-        epsilon,
-        variant,
-        scope=scope,
-        approx_two_sided_only=approx_two_sided_only,
-    )
+    search = quilt_scores(framework, epsilon, variant, scope=scope)
     return release_record(
         search, data, query, epsilon, framework, variant, seed, scope=scope
     )

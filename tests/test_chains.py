@@ -7,8 +7,6 @@ from mquilt.chains import (
     EIGEN_ONE_TOL,
     ChainModel,
     StateSequence,
-    backward_conditional,
-    forward_conditional,
     marginal,
     random_model,
     sample,
@@ -45,13 +43,6 @@ def test_marginal_rejects_time_zero():
         marginal(SYM, 0)
 
 
-def test_forward_conditional_two_steps():
-    got = forward_conditional(SYM, 2)
-    np.testing.assert_allclose(
-        got, [[0.625, 0.375], [0.375, 0.625]], atol=1e-12
-    )
-
-
 def test_transition_power_zero_is_identity():
     np.testing.assert_array_equal(transition_power(SYM.transition, 0), np.eye(2))
 
@@ -59,20 +50,6 @@ def test_transition_power_zero_is_identity():
 def test_transition_power_negative_rejected():
     with pytest.raises(InvalidTime):
         transition_power(SYM.transition, -1)
-
-
-def test_backward_conditional_deterministic_start():
-    # X_1 is always state 0, so looking back from any X_2 must land on 0.
-    got = backward_conditional(SYM, 2, 1)
-    np.testing.assert_allclose(got, [[1.0, 0.0], [1.0, 0.0]], atol=1e-12)
-
-
-def test_backward_conditional_undefined_rows_are_nan():
-    m = ChainModel.from_arrays([1.0, 0.0], [[1.0, 0.0], [0.5, 0.5]])
-    got = backward_conditional(m, 2, 1)
-    # X_2 = 1 has probability zero, so that row is undefined.
-    assert np.all(np.isnan(got[1]))
-    np.testing.assert_allclose(got[0], [1.0, 0.0], atol=1e-12)
 
 
 def test_spectral_symmetric_chain():
@@ -133,6 +110,26 @@ def test_spectral_sticky_thirty_state_chain():
     want = np.sort(np.linalg.eigvals(P @ info.reversal).real)
     np.testing.assert_allclose(lam, np.clip(want, 0.0, None), atol=1e-10)
     assert info.gap == pytest.approx(1.0 - lam[-2], abs=1e-12)
+
+
+def test_stationary_law_is_invariant():
+    # pi P = pi for one state, a two-state chain whose law is known in
+    # closed form, and a sticky 30-state chain (stay 0.99, slow mixing).
+    p, q = 0.2, 0.3
+    two = ChainModel.from_arrays([0.5, 0.5], [[1 - p, p], [q, 1 - q]])
+    rng = np.random.default_rng(20170707)
+    P = rng.random((30, 30)) + 0.05
+    P = 0.01 * P / P.sum(axis=1, keepdims=True) + 0.99 * np.eye(30)
+    sticky = ChainModel.from_arrays(np.full(30, 1 / 30), P)
+    one = ChainModel.from_arrays([1.0], [[1.0]])
+    for m in (one, two, sticky):
+        pi = spectral(m).stationary
+        np.testing.assert_allclose(pi @ validate(m).transition, pi, rtol=0, atol=1e-13)
+        assert pi.sum() == pytest.approx(1.0, abs=1e-13)
+    np.testing.assert_array_equal(spectral(one).stationary, [1.0])
+    np.testing.assert_allclose(
+        spectral(two).stationary, [q / (p + q), p / (p + q)], rtol=0, atol=1e-13
+    )
 
 
 def test_spectral_single_state_gap_is_one():
@@ -240,34 +237,6 @@ def test_sequence_check_against():
     seq = StateSequence(np.array([0, 1, 2]))
     with pytest.raises(MquiltError):
         seq.check_against(SYM)
-
-
-def test_forward_backward_bayes_consistency():
-    # P(X_{i-a}=v | X_i=u) * P(X_i=u) must equal P(X_{i-a}=v) * P^a[v, u].
-    rng = np.random.default_rng(37)
-    for _ in range(100):
-        k = int(rng.integers(2, 5))
-        m = random_model(k, rng)
-        i = int(rng.integers(2, 6))
-        a = int(rng.integers(1, i))
-        back = backward_conditional(m, i, a)
-        m_now = marginal(m, i)
-        m_past = marginal(m, i - a)
-        power = forward_conditional(m, a)
-        lhs = back * m_now[:, None]
-        rhs = (m_past[:, None] * power).T
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_backward_rows_sum_to_one_where_defined():
-    rng = np.random.default_rng(91)
-    for _ in range(100):
-        m = random_model(int(rng.integers(2, 5)), rng)
-        i = int(rng.integers(2, 7))
-        a = int(rng.integers(1, i))
-        back = backward_conditional(m, i, a)
-        defined = ~np.isnan(back[:, 0])
-        np.testing.assert_allclose(back[defined].sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_random_model_always_validates():

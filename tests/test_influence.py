@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquilt.chains import ChainModel, random_model, spectral
 from mquilt.errors import BadShape, EmptyThetaSet
@@ -14,6 +16,7 @@ from mquilt.influence import (
     influence_over_set,
     nearby_size,
 )
+from mquilt.oracle import enumerated_max_influence
 
 SYM = ChainModel.from_arrays([1.0, 0.0], [[0.75, 0.25], [0.25, 0.75]])
 
@@ -91,6 +94,48 @@ def test_exact_bad_offsets():
         exact_max_influence(SYM, QuiltShape(2, 5, None))
     with pytest.raises(BadShape):
         exact_max_influence(SYM, QuiltShape(2, None, 0))
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0])
+
+
+@st.composite
+def _sparse_laws(draw, k, rows):
+    """``rows`` distributions over ``k`` values, zero entries likely."""
+    out = []
+    for _ in range(rows):
+        w = draw(st.lists(_WEIGHTS, min_size=k, max_size=k))
+        if sum(w) == 0.0:
+            w[draw(st.integers(0, k - 1))] = 1.0
+        out.append(np.array(w) / sum(w))
+    return np.array(out)
+
+
+@st.composite
+def _sparse_shapes(draw):
+    """A chain whose transition rows and initial law may hold zeros, and a
+    one- or two-sided quilt small enough for the oracle to enumerate."""
+    k = draw(st.integers(2, 3))
+    model = ChainModel.from_arrays(draw(_sparse_laws(k, 1))[0], draw(_sparse_laws(k, k)))
+    sides = draw(st.sampled_from(["left", "right", "both"]))
+    i = draw(st.integers(1 if sides == "right" else 2, 5))
+    a = None if sides == "right" else draw(st.integers(1, i - 1))
+    b = None if sides == "left" else draw(st.integers(1, 7 - i))
+    return model, QuiltShape(i, a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sparse_shapes())
+def test_exact_matches_enumeration_on_sparse_chains(drawn):
+    model, shape = drawn
+    i, a, b = shape.node, shape.left, shape.right
+    nodes = ([i - a] if a else []) + ([i + b] if b else [])
+    want = enumerated_max_influence(model, i, nodes, horizon=i + (b or 0))
+    got = exact_max_influence(model, shape).value
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_nearby_sizes_at_midpoint():

@@ -214,10 +214,10 @@ def _rounds():
         yield caps
 
 
-def _unpruned(fw, eps, variant, **kw):
+def _unpruned(fw, eps, variant):
     """The search with every offset admitted from the start."""
     with mock.patch.object(mechanism, "_FIRST_CAP", fw.horizon):
-        return quilt_scores(fw, eps, variant, **kw)
+        return quilt_scores(fw, eps, variant)
 
 
 @st.composite
@@ -229,15 +229,14 @@ def _instances(draw, lengths):
     start = draw(st.integers(1, 4))
     fw = Framework(start + L - 1, Window(start, start + L - 1), (model,))
     eps = draw(st.floats(0.5, 3.0))
-    return fw, eps, draw(st.sampled_from(list(Variant))), draw(st.booleans())
+    return fw, eps, draw(st.sampled_from(list(Variant)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_instances(st.integers(1, 200)))
 def test_pruned_search_equals_unpruned_search(inst):
-    fw, eps, variant, two_sided_only = inst
-    kw = dict(approx_two_sided_only=two_sided_only)
-    assert quilt_scores(fw, eps, variant, **kw) == _unpruned(fw, eps, variant, **kw)
+    fw, eps, variant = inst
+    assert quilt_scores(fw, eps, variant) == _unpruned(fw, eps, variant)
 
 
 def _brute_force_check(fw, eps, variant):
