@@ -143,15 +143,8 @@ class StateSequence:
     def __iter__(self):
         return iter(self.values.tolist())
 
-    def check_against(self, model: ChainModel) -> None:
-        """Raise if any index falls outside the model's state range."""
-        if self.values.min() < 0 or self.values.max() >= model.k:
-            raise MquiltError(
-                f"sequence mentions state indices outside 0..{model.k - 1}"
-            )
 
-
-def validate(model: ChainModel, tol: float = STOCHASTIC_TOL) -> ChainModel:
+def validate(model: ChainModel) -> ChainModel:
     """Check model invariants and return a row-normalized copy.
 
     Checks run in a fixed order and the first failure wins: duplicate
@@ -173,6 +166,7 @@ def validate(model: ChainModel, tol: float = STOCHASTIC_TOL) -> ChainModel:
             seen.add(s)
     k = model.k
     q, P = model.initial, model.transition
+    tol = STOCHASTIC_TOL
     if P.ndim != 2 or P.shape != (k, k):
         raise MquiltError(
             f"transition matrix must be {k}x{k} to match the labels, got {P.shape}"

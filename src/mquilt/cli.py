@@ -37,7 +37,6 @@ from .mechanism import (
     quilt_scores,
     release,
     release_record,
-    score,
 )
 from .oracle import (
     check_joint_remote_bound,
@@ -45,6 +44,7 @@ from .oracle import (
     enumerate_sequences,
     enumerated_max_influence,
     release_values,
+    score,
     verify_counterexample,
 )
 from .storage import (
@@ -140,9 +140,10 @@ def _cmd_gap(args) -> int:
     return 0
 
 
-def _histogram_seeds(seed: int, k: int) -> list[int]:
+def _histogram_seeds(seed: int | None, k: int) -> list[int]:
     # Independent noise per bucket: distinct child seeds drawn from the
-    # user seed, so no two buckets ever share a Laplace draw.
+    # user seed (or from OS entropy without one), so no two buckets ever
+    # share a Laplace draw.
     return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63, size=k)]
 
 
@@ -464,7 +465,11 @@ def build_parser() -> _Parser:
     p.add_argument("--query", required=True, help="'count:<state>' or 'histogram'")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--variant", choices=["exact", "approx"], default="exact")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="noise seed, for reproducible draws; default: OS entropy. "
+        "Never written to the output or the ledger",
+    )
     p.add_argument("--window", default=None, help="start:end, default full data")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--scope", choices=["window", "chain"], default="window")

@@ -199,7 +199,9 @@ def compose_sequential_general(
     ``divergence_bound`` must upper-bound the max divergence between the
     joint output law and the product of the marginal laws, uniformly over
     secrets and models. The combined budget is the budget sum plus twice
-    that bound; an infinite bound yields no finite guarantee.
+    that bound; an infinite bound yields no finite guarantee. Nothing
+    here computes or checks the bound: the guarantee holds only if the
+    caller's bound does, and the report says so.
     """
     if not (eps_a > 0 and eps_b > 0):
         raise EmptyInput(f"budgets must be positive, got {eps_a}, {eps_b}")
@@ -210,7 +212,8 @@ def compose_sequential_general(
         Check(
             "nonnegative-divergence",
             True,
-            f"divergence bound {divergence_bound}",
+            f"divergence bound {divergence_bound} is assumed as given by "
+            "the caller, not verified",
         ),
         Check(
             "finite-guarantee",

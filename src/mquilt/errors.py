@@ -108,10 +108,6 @@ class TooLarge(MquiltError):
     """Exhaustive enumeration would exceed the configured size limit."""
 
 
-class SupportMismatch(MquiltError):
-    """Densities being compared were not built from the same enumeration."""
-
-
 # ----------------------------------------------------------------- fitting/IO
 
 

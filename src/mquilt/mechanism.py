@@ -34,7 +34,6 @@ from numpy.typing import NDArray
 
 from .chains import ChainModel, SpectralInfo, StateSequence, marginal, spectral, validate
 from .errors import (
-    BadShape,
     BadState,
     EmptyThetaSet,
     InvalidEpsilon,
@@ -43,13 +42,11 @@ from .errors import (
     MquiltError,
 )
 from .influence import (
-    InfluenceValue,
     QuiltShape,
     Variant,
     _exact_influences,
     _log_ratio_max,
     _spectral_term,
-    nearby_size,
 )
 
 __all__ = [
@@ -59,8 +56,6 @@ __all__ = [
     "count_state_query",
     "ActiveQuilt",
     "ReleaseRecord",
-    "enumerate_quilts",
-    "score",
     "quilt_scores",
     "release",
     "release_record",
@@ -193,7 +188,9 @@ class ReleaseRecord:
 
     ``active_quilts`` maps a model's index in the framework to the winning
     quilt of every window node, in node order and with global node indices.
-    ``output`` already includes the noise; the raw query value is not kept.
+    ``output`` already includes the noise; neither the raw query value nor
+    the noise seed is kept, since either one reveals the exact count.
+    Documents written with a ``seed`` key still read; the key is ignored.
     """
 
     variant: Variant
@@ -202,7 +199,6 @@ class ReleaseRecord:
     output: float
     query_id: str
     lipschitz_constant: float
-    seed: int
     window: Window
     active_quilts: Mapping[int, tuple[ActiveQuilt, ...]]
     scope: str = "window"
@@ -215,7 +211,6 @@ class ReleaseRecord:
             "output": self.output,
             "query": self.query_id,
             "lipschitz_constant": self.lipschitz_constant,
-            "seed": self.seed,
             "window": self.window.to_dict(),
             "active_quilts": {
                 str(idx): [aq.to_dict() for aq in quilts]
@@ -233,7 +228,6 @@ class ReleaseRecord:
             output=float(d["output"]),
             query_id=str(d["query"]),
             lipschitz_constant=float(d["lipschitz_constant"]),
-            seed=int(d["seed"]),
             window=Window.from_dict(d["window"]),
             active_quilts={
                 int(idx): tuple(ActiveQuilt.from_dict(a) for a in quilts)
@@ -241,47 +235,6 @@ class ReleaseRecord:
             },
             scope=str(d.get("scope", "window")),
         )
-
-
-def enumerate_quilts(T_window: int, i: int) -> list[QuiltShape]:
-    """All candidate quilts around node ``i`` in a window of ``T_window``.
-
-    Two-sided shapes for every offset pair, each one-sided shape, and the
-    empty quilt, so the count is
-    ``(i-1)(T-i) + (i-1) + (T-i) + 1``.
-    """
-    if not 1 <= i <= T_window:
-        raise BadShape(f"node {i} outside window of length {T_window}")
-    shapes: list[QuiltShape] = []
-    for a in range(1, i):
-        for b in range(1, T_window - i + 1):
-            shapes.append(QuiltShape(i, a, b))
-    for a in range(1, i):
-        shapes.append(QuiltShape(i, a, None))
-    for b in range(1, T_window - i + 1):
-        shapes.append(QuiltShape(i, None, b))
-    shapes.append(QuiltShape(i, None, None))
-    return shapes
-
-
-def score(
-    shape: QuiltShape,
-    e: InfluenceValue | float,
-    epsilon: float,
-    T_window: int,
-) -> float:
-    """Noise-scale score of one quilt: nearby count over leftover budget.
-
-    Infinite whenever the influence bound meets or exceeds the budget.
-    """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")
-    value = e.value if isinstance(e, InfluenceValue) else float(e)
-    if value < 0:
-        raise MquiltError(f"influence cannot be negative, got {value}")
-    if value >= epsilon:
-        return math.inf
-    return nearby_size(shape, T_window) / (epsilon - value)
 
 
 def unit_laplace(rng: np.random.Generator) -> float:
@@ -527,7 +480,7 @@ def release(
     epsilon: float,
     framework: Framework,
     variant: Variant,
-    seed: int,
+    seed: int | None = None,
     *,
     scope: str = "window",
 ) -> ReleaseRecord:
@@ -550,7 +503,7 @@ def release_record(
     epsilon: float,
     framework: Framework,
     variant: Variant,
-    seed: int,
+    seed: int | None = None,
     *,
     scope: str = "window",
 ) -> ReleaseRecord:
@@ -560,9 +513,11 @@ def release_record(
     ``epsilon``, ``variant`` and ``scope``; it does not depend on the data
     or the query, so several queries over one window (the buckets of a
     histogram) can share it. The query value is rescaled to sensitivity 1,
-    then Laplace noise at the searched scale is added. The returned record
-    carries the noisy output, the scale, and the winning quilts; consumers
-    un-scale on read.
+    then Laplace noise at the searched scale is added, drawn from
+    ``default_rng(seed)``: a fixed seed reproduces the draw, ``None`` draws
+    on fresh OS entropy. The returned record carries the noisy output, the
+    scale, and the winning quilts, but not the seed; consumers un-scale on
+    read.
     """
     values = _window_values(data, framework)
     sigma_max, active = search
@@ -576,7 +531,6 @@ def release_record(
         output=scaled + sigma_max * noise,
         query_id=query.identifier,
         lipschitz_constant=float(query.lipschitz_constant),
-        seed=int(seed),
         window=framework.window,
         active_quilts=active,
         scope=scope,

@@ -1,17 +1,21 @@
 """Brute-force privacy verification on small instances.
 
-Everything here works by exhaustive enumeration of the k^T trajectories,
-so results are exact up to floating point rather than sampled. Output laws
-of Laplace releases are finite mixtures; the log ratio of two such
-mixtures is piecewise monotone between mixture centers (substituting
-t = exp(2w/sigma) turns each piece into a Mobius function of t), so suprema
-over the real line are attained at the centers or in the two tail limits.
-Joint releases extend this coordinate by coordinate: the supremum over the
-plane sits on the grid of per-release centers plus limit rays.
+Everything here works by exhaustive enumeration, of the k^T trajectories
+or of every candidate quilt, so results are exact up to floating point
+rather than sampled. Output laws of Laplace releases are finite mixtures;
+the log ratio of two such mixtures is piecewise monotone between mixture
+centers (substituting t = exp(2w/sigma) turns each piece into a Mobius
+function of t), so suprema over the real line are attained at the centers
+or in the two tail limits. Joint releases extend this coordinate by
+coordinate: the supremum over the plane sits on the grid of per-release
+centers plus limit rays.
 
 Ratio evaluations rescale each kernel by a reference anchored to the
 evaluation point, which cancels in matched ratios and keeps everything
 inside floating range even for tiny noise scales.
+
+:func:`enumerate_quilts` and :func:`score` score one quilt at a time; they
+are the reference the mechanism's batched quilt search must reproduce.
 """
 
 from __future__ import annotations
@@ -24,20 +28,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chains import ChainModel, marginal, validate
-from .errors import SupportMismatch, TooLarge
-from .influence import QuiltShape, Variant
+from .errors import BadShape, InvalidEpsilon, MquiltError, TooLarge
+from .influence import InfluenceValue, QuiltShape, Variant, nearby_size
 from .mechanism import Framework, LipschitzQuery, ReleaseRecord, Window, quilt_scores
 
 __all__ = [
     "enumerate_sequences",
     "sequence_probs",
-    "OutputDensity",
-    "conditional_density",
-    "MixtureDensity",
-    "joint_conditional_mixture",
-    "product_of_marginals",
-    "estimate_max_divergence",
-    "max_divergence_over_secrets",
+    "enumerate_quilts",
+    "score",
     "EmpiricalEpsilon",
     "Witness",
     "empirical_epsilon",
@@ -79,215 +78,79 @@ def sequence_probs(model: ChainModel, seqs: NDArray[np.int64]) -> NDArray[np.flo
     return probs
 
 
-def _infer_horizon(n_values: int, k: int) -> int:
-    """Recover T from a value table of size k^T."""
-    T, total = 0, 1
-    while total < n_values:
-        total *= k
-        T += 1
-    if total != n_values or T == 0:
-        raise SupportMismatch(
-            f"value table of size {n_values} is not a positive power of {k}"
-        )
-    return T
+# ---------------------------------------------------------- quilt scoring
 
 
-# ----------------------------------------------------------- output densities
+def enumerate_quilts(T_window: int, i: int) -> list[QuiltShape]:
+    """All candidate quilts around node ``i`` in a window of ``T_window``.
 
-
-@dataclass(frozen=True)
-class OutputDensity:
-    """Law of one Laplace release conditioned on a secret.
-
-    A finite mixture: ``breakpoints`` are the distinct query values over
-    trajectories consistent with the secret, ``weights`` the posterior
-    mass on each, ``scale`` the Laplace scale.
+    Two-sided shapes for every offset pair, each one-sided shape, and the
+    empty quilt, so the count is
+    ``(i-1)(T-i) + (i-1) + (T-i) + 1``.
     """
+    if not 1 <= i <= T_window:
+        raise BadShape(f"node {i} outside window of length {T_window}")
+    shapes: list[QuiltShape] = []
+    for a in range(1, i):
+        for b in range(1, T_window - i + 1):
+            shapes.append(QuiltShape(i, a, b))
+    for a in range(1, i):
+        shapes.append(QuiltShape(i, a, None))
+    for b in range(1, T_window - i + 1):
+        shapes.append(QuiltShape(i, None, b))
+    shapes.append(QuiltShape(i, None, None))
+    return shapes
 
-    breakpoints: NDArray[np.float64]
-    weights: NDArray[np.float64]
-    scale: float
 
-    def density(self, w: float) -> float:
-        """Exact density value at a point."""
-        kerns = np.exp(-np.abs(w - self.breakpoints) / self.scale) / (2 * self.scale)
-        return float(self.weights @ kerns)
+def score(
+    shape: QuiltShape,
+    e: InfluenceValue | float,
+    epsilon: float,
+    T_window: int,
+) -> float:
+    """Noise-scale score of one quilt: nearby count over leftover budget.
 
-
-def conditional_density(
-    model: ChainModel,
-    values: NDArray[np.float64],
-    sigma: float,
-    node: int,
-    state: int,
-    limit: int = ENUMERATION_LIMIT,
-) -> OutputDensity:
-    """Output law of ``values(X) + Laplace(sigma)`` given ``X_node = state``.
-
-    ``values`` holds the (already scaled) query value of every enumerated
-    trajectory, in :func:`enumerate_sequences` order.
+    Infinite whenever the influence bound meets or exceeds the budget.
     """
-    model = validate(model)
-    values = np.asarray(values, dtype=float)
-    seqs = enumerate_sequences(model.k, _infer_horizon(values.size, model.k), limit)
-    probs = sequence_probs(model, seqs)
-    mask = seqs[:, node - 1] == state
-    mass = probs[mask].sum()
-    if mass <= 0:
-        raise SupportMismatch(f"secret X_{node}={state} has probability zero")
-    centers, inverse = np.unique(values[mask], return_inverse=True)
-    weights = np.zeros(centers.size)
-    np.add.at(weights, inverse, probs[mask] / mass)
-    return OutputDensity(centers, weights, float(sigma))
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")
+    value = e.value if isinstance(e, InfluenceValue) else float(e)
+    if value < 0:
+        raise MquiltError(f"influence cannot be negative, got {value}")
+    if value >= epsilon:
+        return math.inf
+    return nearby_size(shape, T_window) / (epsilon - value)
 
 
-@dataclass(frozen=True)
-class MixtureDensity:
-    """Joint law of several Laplace releases as a finite mixture.
-
-    Atom ``x`` contributes weight ``weights[x]`` at center vector
-    ``centers[x, :]``; coordinate ``j`` carries scale ``scales[j]``.
-    Weights may sum to less than one when the mixture is a joint law with
-    a discrete event rather than a conditional law.
-    """
-
-    weights: NDArray[np.float64]
-    centers: NDArray[np.float64]
-    scales: NDArray[np.float64]
-
-    @property
-    def m(self) -> int:
-        return int(self.scales.size)
+# -------------------------------------------------------- evaluation grid
 
 
 def _factor_rows(
     centers: NDArray[np.float64],
     sigma: float,
     points: Sequence[float],
-    anchor: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """Kernel factors per evaluation point, rescaled by a shared anchor.
+    """Kernel factors per evaluation point, rescaled per point.
 
     ``points`` may contain ``inf`` and ``-inf`` for the tail limits, where
-    the kernel is replaced by its directional coefficient. The anchor set
-    fixes the rescaling reference per point; ratios of mixtures evaluated
-    with the same anchor are unaffected by it.
+    the kernel is replaced by its directional coefficient. Each point's
+    rescaling depends only on the point and the centers, so it cancels in
+    ratios of mixtures over the same centers.
     """
     out = np.empty((len(points), centers.size))
     for g, w in enumerate(points):
         if w == math.inf:
-            out[g] = np.exp((centers - anchor.max()) / sigma)
+            out[g] = np.exp((centers - centers.max()) / sigma)
         elif w == -math.inf:
-            out[g] = np.exp((anchor.min() - centers) / sigma)
+            out[g] = np.exp((centers.min() - centers) / sigma)
         else:
-            ref = np.abs(w - anchor).min()
+            ref = np.abs(w - centers).min()
             out[g] = np.exp(-(np.abs(w - centers) - ref) / sigma)
     return out
 
 
-def _grid_points(center_sets: Sequence[NDArray[np.float64]]) -> list[float]:
-    merged = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in center_sets]))
-    return [-math.inf] + [float(v) for v in merged] + [math.inf]
-
-
-def _mixture_on_grid(
-    mix: MixtureDensity,
-    grids: Sequence[Sequence[float]],
-    anchors: Sequence[NDArray[np.float64]],
-) -> NDArray[np.float64]:
-    """Evaluate (up to per-point anchors) the mixture on a grid product."""
-    factors = [
-        _factor_rows(mix.centers[:, j], float(mix.scales[j]), grids[j], anchors[j])
-        for j in range(mix.m)
-    ]
-    letters = [chr(ord("a") + j) for j in range(mix.m)]
-    subs = ",".join(f"{letter}x" for letter in letters) + ",x->" + "".join(letters)
-    return np.einsum(subs, *factors, mix.weights)
-
-
-def joint_conditional_mixture(
-    model: ChainModel,
-    releases: Sequence[tuple[NDArray[np.float64], float]],
-    node: int,
-    state: int,
-    limit: int = ENUMERATION_LIMIT,
-) -> MixtureDensity:
-    """Joint law of several releases given ``X_node = state``.
-
-    Noise draws are independent given the trajectory, so the joint law is
-    one mixture over trajectories with product-Laplace kernels, not the
-    product of the per-release mixtures.
-    """
-    model = validate(model)
-    values0 = np.asarray(releases[0][0], dtype=float)
-    seqs = enumerate_sequences(model.k, _infer_horizon(values0.size, model.k), limit)
-    probs = sequence_probs(model, seqs)
-    mask = seqs[:, node - 1] == state
-    mass = probs[mask].sum()
-    if mass <= 0:
-        raise SupportMismatch(f"secret X_{node}={state} has probability zero")
-    centers = np.column_stack([np.asarray(v, dtype=float)[mask] for v, _ in releases])
-    scales = np.array([s for _, s in releases], dtype=float)
-    return MixtureDensity(probs[mask] / mass, centers, scales)
-
-
-def product_of_marginals(mix: MixtureDensity) -> MixtureDensity:
-    """The independent-coordinates counterpart of a two-release mixture."""
-    if mix.m != 2:
-        raise SupportMismatch(f"product construction needs 2 releases, got {mix.m}")
-    w = np.outer(mix.weights, mix.weights).ravel()
-    c1 = np.repeat(mix.centers[:, 0], mix.weights.size)
-    c2 = np.tile(mix.centers[:, 1], mix.weights.size)
-    return MixtureDensity(w, np.column_stack([c1, c2]), mix.scales.copy())
-
-
-def estimate_max_divergence(
-    joint: MixtureDensity, product: MixtureDensity
-) -> float:
-    """Exact max divergence (both directions) between two mixtures.
-
-    Both mixtures must carry the same release count and scales; the grid
-    is the union of their centers per coordinate plus tail limits, which
-    is exactly where the piecewise-monotone ratio can peak.
-    """
-    if joint.m != product.m or not np.allclose(joint.scales, product.scales):
-        raise SupportMismatch("mixtures disagree on release count or scales")
-    anchors = [
-        np.concatenate([joint.centers[:, j], product.centers[:, j]])
-        for j in range(joint.m)
-    ]
-    grids = [_grid_points([a]) for a in anchors]
-    top = _mixture_on_grid(joint, grids, anchors)
-    bot = _mixture_on_grid(product, grids, anchors)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(np.log(top) - np.log(bot))
-    return float(np.nanmax(gap))
-
-
-def max_divergence_over_secrets(
-    framework: Framework,
-    releases: Sequence[tuple[NDArray[np.float64], float]],
-    secret_nodes: Sequence[int] | None = None,
-    limit: int = ENUMERATION_LIMIT,
-) -> float:
-    """Worst-case joint-versus-product divergence over models and secrets."""
-    nodes = (
-        list(secret_nodes)
-        if secret_nodes is not None
-        else list(range(framework.window.start, framework.window.end + 1))
-    )
-    worst = 0.0
-    for model in framework.models:
-        for i in nodes:
-            m_i = marginal(model, i)
-            for state in range(model.k):
-                if m_i[state] <= 0:
-                    continue
-                joint = joint_conditional_mixture(model, releases, i, state, limit)
-                worst = max(
-                    worst, estimate_max_divergence(joint, product_of_marginals(joint))
-                )
-    return worst
+def _grid_points(centers: NDArray[np.float64]) -> list[float]:
+    return [-math.inf] + [float(v) for v in np.unique(centers)] + [math.inf]
 
 
 # ------------------------------------------------------- empirical epsilon
@@ -322,10 +185,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class EmpiricalEpsilon:
-    """Exact privacy loss of a (joint) release and its witness."""
+    """Exact privacy loss of a (joint) release and its witness.
+
+    With no node holding two values of positive probability there is no
+    secret pair to tell apart: ``value`` is 0 and ``witness`` is None.
+    """
 
     value: float
-    witness: Witness
+    witness: Witness | None
 
 
 def release_values(
@@ -362,7 +229,6 @@ def empirical_epsilon(
     framework: Framework,
     releases: Sequence[tuple[NDArray[np.float64], float]],
     secret_nodes: Sequence[int] | None = None,
-    limit: int = ENUMERATION_LIMIT,
 ) -> EmpiricalEpsilon:
     """Exact worst-case log ratio of the (joint) output law over secrets.
 
@@ -371,7 +237,7 @@ def empirical_epsilon(
     node of the framework window, under every model; value pairs whose
     conditioning probability is zero are skipped.
     """
-    seqs = enumerate_sequences(framework.k, framework.horizon, limit)
+    seqs = enumerate_sequences(framework.k, framework.horizon)
     value_arrays = [np.asarray(v, dtype=float) for v, _ in releases]
     sigmas = [float(s) for _, s in releases]
     nodes = (
@@ -379,7 +245,7 @@ def empirical_epsilon(
         if secret_nodes is not None
         else list(range(framework.window.start, framework.window.end + 1))
     )
-    grids = [_grid_points([v]) for v in value_arrays]
+    grids = [_grid_points(v) for v in value_arrays]
     best = -math.inf
     best_witness: Witness | None = None
     letters = [chr(ord("a") + j) for j in range(len(releases))]
@@ -387,7 +253,7 @@ def empirical_epsilon(
     for mdx, model in enumerate(framework.models):
         probs = sequence_probs(model, seqs)
         factor_list = [
-            _factor_rows(value_arrays[j], sigmas[j], grids[j], value_arrays[j])
+            _factor_rows(value_arrays[j], sigmas[j], grids[j])
             for j in range(len(releases))
         ]
         for i in nodes:
@@ -408,7 +274,8 @@ def empirical_epsilon(
                         )
                         best = val
                         best_witness = Witness(mdx, i, (a, b), point, val)
-    assert best_witness is not None, "no live secret pairs found"
+    if best_witness is None:
+        return EmpiricalEpsilon(0.0, None)
     return EmpiricalEpsilon(best, best_witness)
 
 
@@ -416,10 +283,9 @@ def reevaluate_witness(
     framework: Framework,
     releases: Sequence[tuple[NDArray[np.float64], float]],
     witness: Witness,
-    limit: int = ENUMERATION_LIMIT,
 ) -> float:
     """Recompute the log ratio at a witness point from scratch."""
-    seqs = enumerate_sequences(framework.k, framework.horizon, limit)
+    seqs = enumerate_sequences(framework.k, framework.horizon)
     model = framework.models[witness.model_index]
     probs = sequence_probs(model, seqs)
     m_i = marginal(model, witness.node)
@@ -427,7 +293,7 @@ def reevaluate_witness(
     fac_prod = np.ones(seqs.shape[0])
     for j, (values, sigma) in enumerate(releases):
         values = np.asarray(values, dtype=float)
-        fac_prod *= _factor_rows(values, float(sigma), [witness.point[j]], values)[0]
+        fac_prod *= _factor_rows(values, float(sigma), [witness.point[j]])[0]
     wa = probs * (seqs[:, witness.node - 1] == a) / m_i[a]
     wb = probs * (seqs[:, witness.node - 1] == b) / m_i[b]
     return float(abs(math.log(float(fac_prod @ wa)) - math.log(float(fac_prod @ wb))))
@@ -440,7 +306,6 @@ def enumerated_max_influence(
     model: ChainModel,
     node: int,
     node_set: Sequence[int],
-    limit: int = ENUMERATION_LIMIT,
     horizon: int | None = None,
 ) -> float:
     """Max-influence of ``X_node`` on arbitrary nodes, by joint counting.
@@ -452,7 +317,7 @@ def enumerated_max_influence(
     """
     model = validate(model)
     T = horizon if horizon is not None else max([node, *node_set])
-    seqs = enumerate_sequences(model.k, T, limit)
+    seqs = enumerate_sequences(model.k, T)
     probs = sequence_probs(model, seqs)
     m_i = marginal(model, node)
     live = np.nonzero(m_i > 0)[0]
@@ -520,29 +385,22 @@ def check_joint_remote_bound(
     framework: Framework,
     query: LipschitzQuery,
     epsilon: float,
-    variant: Variant = Variant.EXACT,
-    tol: float = 1e-9,
-    limit: int = ENUMERATION_LIMIT,
-    check_epsilon: float | None = None,
 ) -> RemoteBoundReport:
     """Verify the budget holds jointly with every remote realization.
 
-    Runs the quilt search, then for each model and node conditions on each
-    realization of the nodes outside the winning quilt's nearby set and
-    checks the output-law ratio against ``exp(epsilon)`` on the exact
-    evaluation grid. ``check_epsilon`` verifies against a different budget
-    than the one the noise was calibrated for (the bound is monotone in
-    it); by default both are the same.
+    Runs the exact quilt search, then for each model and node conditions on
+    each realization of the nodes outside the winning quilt's nearby set
+    and checks the output-law ratio against ``exp(epsilon)`` on the exact
+    evaluation grid, up to 1e-9 of rounding.
     """
-    sigma_max, active = quilt_scores(framework, epsilon, variant)
-    budget = epsilon if check_epsilon is None else check_epsilon
+    sigma_max, active = quilt_scores(framework, epsilon, Variant.EXACT)
     L = framework.window.length
     offset = framework.window.start - 1
     worst = -math.inf
     witness: dict = {}
     for mdx, base in enumerate(framework.models):
         model = framework.window_model(base)
-        seqs = enumerate_sequences(model.k, L, limit)
+        seqs = enumerate_sequences(model.k, L)
         probs = sequence_probs(model, seqs)
         values = (
             np.array([float(query.evaluate(row)) for row in seqs])
@@ -566,9 +424,8 @@ def check_joint_remote_bound(
             else:
                 group = np.zeros(seqs.shape[0], dtype=np.int64)
             n_groups = int(group.max()) + 1
-            anchor = values
-            grid = _grid_points([values])
-            fac = _factor_rows(values, sigma_max, grid, anchor)
+            grid = _grid_points(values)
+            fac = _factor_rows(values, sigma_max, grid)
             for g in range(n_groups):
                 in_group = group == g
                 masses = {}
@@ -601,8 +458,8 @@ def check_joint_remote_bound(
                                 "log_ratio": val,
                             }
     return RemoteBoundReport(
-        passed=worst <= budget + tol,
-        epsilon=float(budget),
+        passed=worst <= epsilon + 1e-9,
+        epsilon=float(epsilon),
         sigma_max=float(sigma_max),
         worst_log_ratio=float(worst),
         witness=witness,
@@ -682,7 +539,7 @@ def verify_counterexample(p: float = 0.9, q: float = 0.01) -> CounterexampleRepo
 
     def tail_ratio(point: float, n_rel: int) -> float:
         """log [p(point... | X_1=1) / p(... | X_1=0)] at a diagonal point."""
-        fac = _factor_rows(values, 1.0, [point], values)[0] ** n_rel
+        fac = _factor_rows(values, 1.0, [point])[0] ** n_rel
         w1 = probs * (seqs[:, 0] == 1) / m1[1]
         w0 = probs * (seqs[:, 0] == 0) / m1[0]
         return math.log(float(fac @ w1)) - math.log(float(fac @ w0))

@@ -33,12 +33,12 @@ from mquilt.mechanism import (
     Framework,
     Window,
     count_state_query,
-    enumerate_quilts,
     quilt_scores,
     release,
 )
 from mquilt.oracle import (
     empirical_epsilon,
+    enumerate_quilts,
     enumerate_sequences,
     enumerated_max_influence,
     release_values,

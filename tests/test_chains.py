@@ -6,7 +6,6 @@ import pytest
 from mquilt.chains import (
     EIGEN_ONE_TOL,
     ChainModel,
-    StateSequence,
     marginal,
     random_model,
     sample,
@@ -231,12 +230,6 @@ def test_sample_long_run_frequencies():
     seq = sample(m, 200_000, seed=1)
     freq = np.bincount(seq.values, minlength=2) / len(seq)
     np.testing.assert_allclose(freq, info.stationary, atol=0.01)
-
-
-def test_sequence_check_against():
-    seq = StateSequence(np.array([0, 1, 2]))
-    with pytest.raises(MquiltError):
-        seq.check_against(SYM)
 
 
 def test_random_model_always_validates():

@@ -48,7 +48,6 @@ def _stub(eps, window=Window(1, 3), shape_args=(1, 1), node=2, variant=Variant.E
         output=0.0,
         query_id="count:0",
         lipschitz_constant=1.0,
-        seed=0,
         window=window,
         active_quilts={0: (ActiveQuilt(node, shape, 1.0),)},
     )
@@ -113,6 +112,8 @@ def test_general_sequential_rule():
     rep = compose_sequential_general(0.5, 0.5, 0.25)
     assert rep.epsilon == pytest.approx(1.5)
     assert rep.rule.value == "thm5"
+    evidence = {c.name: c.evidence for c in rep.checks}["nonnegative-divergence"]
+    assert evidence == "divergence bound 0.25 is assumed as given by the caller, not verified"
     assert math.isinf(compose_sequential_general(0.5, 0.5, math.inf).epsilon)
     with pytest.raises(NegativeE):
         compose_sequential_general(0.5, 0.5, -0.1)

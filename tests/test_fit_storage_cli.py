@@ -552,6 +552,60 @@ def test_cli_compose_thm5_needs_divergence_bound(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["epsilon"] == pytest.approx(1.5)
+    (check,) = [c for c in payload["checks"] if c["name"] == "nonnegative-divergence"]
+    assert "assumed" in check["evidence"] and "not verified" in check["evidence"]
+
+
+def _keys(doc) -> set:
+    """Every mapping key at any depth of a decoded JSON document."""
+    if isinstance(doc, dict):
+        return set(doc).union(*(_keys(v) for v in doc.values()))
+    if isinstance(doc, list):
+        return set().union(*(_keys(v) for v in doc))
+    return set()
+
+
+@pytest.mark.parametrize("query", ["count:0", "histogram"])
+def test_release_never_publishes_the_seed(tmp_path, capsys, query):
+    # With the seed, output - sigma * unit_laplace(default_rng(seed)) is the
+    # exact count; no public document may carry it.
+    model_path, data_path = _write_inputs(tmp_path)
+    ledger = tmp_path / "ledger.jsonl"
+    argv = ["release", "--model", model_path, "--data", data_path, "--query", query,
+            "--epsilon", "1.0", "--seed", "424242", "--ledger", str(ledger), "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lines = [json.loads(line) for line in ledger.read_text().splitlines()]
+    records = [e.record for e in read_ledger(ledger)]
+    assert lines and len(records) == len(lines)
+    for doc in [payload, *lines, *(r.to_dict() for r in records)]:
+        assert "seed" not in _keys(doc)
+
+
+def test_ledger_line_with_seed_still_reads_and_replays(tmp_path, capsys):
+    # Ledgers written before the seed was dropped carry a "seed" key.
+    path = tmp_path / "ledger.jsonl"
+    first = json.loads(_entry_line(seed=4))
+    second = {**first, "id": 2, "record": {**first["record"], "seed": 5}}
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    entries = read_ledger(path)
+    assert [e.entry_id for e in entries] == [1, 2]
+    assert all(replay_matches(e) for e in entries)
+    assert "seed" not in _keys(entries[0].record.to_dict())
+    argv = ["compose", "--ledger", str(path), "--ids", "1,2", "--rule", "auto", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon"] == pytest.approx(1.4)
+
+
+def test_cli_release_without_seed_draws_fresh_noise(tmp_path, capsys):
+    model_path, data_path = _write_inputs(tmp_path)
+    argv = ["release", "--model", model_path, "--data", data_path,
+            "--query", "count:0", "--epsilon", "0.8", "--json"]
+    outputs = set()
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.add(json.loads(capsys.readouterr().out)["record"]["output"])
+    assert len(outputs) == 2
 
 
 def test_cli_verify_counterexample_verdict(capsys):
@@ -577,6 +631,13 @@ def test_cli_verify_soundness_and_lemmas(capsys):
     assert "2/2" in out
     assert main(["verify", "lemmas"]) == 0
     assert "4/4" in capsys.readouterr().out
+
+
+def test_cli_verify_soundness_single_state_chain(capsys):
+    # A one-state chain has no secret pair: zero leakage, not a crash.
+    assert main(["verify", "soundness", "--k", "1", "--T", "3", "--seeds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "empirical 0.000000" in out and "1/1 trials passed" in out
 
 
 def test_cli_simulate_round_trip(tmp_path, capsys):

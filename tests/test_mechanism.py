@@ -30,12 +30,11 @@ from mquilt.mechanism import (
     ReleaseRecord,
     Window,
     count_state_query,
-    enumerate_quilts,
     quilt_scores,
     release,
-    score,
     unit_laplace,
 )
+from mquilt.oracle import enumerate_quilts, score
 
 LAZY = ChainModel.from_arrays([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]])
 
