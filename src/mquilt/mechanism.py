@@ -19,12 +19,34 @@ included. Rounding is monotone, so the same holds for the computed
 scores, bit for bit. Otherwise the cap grows to
 ``max(2c, floor(sigma_c * epsilon) + 1)`` and the search runs again.
 
+Within a round of the exact search, nodes with identical kernel inputs
+share one kernel call. Node ``i`` feeds the kernel only its offset counts
+``na = min(i - 1, c)`` and ``nb = min(L - i, c)`` and the log marginals of
+nodes ``i - na .. i``. The marginal recursion reaches a bitwise fixed
+point or 2-cycle, on random chains within a few dozen steps, and past that
+point every interior node (``na = nb = c``) repeats one of at most two
+inputs. The best two-sided quilt depends only on those inputs. The
+one-sided and empty candidates do not: their nearby counts ``L - i + a``
+and ``i + b - 1`` depend on ``i``. At an interior node each of them has at
+least ``c + 1`` nearby nodes, so it scores at least ``(c + 1) / epsilon``,
+in floating point too, because ``epsilon - e <= epsilon`` and rounding is
+monotone. A shared two-sided minimum below ``(c + 1) / epsilon`` therefore
+wins strictly at every interior node that shares it, and is taken without
+scoring the rest. Every other node is scored in full from the shared
+one-sided influences: the boundary nodes, whose inputs are their own, and
+interior nodes whose shared minimum is not below ``(c + 1) / epsilon``.
+Such a round is never accepted, but the next cap reads its scale, so that
+scale stays exact. Per distinct input the search keeps the one-sided
+influences and the two-sided winner, never the two-sided table, whose size
+would be quadratic in ``c``.
+
 Scores depend only on the framework, the budget, and the variant, never on
 the observed data, so records can be replayed and audited.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -61,6 +83,9 @@ __all__ = [
     "release_record",
     "unit_laplace",
 ]
+
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True, order=True)
 class Window:
@@ -254,11 +279,42 @@ _FIRST_CAP = 8
 """Offset cap of the first pruned round. Windows of at most twice the cap
 go straight to the full search, which costs them about as much as a round."""
 
-def _select(
-    cands: list[tuple[float, int, int, int, int, QuiltShape]]
-) -> tuple[float, int, int, int, int, QuiltShape]:
-    # Tuple order: score, nearby, kind rank (two-sided first), left, right.
-    return min(cands, key=lambda c: c[:5])
+_Candidate = tuple[float, int, int, int, int]
+"""A scored quilt: score, nearby count, kind rank (two-sided 0, one-sided
+1, empty 2), left offset, right offset (0 where the side is absent). Tuple
+order is the tie order, so the best candidate is the smallest."""
+
+
+def _scores(
+    e: NDArray[np.float64], nearby: NDArray[np.float64], epsilon: float
+) -> NDArray[np.float64]:
+    s = np.full(e.shape, np.inf)
+    ok = e < epsilon
+    s[ok] = nearby[ok] / (epsilon - e[ok])
+    return s
+
+
+def _two_sided_best(epsilon: float, e_two: NDArray[np.float64]) -> _Candidate | None:
+    """The best two-sided quilt, given ``e_two[a-1, b-1]``, the influence of
+    the quilt at offsets ``a`` and ``b``; ``None`` if there is none. It does
+    not depend on the node's position in the window."""
+    na, nb = e_two.shape
+    if not (na and nb):
+        return None
+    aa = np.arange(1, na + 1)
+    bb = np.arange(1, nb + 1)
+    nearby2 = aa[:, None] + bb[None, :] - 1
+    s2 = _scores(e_two, nearby2.astype(float), epsilon)
+    flat = np.lexsort(
+        (
+            np.broadcast_to(bb[None, :], s2.shape).ravel(),
+            np.broadcast_to(aa[:, None], s2.shape).ravel(),
+            nearby2.ravel(),
+            s2.ravel(),
+        )
+    )[0]
+    ai, bi = divmod(int(flat), nb)
+    return (float(s2[ai, bi]), int(nearby2[ai, bi]), 0, ai + 1, bi + 1)
 
 
 def _best_quilt(
@@ -267,70 +323,53 @@ def _best_quilt(
     epsilon: float,
     e_left: NDArray[np.float64],
     e_right: NDArray[np.float64],
-    e_two: NDArray[np.float64],
+    two: _Candidate | None,
 ) -> tuple[float, QuiltShape]:
-    """Minimize the score at local node ``i`` over the given influences.
+    """Minimize the score at local node ``i``.
 
-    ``e_left[a-1]``, ``e_right[b-1]`` and ``e_two[a-1, b-1]`` bound the
-    influence of the one- and two-sided quilts at offsets ``a`` and ``b``.
+    ``e_left[a-1]`` and ``e_right[b-1]`` bound the influence of the
+    one-sided quilts at offsets ``a`` and ``b``; ``two`` is the best
+    two-sided quilt (:func:`_two_sided_best`). The one-sided and empty
+    candidates are scored here, since their nearby counts depend on ``i``.
     """
-    na, nb = e_left.size, e_right.size
-
-    def scores(e: NDArray[np.float64], nearby: NDArray[np.float64]):
-        s = np.full(e.shape, np.inf)
-        ok = e < epsilon
-        s[ok] = nearby[ok] / (epsilon - e[ok])
-        return s
-
-    cands: list[tuple[float, int, int, int, int, QuiltShape]] = []
-    if na and nb:
-        aa = np.arange(1, na + 1)
-        bb = np.arange(1, nb + 1)
-        nearby2 = aa[:, None] + bb[None, :] - 1
-        s2 = scores(e_two, nearby2.astype(float))
-        flat = np.lexsort(
-            (
-                np.broadcast_to(bb[None, :], s2.shape).ravel(),
-                np.broadcast_to(aa[:, None], s2.shape).ravel(),
-                nearby2.ravel(),
-                s2.ravel(),
-            )
-        )[0]
-        ai, bi = divmod(int(flat), nb)
-        cands.append(
-            (float(s2[ai, bi]), int(nearby2[ai, bi]), 0, ai + 1, bi + 1,
-             QuiltShape(i, ai + 1, bi + 1))
-        )
-    if na:
-        aa = np.arange(1, na + 1)
+    cands: list[_Candidate] = [] if two is None else [two]
+    if e_left.size:
+        aa = np.arange(1, e_left.size + 1)
         nearby_l = (L - i + aa).astype(float)
-        sl = scores(e_left, nearby_l)
+        sl = _scores(e_left, nearby_l, epsilon)
         j = int(np.lexsort((aa, nearby_l, sl))[0])
-        cands.append(
-            (float(sl[j]), int(nearby_l[j]), 1, int(aa[j]), 0,
-             QuiltShape(i, int(aa[j]), None))
-        )
-    if nb:
-        bb = np.arange(1, nb + 1)
+        cands.append((float(sl[j]), int(nearby_l[j]), 1, int(aa[j]), 0))
+    if e_right.size:
+        bb = np.arange(1, e_right.size + 1)
         nearby_r = (i + bb - 1).astype(float)
-        sr = scores(e_right, nearby_r)
+        sr = _scores(e_right, nearby_r, epsilon)
         j = int(np.lexsort((bb, nearby_r, sr))[0])
-        cands.append(
-            (float(sr[j]), int(nearby_r[j]), 1, 0, int(bb[j]),
-             QuiltShape(i, None, int(bb[j])))
-        )
-    cands.append((L / epsilon, L, 2, 0, 0, QuiltShape(i, None, None)))
-    best = _select(cands)
-    return best[0], best[5]
+        cands.append((float(sr[j]), int(nearby_r[j]), 1, 0, int(bb[j])))
+    cands.append((L / epsilon, L, 2, 0, 0))
+    s, _, _, a, b = min(cands)
+    return s, QuiltShape(i, a or None, b or None)
 
 
 def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
-    """Marginal laws of the first ``L`` nodes, one row per node."""
+    """Marginal laws of the first ``L`` nodes, one row per node.
+
+    The recursion is a function of the previous row's bits, so once a row
+    repeats the row one or two steps before it bit for bit, the rest of
+    the table repeats that period; it is filled in without stepping.
+    """
     margs = np.empty((L, model.k))
     margs[0] = model.initial
     for t in range(1, L):
         nxt = np.clip(margs[t - 1] @ model.transition, 0.0, None)
         margs[t] = nxt / nxt.sum()
+        row = margs[t].tobytes()
+        if row == margs[t - 1].tobytes():
+            margs[t + 1 :] = margs[t]
+            break
+        if t >= 2 and row == margs[t - 2].tobytes():
+            margs[t + 1 :: 2] = margs[t - 1]
+            margs[t + 2 :: 2] = margs[t]
+            break
     return margs
 
 
@@ -362,31 +401,56 @@ def _search_model(
     L: int,
     epsilon: float,
     cap: int,
-) -> list[tuple[float, QuiltShape]]:
+) -> tuple[list[tuple[float, QuiltShape]], int, int]:
     """Best score and quilt of every local node over offsets up to ``cap``.
 
     Influences are exact when ``log_margs`` (the log marginals of the
     searched nodes) is given and spectral bounds from ``info`` otherwise.
-    With ``cap >= L - 1`` this is the full search.
+    With ``cap >= L - 1`` this is the full search. Also returns the number
+    of exact-kernel calls and of nodes whose winner came from another
+    node's kernel call (see the module docstring).
     """
-    if log_margs is not None:
-        log_powers, right_max = _log_powers(model.transition, cap)
-    else:
+    best: list[tuple[float, QuiltShape]] = []
+    calls = shared = 0
+    if log_margs is None:
         terms = np.array([_spectral_term(info, x) for x in range(1, cap + 1)])
-    best = []
+        for i in range(1, L + 1):
+            na, nb = min(i - 1, cap), min(L - i, cap)
+            two = _two_sided_best(epsilon, 2.0 * terms[:na, None] + terms[None, :nb])
+            best.append(_best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two))
+        return best, calls, shared
+    log_powers, right_max = _log_powers(model.transition, cap)
+    # Only interior nodes (na = nb = cap) can have the same inputs as
+    # another node. Their inputs are keyed by the ids of their log-marginal
+    # rows, equal ids for bitwise-equal rows, and the table keeps e_left,
+    # e_right and the two-sided winner per key, never the two-sided table.
+    rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
+    row_ids = np.unique(rows[:, 0], return_inverse=True)[1]
+    table: dict[bytes, tuple[NDArray[np.float64], NDArray[np.float64], _Candidate]] = {}
+    out_of_cap = (cap + 1) / epsilon
     for i in range(1, L + 1):
         na, nb = min(i - 1, cap), min(L - i, cap)
-        if log_margs is not None:
-            e = _exact_influences(
+        interior = na == nb == cap > 0
+        key = row_ids[i - 1 - na : i].tobytes() if interior else None
+        if key in table:
+            e_left, e_right, two = table[key]
+            shared += 1
+        else:
+            e_left, e_right, e_two = _exact_influences(
                 log_margs[i - 1],
                 log_margs[i - 1 - na : i - 1][::-1],  # nearest node first
                 log_powers[1 : na + 1],
                 right_max[1 : nb + 1],
             )
+            calls += 1
+            two = _two_sided_best(epsilon, e_two)
+            if interior:
+                table[key] = (e_left, e_right, two)
+        if interior and two[0] < out_of_cap:
+            best.append((two[0], QuiltShape(i, two[3], two[4])))
         else:
-            e = (2.0 * terms[:na], terms[:nb], 2.0 * terms[:na, None] + terms[None, :nb])
-        best.append(_best_quilt(i, L, epsilon, *e))
-    return best
+            best.append(_best_quilt(i, L, epsilon, e_left, e_right, two))
+    return best, calls, shared
 
 
 def _pruned_search(
@@ -395,17 +459,23 @@ def _pruned_search(
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
-) -> list[tuple[float, QuiltShape]]:
+) -> tuple[list[tuple[float, QuiltShape]], list[int], int, int]:
     """:func:`_search_model` over all offsets, searching only those that can
-    still win (see the module docstring)."""
-    cap = _FIRST_CAP
-    while 2 * cap < L:
-        best = _search_model(model, log_margs, info, L, epsilon, cap)
+    still win (see the module docstring). Also returns the cap of every
+    round and the kernel calls and shared nodes summed over the rounds."""
+    cap, caps, calls, shared = _FIRST_CAP, [], 0, 0
+    while True:
+        full = 2 * cap >= L
+        if full:
+            cap = L - 1
+        best, n_calls, n_shared = _search_model(model, log_margs, info, L, epsilon, cap)
+        caps.append(cap)
+        calls += n_calls
+        shared += n_shared
         sigma = max(s for s, _ in best)
-        if (cap + 1) / epsilon > sigma:
-            return best
+        if full or (cap + 1) / epsilon > sigma:
+            return best, caps, calls, shared
         cap = max(2 * cap, math.floor(sigma * epsilon) + 1)
-    return _search_model(model, log_margs, info, L, epsilon, L - 1)
 
 
 def quilt_scores(
@@ -432,6 +502,10 @@ def quilt_scores(
     is the full result bit for bit, ties included. Otherwise the cap grows
     to ``max(2c, floor(sigma_c * epsilon) + 1)``, and the full search runs
     once the cap reaches half the window.
+
+    Each model's search logs one DEBUG record on this module's logger: the
+    cap of every round, the nodes searched, the exact-kernel calls, and
+    the nodes served from another node's call.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")
@@ -454,7 +528,12 @@ def quilt_scores(
                 log_margs, info = np.log(_marginals(model, L)), None
         else:
             log_margs, info = None, spectral(model)
-        best = _pruned_search(model, log_margs, info, L, epsilon)
+        best, caps, calls, shared = _pruned_search(model, log_margs, info, L, epsilon)
+        _log.debug(
+            "model %d (%s): rounds at caps %s over %d nodes, %d kernel calls, "
+            "%d nodes served from the shared table",
+            idx, variant.value, caps, L, calls, shared,
+        )
         active[idx] = tuple(
             ActiveQuilt(i + offset, QuiltShape(i + offset, shape.left, shape.right), s)
             for i, (s, shape) in enumerate(best, start=1)

@@ -1,10 +1,12 @@
 import contextlib
+import logging
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mquilt import mechanism
@@ -294,6 +296,170 @@ def test_short_window_runs_full_search_at_once():
     with _rounds() as caps:
         quilt_scores(_full(LAZY, 12), 1.0, Variant.EXACT)
     assert caps == [11]
+
+
+def _stepped_marginals(model, L):
+    """The marginal recursion stepped to the last node, with no period stop."""
+    margs = np.empty((L, model.k))
+    margs[0] = model.initial
+    for t in range(1, L):
+        nxt = np.clip(margs[t - 1] @ model.transition, 0.0, None)
+        margs[t] = nxt / nxt.sum()
+    return margs
+
+
+def _period(margs):
+    """The length, 1 or 2, of the first bitwise repeat among the rows."""
+    rows = [r.tobytes() for r in margs]
+    for t in range(1, len(rows)):
+        if rows[t] == rows[t - 1]:
+            return 1
+        if t >= 2 and rows[t] == rows[t - 2]:
+            return 2
+    return None
+
+
+@pytest.mark.parametrize(
+    "model, L, period",
+    [
+        (_chain(152, 3, 0.97), 1500, 2),  # sticky: a 2-cycle from step 1008
+        (random_model(5, np.random.default_rng(3)), 200, 2),  # from step 32
+        (ChainModel.from_arrays([0.0, 1.0, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7],
+                                                  [0.6, 0.0, 0.4]]), 300, 1),
+        (ChainModel.from_arrays([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]), 9, 2),
+        (LAZY, 1, None),
+    ],
+)
+def test_marginals_stop_at_their_period(model, L, period):
+    stepped = _stepped_marginals(model, L)
+    assert _period(stepped) == period
+    assert mechanism._marginals(model, L).tobytes() == stepped.tobytes()
+
+
+def _unshared_search_model(model, log_margs, info, L, epsilon, cap):
+    """One kernel call and one full scoring per node, for every node."""
+    log_powers, right_max = mechanism._log_powers(model.transition, cap)
+    best = []
+    for i in range(1, L + 1):
+        na, nb = min(i - 1, cap), min(L - i, cap)
+        e_left, e_right, e_two = mechanism._exact_influences(
+            log_margs[i - 1],
+            log_margs[i - 1 - na : i - 1][::-1],
+            log_powers[1 : na + 1],
+            right_max[1 : nb + 1],
+        )
+        two = mechanism._two_sided_best(epsilon, e_two)
+        best.append(mechanism._best_quilt(i, L, epsilon, e_left, e_right, two))
+    return best, L, 0
+
+
+def _unshared(fw, eps, scope="window"):
+    """The exact search with no node sharing another's kernel call. Each of
+    its rounds, accepted or not, is also run by the shared search, which
+    must agree node for node."""
+    shared = mechanism._search_model
+
+    def search(*args):
+        want = _unshared_search_model(*args)
+        assert shared(*args)[0] == want[0]
+        return want
+
+    with mock.patch.object(mechanism, "_search_model", search), \
+            mock.patch.object(mechanism, "_marginals", _stepped_marginals):
+        return quilt_scores(fw, eps, Variant.EXACT, scope=scope)
+
+
+def _rough_chain(seed, k, stay, holes):
+    """A sticky chain whose transition rows and initial law may have zeros."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((k, k)) + 0.05
+    if holes:
+        P[rng.random((k, k)) < 0.3] = 0.0
+        P[np.arange(k), rng.integers(0, k, k)] += 0.05  # no empty row
+    P = (1.0 - stay) * P / P.sum(axis=1, keepdims=True) + stay * np.eye(k)
+    q = rng.random(k) + 0.05
+    if holes:
+        q[rng.random(k) < 0.5] = 0.0
+        q[rng.integers(k)] += 0.05
+    return ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def _exact_instances(draw):
+    k = draw(st.integers(2, 5))
+    stay = draw(st.sampled_from([0.0, 0.3, 0.9, 0.98]))
+    holes = draw(st.booleans())
+    models = tuple(
+        _rough_chain(draw(st.integers(0, 2**32 - 1)), k, stay, holes)
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    L = draw(st.integers(1, 300))
+    start = draw(st.integers(1, 40))
+    tail = draw(st.integers(0, 20))
+    fw = Framework(start + L - 1 + tail, Window(start, start + L - 1), models)
+    return fw, draw(st.floats(0.3, 30.0)), draw(st.sampled_from(["window", "chain"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_exact_instances())
+# A round that is not accepted while interior nodes share their inputs.
+@example((_full(_chain(3, 3), 300), 0.2, "window"))
+# Two models, scope "chain", window off node 1.
+@example((Framework(320, Window(21, 300), (_chain(3, 3), _chain(4, 3, 0.3))), 1.0, "chain"))
+# One-sided quilts win at interior nodes of a round that is not accepted.
+@example((_full(ChainModel.from_arrays([0.33, 0.67], [[0.9987, 0.0013], [0.5734, 0.4266]]),
+                36), 4.7, "window"))
+def test_shared_exact_search_equals_unshared_search(inst):
+    fw, eps, scope = inst
+    assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
+
+
+@contextlib.contextmanager
+def _kernel_calls():
+    """Count the exact-kernel calls made inside the block."""
+    calls = []
+    inner = mechanism._exact_influences
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    with mock.patch.object(mechanism, "_exact_influences", counting):
+        yield calls
+
+
+def test_kernel_calls_do_not_grow_with_the_window():
+    model = random_model(10, np.random.default_rng(3))
+    counts = []
+    for L in (4096, 20000):
+        with _kernel_calls() as calls:
+            quilt_scores(_full(model, L), 1.0, Variant.EXACT)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 100
+    fw = _full(model, 2048)
+    assert quilt_scores(fw, 1.0, Variant.EXACT) == _unshared(fw, 1.0)
+
+
+def test_search_logs_its_work_per_model(caplog):
+    fw = Framework(400, Window(1, 400), (_chain(3, 3), _chain(5, 3, 0.97)))
+    with _kernel_calls() as calls, _rounds() as caps, \
+            caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
+        quilt_scores(fw, 0.5, Variant.EXACT)
+    records = [r for r in caplog.records if r.name == "mquilt.mechanism"]
+    assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
+    first = records[0].getMessage()
+    assert first.startswith("model 0 (exact): rounds at caps [8] over 400 nodes")
+    logged_calls, logged_shared = [], []
+    for r in records:
+        n_calls, n_shared = re.search(
+            r"(\d+) kernel calls, (\d+) nodes served from the shared table", r.getMessage()
+        ).groups()
+        logged_calls.append(int(n_calls))
+        logged_shared.append(int(n_shared))
+    assert sum(logged_calls) == len(calls)
+    # Every searched node either calls the kernel or is served from the table.
+    assert sum(logged_calls) + sum(logged_shared) == 400 * len(caps)
+    assert logged_shared[0] > 0
 
 
 def test_release_determinism_and_decomposition():
