@@ -13,7 +13,6 @@ Time indices are 1-based: ``X_1`` is the first node of a trajectory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -239,49 +238,6 @@ def marginal(model: ChainModel, t: int) -> NDArray[np.float64]:
     return model.initial @ transition_power(model.transition, t - 1)
 
 
-def _positive_adjacency(P: NDArray[np.float64]) -> NDArray[np.bool_]:
-    return P > 0.0
-
-
-def _strongly_connected(adj: NDArray[np.bool_]) -> bool:
-    k = adj.shape[0]
-
-    def reaches_all(a: NDArray[np.bool_]) -> bool:
-        seen = np.zeros(k, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for v in np.nonzero(a[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    frontier.append(int(v))
-        return bool(seen.all())
-
-    return reaches_all(adj) and reaches_all(adj.T)
-
-
-def _period(adj: NDArray[np.bool_]) -> int:
-    """Period of a strongly connected digraph via BFS level differences."""
-    k = adj.shape[0]
-    depth = np.full(k, -1)
-    depth[0] = 0
-    order = [0]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in np.nonzero(adj[u])[0]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                order.append(int(v))
-    g = 0
-    for u in range(k):
-        for v in np.nonzero(adj[u])[0]:
-            g = math.gcd(g, int(depth[u] + 1 - depth[v]))
-    return g
-
-
 def _stationary_distribution(P: NDArray[np.float64]) -> NDArray[np.float64]:
     """Stationary law from the balance equations ``pi (P - I) = 0`` and
     ``sum(pi) = 1``, solved by least squares.
@@ -339,19 +295,21 @@ def spectral(model: ChainModel) -> SpectralInfo:
     Raises
     ------
     NotIrreducible
-        If the positive-entry digraph is not strongly connected.
+        If the positive-entry digraph is not strongly connected, that is,
+        ``(I + A)^(k-1)`` has a zero entry for its adjacency matrix ``A``.
     NotAperiodic
-        If the gcd of cycle lengths exceeds one.
+        If the gcd of cycle lengths exceeds one. By Wielandt's bound, an
+        irreducible chain is aperiodic iff ``A^((k-1)^2 + 1) > 0``.
     ZeroStationaryEntry
         If the stationary distribution has a numerically zero entry.
     """
     model = validate(model)
-    P = model.transition
-    adj = _positive_adjacency(P)
-    if not _strongly_connected(adj):
+    P, k = model.transition, model.k
+    adj = P > 0.0
+    if not np.linalg.matrix_power(adj | np.eye(k, dtype=bool), k - 1).all():
         raise NotIrreducible("transition graph is not strongly connected")
-    if _period(adj) != 1:
-        raise NotAperiodic(f"chain has period {_period(adj)}")
+    if not np.linalg.matrix_power(adj, (k - 1) ** 2 + 1).all():
+        raise NotAperiodic("chain is periodic")
     pi = _stationary_distribution(P)
     if pi.min() <= 0.0:
         raise ZeroStationaryEntry("stationary distribution touches zero")

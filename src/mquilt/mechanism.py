@@ -40,6 +40,17 @@ scale stays exact. Per distinct input the search keeps the one-sided
 influences and the two-sided winner, never the two-sided table, whose size
 would be quadratic in ``c``.
 
+The approx search runs the same node loop. Its influences depend on the
+offsets alone (``2 t(a) + t(b)`` for the quilt at offsets ``a`` and
+``b``), so it scores one table of the round's ``c * c`` two-sided quilts
+and ranks them in the tie order (score, nearby count, ``a``, ``b``).
+After prefix minima of the ranks along both axes, the entry at
+``(na - 1, nb - 1)`` ranks node ``i``'s winner. Each entry is the same
+floating-point expression as in a table of the node's own offsets, so
+this is that table's lexicographic minimum, bit for bit. Spectral terms
+``log((pi_min + d) / (pi_min - d))`` are never negative, so the interior
+shortcut holds, and all interior nodes share one input.
+
 Scores depend only on the framework, the budget, and the variant, never on
 the observed data, so records can be replayed and audited.
 """
@@ -294,27 +305,39 @@ def _scores(
     return s
 
 
-def _two_sided_best(epsilon: float, e_two: NDArray[np.float64]) -> _Candidate | None:
-    """The best two-sided quilt, given ``e_two[a-1, b-1]``, the influence of
-    the quilt at offsets ``a`` and ``b``; ``None`` if there is none. It does
-    not depend on the node's position in the window."""
-    na, nb = e_two.shape
-    if not (na and nb):
-        return None
-    aa = np.arange(1, na + 1)
-    bb = np.arange(1, nb + 1)
+def _two_sided_winners(
+    epsilon: float, e_two: NDArray[np.float64]
+) -> Callable[[int, int], _Candidate | None]:
+    """A lookup of the best two-sided quilt with offsets ``a <= na`` and
+    ``b <= nb`` (``None`` if there is none), given ``e_two[a-1, b-1]``, the
+    influence of the quilt at offsets ``a`` and ``b``. It does not depend on
+    the node's position in the window (see the module docstring)."""
+    ma, mb = e_two.shape
+    aa = np.arange(1, ma + 1)
+    bb = np.arange(1, mb + 1)
     nearby2 = aa[:, None] + bb[None, :] - 1
     s2 = _scores(e_two, nearby2.astype(float), epsilon)
-    flat = np.lexsort(
+    order = np.lexsort(
         (
             np.broadcast_to(bb[None, :], s2.shape).ravel(),
             np.broadcast_to(aa[:, None], s2.shape).ravel(),
             nearby2.ravel(),
             s2.ravel(),
         )
-    )[0]
-    ai, bi = divmod(int(flat), nb)
-    return (float(s2[ai, bi]), int(nearby2[ai, bi]), 0, ai + 1, bi + 1)
+    )
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rank = rank.reshape(ma, mb)
+    np.minimum.accumulate(rank, axis=0, out=rank)
+    np.minimum.accumulate(rank, axis=1, out=rank)
+
+    def winner(na: int, nb: int) -> _Candidate | None:
+        if not (na and nb):
+            return None
+        ai, bi = divmod(int(order[rank[na - 1, nb - 1]]), mb)
+        return (float(s2[ai, bi]), ai + bi + 1, 0, ai + 1, bi + 1)
+
+    return winner
 
 
 def _best_quilt(
@@ -329,7 +352,7 @@ def _best_quilt(
 
     ``e_left[a-1]`` and ``e_right[b-1]`` bound the influence of the
     one-sided quilts at offsets ``a`` and ``b``; ``two`` is the best
-    two-sided quilt (:func:`_two_sided_best`). The one-sided and empty
+    two-sided quilt (:func:`_two_sided_winners`). The one-sided and empty
     candidates are scored here, since their nearby counts depend on ``i``.
     """
     cands: list[_Candidate] = [] if two is None else [two]
@@ -405,27 +428,27 @@ def _search_model(
     """Best score and quilt of every local node over offsets up to ``cap``.
 
     Influences are exact when ``log_margs`` (the log marginals of the
-    searched nodes) is given and spectral bounds from ``info`` otherwise.
-    With ``cap >= L - 1`` this is the full search. Also returns the number
-    of exact-kernel calls and of nodes whose winner came from another
-    node's kernel call (see the module docstring).
+    searched nodes) is given and spectral bounds from ``info`` otherwise;
+    the variants differ only in where a node's one-sided influences and
+    two-sided winner come from. With ``cap >= L - 1`` this is the full
+    search. Also returns the number of exact-kernel calls and of nodes
+    served from another node's table entry (see the module docstring).
     """
     best: list[tuple[float, QuiltShape]] = []
     calls = shared = 0
-    if log_margs is None:
-        terms = np.array([_spectral_term(info, x) for x in range(1, cap + 1)])
-        for i in range(1, L + 1):
-            na, nb = min(i - 1, cap), min(L - i, cap)
-            two = _two_sided_best(epsilon, 2.0 * terms[:na, None] + terms[None, :nb])
-            best.append(_best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two))
-        return best, calls, shared
-    log_powers, right_max = _log_powers(model.transition, cap)
     # Only interior nodes (na = nb = cap) can have the same inputs as
     # another node. Their inputs are keyed by the ids of their log-marginal
-    # rows, equal ids for bitwise-equal rows, and the table keeps e_left,
-    # e_right and the two-sided winner per key, never the two-sided table.
-    rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
-    row_ids = np.unique(rows[:, 0], return_inverse=True)[1]
+    # rows, equal ids for bitwise-equal rows (one id for all in the approx
+    # search), and the table keeps e_left, e_right and the two-sided
+    # winner per key.
+    if log_margs is None:
+        terms = np.array([_spectral_term(info, x) for x in range(1, cap + 1)])
+        winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
+        row_ids = np.zeros(L, dtype=np.intp)
+    else:
+        log_powers, right_max = _log_powers(model.transition, cap)
+        rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
+        row_ids = np.unique(rows[:, 0], return_inverse=True)[1]
     table: dict[bytes, tuple[NDArray[np.float64], NDArray[np.float64], _Candidate]] = {}
     out_of_cap = (cap + 1) / epsilon
     for i in range(1, L + 1):
@@ -436,14 +459,17 @@ def _search_model(
             e_left, e_right, two = table[key]
             shared += 1
         else:
-            e_left, e_right, e_two = _exact_influences(
-                log_margs[i - 1],
-                log_margs[i - 1 - na : i - 1][::-1],  # nearest node first
-                log_powers[1 : na + 1],
-                right_max[1 : nb + 1],
-            )
-            calls += 1
-            two = _two_sided_best(epsilon, e_two)
+            if log_margs is None:
+                e_left, e_right, two = 2.0 * terms[:na], terms[:nb], winner(na, nb)
+            else:
+                e_left, e_right, e_two = _exact_influences(
+                    log_margs[i - 1],
+                    log_margs[i - 1 - na : i - 1][::-1],  # nearest node first
+                    log_powers[1 : na + 1],
+                    right_max[1 : nb + 1],
+                )
+                calls += 1
+                two = _two_sided_winners(epsilon, e_two)(na, nb)
             if interior:
                 table[key] = (e_left, e_right, two)
         if interior and two[0] < out_of_cap:
@@ -504,8 +530,9 @@ def quilt_scores(
     once the cap reaches half the window.
 
     Each model's search logs one DEBUG record on this module's logger: the
-    cap of every round, the nodes searched, the exact-kernel calls, and
-    the nodes served from another node's call.
+    cap of every round, the nodes searched, the exact-kernel calls (none
+    in the approx variant), and the nodes served from another node's
+    table entry.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")

@@ -148,6 +148,86 @@ def test_spectral_rejects_periodic():
         spectral(m)
 
 
+def _strongly_connected(adj):
+    """Whether every state reaches every other, by graph search both ways."""
+    k = adj.shape[0]
+
+    def reaches_all(a):
+        seen = np.zeros(k, dtype=bool)
+        seen[0] = True
+        frontier = [0]
+        while frontier:
+            u = frontier.pop()
+            for v in np.nonzero(a[u])[0]:
+                if not seen[v]:
+                    seen[v] = True
+                    frontier.append(int(v))
+        return bool(seen.all())
+
+    return reaches_all(adj) and reaches_all(adj.T)
+
+
+def _period(adj):
+    """Period of a strongly connected digraph via BFS level differences."""
+    k = adj.shape[0]
+    depth = np.full(k, -1)
+    depth[0] = 0
+    order = [0]
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in np.nonzero(adj[u])[0]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                order.append(int(v))
+    g = 0
+    for u in range(k):
+        for v in np.nonzero(adj[u])[0]:
+            g = math.gcd(g, int(depth[u] + 1 - depth[v]))
+    return g
+
+
+def _digraphs(rng, n):
+    """Random digraphs on 1..8 states with no state lacking an out-edge:
+    sparse and dense ones, and planted cycles through every state with and
+    without one chord."""
+    for _ in range(n):
+        k = int(rng.integers(1, 9))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            adj = rng.random((k, k)) < rng.uniform(0.05, 0.6)
+        else:
+            adj = np.zeros((k, k), dtype=bool)
+            perm = rng.permutation(k)
+            adj[perm, np.roll(perm, -1)] = True
+            if kind == 2:
+                adj[rng.integers(k), rng.integers(k)] = True
+        empty = ~adj.any(axis=1)
+        adj[np.nonzero(empty)[0], rng.integers(0, k, int(empty.sum()))] = True
+        yield adj
+
+
+def test_spectral_ergodicity_verdicts_match_graph_search():
+    seen = set()
+    for adj in _digraphs(np.random.default_rng(11), 2400):
+        P = adj / adj.sum(axis=1, keepdims=True)
+        m = ChainModel.from_arrays(np.full(len(P), 1.0 / len(P)), P)
+        if not _strongly_connected(adj):
+            want = NotIrreducible
+        elif _period(adj) != 1:
+            want = NotAperiodic
+        else:
+            want = None
+        seen.add(want)
+        if want is None:
+            spectral(m)
+        else:
+            with pytest.raises(want):
+                spectral(m)
+    assert seen == {None, NotIrreducible, NotAperiodic}
+
+
 def test_validate_duplicate_labels():
     m = ChainModel(("a", "a"), np.array([0.5, 0.5]), np.eye(2))
     with pytest.raises(DuplicateLabel):

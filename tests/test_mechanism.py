@@ -336,6 +336,28 @@ def test_marginals_stop_at_their_period(model, L, period):
     assert mechanism._marginals(model, L).tobytes() == stepped.tobytes()
 
 
+def _two_sided_best(epsilon, e_two):
+    """The best two-sided quilt of a whole table by one sort in the tie
+    order, as the per-node searches scored it."""
+    na, nb = e_two.shape
+    if not (na and nb):
+        return None
+    aa = np.arange(1, na + 1)
+    bb = np.arange(1, nb + 1)
+    nearby2 = aa[:, None] + bb[None, :] - 1
+    s2 = mechanism._scores(e_two, nearby2.astype(float), epsilon)
+    flat = np.lexsort(
+        (
+            np.broadcast_to(bb[None, :], s2.shape).ravel(),
+            np.broadcast_to(aa[:, None], s2.shape).ravel(),
+            nearby2.ravel(),
+            s2.ravel(),
+        )
+    )[0]
+    ai, bi = divmod(int(flat), nb)
+    return (float(s2[ai, bi]), int(nearby2[ai, bi]), 0, ai + 1, bi + 1)
+
+
 def _unshared_search_model(model, log_margs, info, L, epsilon, cap):
     """One kernel call and one full scoring per node, for every node."""
     log_powers, right_max = mechanism._log_powers(model.transition, cap)
@@ -348,7 +370,7 @@ def _unshared_search_model(model, log_margs, info, L, epsilon, cap):
             log_powers[1 : na + 1],
             right_max[1 : nb + 1],
         )
-        two = mechanism._two_sided_best(epsilon, e_two)
+        two = _two_sided_best(epsilon, e_two)
         best.append(mechanism._best_quilt(i, L, epsilon, e_left, e_right, two))
     return best, L, 0
 
@@ -414,6 +436,91 @@ def test_shared_exact_search_equals_unshared_search(inst):
     assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
 
 
+def _per_node_approx_search_model(model, log_margs, info, L, epsilon, cap):
+    """The approx search with its own two-sided table scored at every node."""
+    terms = np.array([mechanism._spectral_term(info, x) for x in range(1, cap + 1)])
+    best = []
+    for i in range(1, L + 1):
+        na, nb = min(i - 1, cap), min(L - i, cap)
+        two = _two_sided_best(epsilon, 2.0 * terms[:na, None] + terms[None, :nb])
+        best.append(mechanism._best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two))
+    return best, 0, 0
+
+
+def _per_node_approx(fw, eps, scope="window"):
+    """The approx search with a two-sided table per node. Each of its
+    rounds, accepted or not, is also run by the search with one table per
+    round, which must agree node for node."""
+    one_table = mechanism._search_model
+
+    def search(*args):
+        want = _per_node_approx_search_model(*args)
+        assert one_table(*args)[0] == want[0]
+        return want
+
+    with mock.patch.object(mechanism, "_search_model", search):
+        return quilt_scores(fw, eps, Variant.APPROX, scope=scope)
+
+
+@st.composite
+def _approx_instances(draw):
+    k = draw(st.integers(2, 5))
+    stay = draw(st.floats(0.0, 0.98))
+    models = tuple(
+        _chain(draw(st.integers(0, 2**32 - 1)), k, stay)
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    L = draw(st.integers(1, 300))
+    start = draw(st.integers(1, 40))
+    tail = draw(st.integers(0, 20))
+    fw = Framework(start + L - 1 + tail, Window(start, start + L - 1), models)
+    return fw, draw(st.floats(0.05, 6.0)), draw(st.sampled_from(["window", "chain"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_approx_instances())
+# Rounds at caps 8 and 299: the full round looks up every node's winner.
+@example((_full(random_model(10, np.random.default_rng(3)), 300), 2.0, "window"))
+# A sticky chain whose second round is the full search.
+@example((_full(_chain(5, 3, 0.97), 150), 4.0, "window"))
+# Two models, scope "chain", window off node 1.
+@example((Framework(320, Window(21, 300), (_chain(3, 3), _chain(4, 3, 0.9))), 3.0, "chain"))
+# A one-sided quilt wins at an interior node of a round that is not accepted.
+@example((_full(_chain(752767291, 2), 100), 5.48, "window"))
+def test_one_table_approx_search_equals_per_node_search(inst):
+    fw, eps, scope = inst
+    assert quilt_scores(fw, eps, Variant.APPROX, scope=scope) == _per_node_approx(fw, eps, scope)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+       st.floats(0.05, 6.0))
+def test_block_winners_equal_a_sort_of_each_block(seed, ma, mb, eps):
+    # Influences from a few levels, so scores and nearby counts tie often
+    # and the tie order decides.
+    e_two = np.random.default_rng(seed).choice([0.0, 0.25 * eps, 0.5 * eps, np.inf], (ma, mb))
+    winner = mechanism._two_sided_winners(eps, e_two)
+    for na in range(ma + 1):
+        for nb in range(mb + 1):
+            assert winner(na, nb) == _two_sided_best(eps, e_two[:na, :nb])
+
+
+def test_approx_search_builds_one_two_sided_table_per_round():
+    fw = _full(random_model(10, np.random.default_rng(3)), 1024)
+    tables = []
+    inner = mechanism._two_sided_winners
+
+    def counting(epsilon, e_two):
+        tables.append(e_two.shape)
+        return inner(epsilon, e_two)
+
+    with mock.patch.object(mechanism, "_two_sided_winners", counting), \
+            _rounds() as caps:
+        quilt_scores(fw, 2.0, Variant.APPROX)
+    assert caps[0] == mechanism._FIRST_CAP and caps[-1] == 1023
+    assert tables == [(c, c) for c in caps]
+
+
 @contextlib.contextmanager
 def _kernel_calls():
     """Count the exact-kernel calls made inside the block."""
@@ -460,6 +567,18 @@ def test_search_logs_its_work_per_model(caplog):
     # Every searched node either calls the kernel or is served from the table.
     assert sum(logged_calls) + sum(logged_shared) == 400 * len(caps)
     assert logged_shared[0] > 0
+
+    # The approx search calls no kernel; its interior nodes but the first
+    # of each round share that node's entry.
+    caplog.clear()
+    with _kernel_calls() as calls, _rounds() as caps, \
+            caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
+        quilt_scores(fw, 0.5, Variant.APPROX)
+    records = [r.getMessage() for r in caplog.records if r.name == "mquilt.mechanism"]
+    assert len(records) == 2 and records[0].startswith("model 0 (approx): rounds at caps")
+    logged = [re.search(r"(\d+) kernel calls, (\d+) nodes served", r).groups() for r in records]
+    assert calls == [] and all(n_calls == "0" for n_calls, _ in logged)
+    assert sum(int(n) for _, n in logged) == sum(max(400 - 2 * c - 1, 0) for c in caps) > 0
 
 
 def test_release_determinism_and_decomposition():
