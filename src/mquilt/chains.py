@@ -21,6 +21,7 @@ from numpy.typing import NDArray
 
 from .errors import (
     BadInitial,
+    BadState,
     DuplicateLabel,
     InvalidTime,
     MquiltError,
@@ -107,8 +108,6 @@ class ChainModel:
         try:
             return self.states.index(str(label))
         except ValueError:
-            from .errors import BadState
-
             raise BadState(f"unknown state label {label!r}") from None
 
     def equal_to(self, other: "ChainModel") -> bool:

@@ -140,13 +140,6 @@ def _cmd_gap(args) -> int:
     return 0
 
 
-def _histogram_seeds(seed: int | None, k: int) -> list[int]:
-    # Independent noise per bucket: distinct child seeds drawn from the
-    # user seed (or from OS entropy without one), so no two buckets ever
-    # share a Laplace draw.
-    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63, size=k)]
-
-
 def _cmd_release(args) -> int:
     models = _load_models(args.model)
     data = load_sequence(args.data)
@@ -160,7 +153,9 @@ def _cmd_release(args) -> int:
         data = StateSequence(data.values[window.start - 1 : window.end])
 
     if args.query == "histogram":
-        seeds = _histogram_seeds(args.seed, k)
+        # Independent noise per bucket: every bucket draws in turn from one
+        # generator, seeded by the user seed (or OS entropy without one).
+        rng = np.random.default_rng(args.seed)
         epsilon = args.epsilon / k
         # The search does not depend on the query: one search serves every bucket.
         search = quilt_scores(framework, epsilon, variant, scope=args.scope)
@@ -168,7 +163,7 @@ def _cmd_release(args) -> int:
         for s in range(k):
             q = count_state_query(s, k, framework.states[s])
             rec = release_record(
-                search, data, q, epsilon, framework, variant, seeds[s],
+                search, data, q, epsilon, framework, variant, rng,
                 scope=args.scope,
             )
             records.append(rec)
@@ -223,28 +218,34 @@ def _entries_by_ids(path: str, ids: Sequence[int]) -> list[LedgerEntry]:
     return [table[i] for i in ids]
 
 
-def _merged_framework(entries: Sequence[LedgerEntry]) -> Framework:
-    base = entries[0].framework
+def _shared_models(entries: Sequence[LedgerEntry]) -> tuple[ChainModel, ...]:
+    """The candidate models every entry was released under; refuse a mix."""
+    base = entries[0].framework.models
     for e in entries[1:]:
-        if len(e.framework.models) != len(base.models) or not all(
-            a.equal_to(b) for a, b in zip(e.framework.models, base.models)
+        models = e.framework.models
+        if len(models) != len(base) or not all(
+            a.equal_to(b) for a, b in zip(models, base)
         ):
             raise MixedFrameworks(
                 "ledger entries were released under different model sets"
             )
-    horizon = max(e.framework.horizon for e in entries)
-    return Framework(horizon, Window(1, horizon), base.models)
+    return base
 
 
 def _cmd_compose(args) -> int:
-    ids = [int(s) for s in args.ids.split(",")]
+    try:
+        ids = [int(s) for s in args.ids.split(",")]
+    except ValueError:
+        raise FormatError(
+            f"ids must be comma-separated integers, got {args.ids!r}"
+        ) from None
     entries = _entries_by_ids(args.ledger, ids)
     records = [e.record for e in entries]
     labels = [str(e.entry_id) for e in entries]
     rule = args.rule
 
     if rule == "auto":
-        report = compose_auto(records, _merged_framework(entries), labels)
+        report = compose_auto(records, _shared_models(entries), labels)
     elif rule == "thm6":
         report = compose_sequential_mqm(records, labels)
     elif rule == "thm1":
@@ -260,16 +261,10 @@ def _cmd_compose(args) -> int:
     elif rule in ("thm2", "thm3"):
         if len(records) != 2:
             raise FormatError(f"rule {rule} composes exactly 2 releases")
-        fw = _merged_framework(entries)
-        method = Variant(args.method)
-        if rule == "thm2":
-            report = compose_parallel_general(
-                records[0], records[1], fw, method, labels
-            )
-        else:
-            report = compose_parallel_mqm_approx(
-                records[0], records[1], fw, method, labels
-            )
+        compose = (
+            compose_parallel_general if rule == "thm2" else compose_parallel_mqm_approx
+        )
+        report = compose(records[0], records[1], _shared_models(entries), labels)
     else:  # pragma: no cover - argparse choices guard this
         raise FormatError(f"unknown rule {rule!r}")
     _print_report(args, report)
@@ -345,8 +340,8 @@ def _cmd_verify_lemmas(args) -> int:
         a = int(rng.integers(1, i))
         b = int(rng.integers(1, 4))
         shape = QuiltShape(i, a, b)
-        ex = exact_max_influence(model, shape).value
-        ap = approx_max_influence(info, shape).value
+        ex = exact_max_influence(model, shape)
+        ap = approx_max_influence(info, shape)
         worst = max(worst, ex - ap)
     results.append(
         (
@@ -362,7 +357,7 @@ def _cmd_verify_lemmas(args) -> int:
         i = int(rng.integers(2, 4))
         a = int(rng.integers(1, i))
         b = int(rng.integers(1, 3))
-        ex = exact_max_influence(model, QuiltShape(i, a, b)).value
+        ex = exact_max_influence(model, QuiltShape(i, a, b))
         en = enumerated_max_influence(model, i, [i - a, i + b], horizon=i + b)
         worst_gap = max(worst_gap, abs(ex - en))
     results.append(
@@ -486,7 +481,6 @@ def build_parser() -> _Parser:
         default="auto",
     )
     p.add_argument("--E", type=float, default=None, help="divergence bound for thm5")
-    p.add_argument("--method", choices=["exact", "approx"], default="exact")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compose)
 
@@ -526,6 +520,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except MquiltError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # A missing input, or an output in a directory that does not exist.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,17 @@
 """Privacy accounting when several releases touch the same trajectory.
 
-Each rule takes release records (plus the framework where influences must
-be recomputed) and produces a :class:`CompositionReport`: the combined
-budget, the rule applied, and the precondition checks with evidence. Rules
-never mutate records and never look at data.
+Each rule takes release records (plus, for the parallel rules, the
+candidate models the boundary influence is computed under) and produces a
+:class:`CompositionReport`: the combined budget, the rule applied, and the
+precondition checks with evidence. Rules never mutate records and never
+look at data.
 
 Rule tokens follow the CLI surface: ``thm1`` (worst budget times count,
-requiring identical active quilts), ``thm2`` (general parallel, paying a
-boundary influence), ``thm3`` (parallel max for approximate releases under
-far-apart-window conditions, falling back to ``thm2``), ``thm5`` (general
-sequential with a max-divergence surcharge), ``thm6`` (plain budget sum
-for quilt releases).
+requiring identical active quilts), ``thm2`` (general parallel, paying
+the exact boundary influence), ``thm3`` (parallel max for approximate
+releases under far-apart-window conditions, falling back to ``thm2``),
+``thm5`` (general sequential with a max-divergence surcharge), ``thm6``
+(plain budget sum for quilt releases).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .chains import ChainModel
 from .errors import (
     EmptyInput,
     MixedFrameworks,
@@ -30,7 +32,7 @@ from .errors import (
     TooManyWindows,
 )
 from .influence import QuiltShape, Variant, influence_over_set
-from .mechanism import Framework, ReleaseRecord
+from .mechanism import ReleaseRecord
 
 __all__ = [
     "CompositionRule",
@@ -246,8 +248,7 @@ def _ordered_disjoint(
 def compose_parallel_general(
     rec_a: ReleaseRecord,
     rec_b: ReleaseRecord,
-    framework: Framework,
-    method: Variant = Variant.EXACT,
+    models: Sequence[ChainModel],
     input_ids: Sequence[str] | None = None,
 ) -> CompositionReport:
     """Two private releases over disjoint windows of one trajectory.
@@ -256,17 +257,16 @@ def compose_parallel_general(
     the later release can learn through the boundary, which is at most the
     smaller of the later budget and the forward influence of the earlier
     window's last node on the later window's first node. The later window
-    is charged symmetrically through the backward influence. Secrets
+    is charged symmetrically through the backward influence. Both
+    influences are the exact maxima over ``models``
+    (:func:`~mquilt.influence.influence_over_set`); an influence that is
+    ``inf`` (an absorbing state, say) is capped by the other budget. Secrets
     outside the two windows carry no guarantee from this rule.
     """
     first, second = _ordered_disjoint(rec_a, rec_b)
     t2, t3 = first.window.end, second.window.start
-    fwd = influence_over_set(
-        framework.models, QuiltShape(t2, None, t3 - t2), method
-    ).value
-    bwd = influence_over_set(
-        framework.models, QuiltShape(t3, t3 - t2, None), method
-    ).value
+    fwd = influence_over_set(models, QuiltShape(t2, None, t3 - t2))
+    bwd = influence_over_set(models, QuiltShape(t3, t3 - t2, None))
     eps = max(
         first.epsilon + min(second.epsilon, fwd),
         second.epsilon + min(first.epsilon, bwd),
@@ -281,7 +281,7 @@ def compose_parallel_general(
         Check(
             "boundary-influence",
             True,
-            f"forward {fwd:.6g}, backward {bwd:.6g} via {method.value} route",
+            f"forward {fwd:.6g}, backward {bwd:.6g} via exact route",
         ),
         Check(
             "secret-scope",
@@ -321,8 +321,7 @@ def _two_sided_active_everywhere(rec: ReleaseRecord, tag: str) -> Check:
 def compose_parallel_mqm_approx(
     rec_a: ReleaseRecord,
     rec_b: ReleaseRecord,
-    framework: Framework,
-    fallback_method: Variant = Variant.EXACT,
+    models: Sequence[ChainModel],
     input_ids: Sequence[str] | None = None,
 ) -> CompositionReport:
     """Parallel composition of two approximate-variant releases.
@@ -330,8 +329,8 @@ def compose_parallel_mqm_approx(
     When both records show a two-sided winning quilt under every model and
     the gap between the windows is at least as long as either window span,
     the combined budget is simply the larger of the two. If either
-    condition fails, the rule falls back to the general parallel rule and
-    reports the failed check alongside.
+    condition fails, the rule falls back to the general parallel rule over
+    ``models`` and reports the failed check alongside.
     """
     if rec_a.variant is not Variant.APPROX or rec_b.variant is not Variant.APPROX:
         raise NotApproxVariant(
@@ -365,9 +364,7 @@ def compose_parallel_mqm_approx(
         return CompositionReport(
             float(eps), CompositionRule.APPROX_PARALLEL, tuple(checks), tuple(ids)
         )
-    fallback = compose_parallel_general(
-        first, second, framework, fallback_method, input_ids
-    )
+    fallback = compose_parallel_general(first, second, models, input_ids)
     return CompositionReport(
         fallback.epsilon,
         fallback.rule,
@@ -378,7 +375,7 @@ def compose_parallel_mqm_approx(
 
 def compose_auto(
     records: Sequence[ReleaseRecord],
-    framework: Framework,
+    models: Sequence[ChainModel],
     input_ids: Sequence[str] | None = None,
 ) -> CompositionReport:
     """Pick a rule from the records' window layout.
@@ -418,5 +415,5 @@ def compose_auto(
     a, b = records[order[0]], records[order[1]]
     pair_ids = [ids[order[0]], ids[order[1]]]
     if a.variant is Variant.APPROX and b.variant is Variant.APPROX:
-        return compose_parallel_mqm_approx(a, b, framework, input_ids=pair_ids)
-    return compose_parallel_general(a, b, framework, input_ids=pair_ids)
+        return compose_parallel_mqm_approx(a, b, models, pair_ids)
+    return compose_parallel_general(a, b, models, pair_ids)

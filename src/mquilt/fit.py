@@ -44,10 +44,12 @@ def fit_chain(
     The initial law counts first symbols; the transition matrix counts
     adjacent pairs pooled over all sequences. With zero smoothing, a state
     that is never left has no estimable row and the fit is refused rather
-    than guessed.
+    than guessed. ``states``, when given, must hold exactly ``k`` labels.
     """
     if k < 1:
         raise MquiltError(f"state count must be >= 1, got {k}")
+    if states is not None and len(states) != k:
+        raise AlphabetMismatch(f"got {len(states)} state labels for {k} states")
     if len(sequences) == 0:
         raise EmptyInput("no sequences to fit")
     if len(sequences) < config.min_sequences:

@@ -2,7 +2,8 @@
 
 The central quantity is the largest log ratio, over realizations and over
 pairs of values at the protected node, between conditional laws of a set of
-observed nodes. Two routes compute it for quilt-shaped sets:
+observed nodes. Two routes compute it for quilt-shaped sets; both return
+plain floats:
 
 ``exact``
     One batched kernel, :func:`_exact_influences`. Given ``X_i``, the
@@ -21,7 +22,9 @@ observed nodes. Two routes compute it for quilt-shaped sets:
     A spectral upper bound that only needs the stationary minimum and the
     eigen-gap of the multiplicative reversiblization. It is finite once
     the offsets clear a mixing threshold, and it never undershoots the
-    exact value.
+    exact value. The approximate quilt search scores with it; the
+    composition rules never do, since they charge the exact value their
+    theorems name (:func:`influence_over_set`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,7 +41,6 @@ from .chains import (
     ChainModel,
     SpectralInfo,
     marginal,
-    spectral,
     transition_power,
     validate,
 )
@@ -47,7 +49,6 @@ from .errors import BadShape, EmptyThetaSet
 __all__ = [
     "Variant",
     "QuiltShape",
-    "InfluenceValue",
     "nearby_size",
     "exact_max_influence",
     "approx_max_influence",
@@ -57,7 +58,7 @@ __all__ = [
 
 
 class Variant(str, enum.Enum):
-    """Which influence route a value came from (or a mechanism ran with)."""
+    """Which influence route a quilt search (and so a release) ran with."""
 
     EXACT = "exact"
     APPROX = "approx"
@@ -105,18 +106,6 @@ class QuiltShape:
 
 def _opt_int(x) -> int | None:
     return None if x is None else int(x)
-
-
-@dataclass(frozen=True)
-class InfluenceValue:
-    """An influence number tagged with the route that produced it."""
-
-    value: float
-    method: Variant
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def nearby_size(shape: QuiltShape, T: int) -> int:
@@ -210,7 +199,7 @@ def _exact_influences(
     return c_left.max(axis=1), c_right.max(axis=1), e_two
 
 
-def exact_max_influence(model: ChainModel, shape: QuiltShape) -> InfluenceValue:
+def exact_max_influence(model: ChainModel, shape: QuiltShape) -> float:
     """Exact max-influence of ``X_node`` on the quilt nodes.
 
     Conditioned on ``X_node``, the node to its left and the node to its
@@ -226,7 +215,7 @@ def exact_max_influence(model: ChainModel, shape: QuiltShape) -> InfluenceValue:
     """
     model = validate(model)
     if shape.is_empty:
-        return InfluenceValue(0.0, Variant.EXACT)
+        return 0.0
     i, a, b = shape.node, shape.left, shape.right
     if a is not None and not 1 <= a <= i - 1:
         raise BadShape(f"left offset {a} invalid for node {i}")
@@ -245,12 +234,8 @@ def exact_max_influence(model: ChainModel, shape: QuiltShape) -> InfluenceValue:
             right_max = _log_ratio_max(np.log(transition_power(P, b)))[None]
     e_left, e_right, e_two = _exact_influences(log_m, log_past, log_powers, right_max)
     if shape.is_two_sided:
-        value = e_two[0, 0]
-    elif a is not None:
-        value = e_left[0]
-    else:
-        value = e_right[0]
-    return InfluenceValue(float(value), Variant.EXACT)
+        return float(e_two[0, 0])
+    return float(e_left[0] if a is not None else e_right[0])
 
 
 def approx_offset_threshold(info: SpectralInfo) -> float:
@@ -265,7 +250,7 @@ def _spectral_term(info: SpectralInfo, offset: int) -> float:
     return math.log((info.pi_min + decay) / (info.pi_min - decay))
 
 
-def approx_max_influence(info: SpectralInfo, shape: QuiltShape) -> InfluenceValue:
+def approx_max_influence(info: SpectralInfo, shape: QuiltShape) -> float:
     """Spectral upper bound on max-influence for a quilt shape.
 
     The two-sided bound charges its backward offset twice and its forward
@@ -274,7 +259,7 @@ def approx_max_influence(info: SpectralInfo, shape: QuiltShape) -> InfluenceValu
     give ``inf``.
     """
     if shape.is_empty:
-        return InfluenceValue(0.0, Variant.APPROX)
+        return 0.0
     value = 0.0
     if shape.left is not None:
         if shape.left < 1:
@@ -284,24 +269,18 @@ def approx_max_influence(info: SpectralInfo, shape: QuiltShape) -> InfluenceValu
         if shape.right < 1:
             raise BadShape(f"right offset {shape.right} must be >= 1")
         value += _spectral_term(info, shape.right)
-    return InfluenceValue(value, Variant.APPROX)
+    return value
 
 
-def influence_over_set(
-    models: Sequence[ChainModel] | Iterable[ChainModel],
-    shape: QuiltShape,
-    method: Variant = Variant.EXACT,
-) -> InfluenceValue:
-    """Largest influence over a collection of candidate chain models.
+def influence_over_set(models: Iterable[ChainModel], shape: QuiltShape) -> float:
+    """Largest exact influence over a collection of candidate chain models.
 
     This is the quantity a quilt must control when the adversary's belief
-    is only known to lie in the collection.
+    is only known to lie in the collection, and the boundary charge of the
+    general parallel rule. It is ``inf`` when some model makes a
+    realization possible under one value and impossible under another.
     """
     models = list(models)
     if not models:
         raise EmptyThetaSet("need at least one chain model")
-    if method is Variant.EXACT:
-        worst = max(exact_max_influence(m, shape).value for m in models)
-    else:
-        worst = max(approx_max_influence(spectral(m), shape).value for m in models)
-    return InfluenceValue(float(worst), method)
+    return max(exact_max_influence(m, shape) for m in models)

@@ -158,9 +158,6 @@ class Framework:
     def states(self) -> tuple[str, ...]:
         return self.models[0].states
 
-    def full_window(self) -> bool:
-        return self.window.start == 1 and self.window.end == self.horizon
-
     def window_model(self, model: ChainModel) -> ChainModel:
         """The window's own chain: same transitions, initial law at start."""
         return ChainModel(model.states, marginal(model, self.window.start), model.transition)
@@ -586,7 +583,7 @@ def release(
     epsilon: float,
     framework: Framework,
     variant: Variant,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
     *,
     scope: str = "window",
 ) -> ReleaseRecord:
@@ -609,7 +606,7 @@ def release_record(
     epsilon: float,
     framework: Framework,
     variant: Variant,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
     *,
     scope: str = "window",
 ) -> ReleaseRecord:
@@ -621,7 +618,9 @@ def release_record(
     histogram) can share it. The query value is rescaled to sensitivity 1,
     then Laplace noise at the searched scale is added, drawn from
     ``default_rng(seed)``: a fixed seed reproduces the draw, ``None`` draws
-    on fresh OS entropy. The returned record carries the noisy output, the
+    on fresh OS entropy, and a ``Generator`` is drawn from as it stands, so
+    the buckets of a histogram can take their draws in turn from one
+    generator. The returned record carries the noisy output, the
     scale, and the winning quilts, but not the seed; consumers un-scale on
     read.
     """

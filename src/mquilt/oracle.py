@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 
 from .chains import ChainModel, marginal, validate
 from .errors import BadShape, InvalidEpsilon, MquiltError, TooLarge
-from .influence import InfluenceValue, QuiltShape, Variant, nearby_size
+from .influence import QuiltShape, Variant, nearby_size
 from .mechanism import Framework, LipschitzQuery, ReleaseRecord, Window, quilt_scores
 
 __all__ = [
@@ -104,7 +104,7 @@ def enumerate_quilts(T_window: int, i: int) -> list[QuiltShape]:
 
 def score(
     shape: QuiltShape,
-    e: InfluenceValue | float,
+    e: float,
     epsilon: float,
     T_window: int,
 ) -> float:
@@ -114,12 +114,11 @@ def score(
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")
-    value = e.value if isinstance(e, InfluenceValue) else float(e)
-    if value < 0:
-        raise MquiltError(f"influence cannot be negative, got {value}")
-    if value >= epsilon:
+    if e < 0:
+        raise MquiltError(f"influence cannot be negative, got {e}")
+    if e >= epsilon:
         return math.inf
-    return nearby_size(shape, T_window) / (epsilon - value)
+    return nearby_size(shape, T_window) / (epsilon - e)
 
 
 # -------------------------------------------------------- evaluation grid

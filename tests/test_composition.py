@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,38 +121,38 @@ def test_general_sequential_rule():
 
 
 def test_parallel_independent_chain_costs_worst_budget():
-    fw = Framework(5, Window(1, 5), (IND,))
+    models = (IND,)
     ra = _released(0.5, (1, 2))
     rb = _released(0.7, (4, 5))
-    rep = compose_parallel_general(ra, rb, fw)
+    rep = compose_parallel_general(ra, rb, models)
     assert rep.epsilon == pytest.approx(0.7, abs=1e-12)
     assert rep.rule.value == "thm2"
 
 
 def test_parallel_deterministic_chain_costs_budget_sum():
-    fw = Framework(5, Window(1, 5), (IDENT,))
+    models = (IDENT,)
     ra = _released(0.5, (1, 2), model=IDENT)
     rb = _released(0.5, (4, 5), model=IDENT)
-    rep = compose_parallel_general(ra, rb, fw)
+    rep = compose_parallel_general(ra, rb, models)
     assert rep.epsilon == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parallel_general_is_order_insensitive():
     model = ChainModel.from_arrays([0.5, 0.5], [[0.7, 0.3], [0.5, 0.5]])
-    fw = Framework(6, Window(1, 6), (model,))
+    models = (model,)
     ra = _released(0.9, (1, 2), model=model, T=6)
     rb = _released(0.4, (4, 6), model=model, T=6)
-    assert compose_parallel_general(ra, rb, fw).epsilon == pytest.approx(
-        compose_parallel_general(rb, ra, fw).epsilon, abs=1e-12
+    assert compose_parallel_general(ra, rb, models).epsilon == pytest.approx(
+        compose_parallel_general(rb, ra, models).epsilon, abs=1e-12
     )
 
 
 def test_parallel_general_rejects_overlap():
-    fw = Framework(6, Window(1, 6), (IND,))
+    models = (IND,)
     ra = _released(0.5, (1, 3), T=6)
     rb = _released(0.5, (3, 5), T=6)
     with pytest.raises(OverlappingWindows):
-        compose_parallel_general(ra, rb, fw)
+        compose_parallel_general(ra, rb, models)
 
 
 def test_parallel_general_pairs_budget_with_crossing_influence():
@@ -161,48 +160,66 @@ def test_parallel_general_pairs_budget_with_crossing_influence():
     # earlier one through the forward influence, each clipped by the other
     # record's own budget.
     model = ChainModel.from_arrays([0.5, 0.5], [[0.7, 0.3], [0.5, 0.5]])
-    fw = Framework(2, Window(1, 2), (model,))
+    models = (model,)
     ra = _released(12.0, (1, 1), model=model, T=2)
     rb = _released(6.0, (2, 2), model=model, T=2)
-    fwd = influence_over_set((model,), QuiltShape(1, None, 1), Variant.EXACT).value
-    bwd = influence_over_set((model,), QuiltShape(2, 1, None), Variant.EXACT).value
+    fwd = influence_over_set(models, QuiltShape(1, None, 1))
+    bwd = influence_over_set(models, QuiltShape(2, 1, None))
     assert fwd == pytest.approx(0.5108, abs=5e-4)
     assert bwd == pytest.approx(0.4418, abs=5e-4)
-    rep = compose_parallel_general(ra, rb, fw)
+    rep = compose_parallel_general(ra, rb, models)
     want = max(12.0 + min(6.0, fwd), 6.0 + min(12.0, bwd))
     assert rep.epsilon == pytest.approx(want, abs=1e-12)
     assert rep.epsilon == pytest.approx(12.0 + fwd, abs=1e-12)
 
 
 def test_parallel_general_worked_numbers(monkeypatch):
-    def fake_influence(models, shape, method):
-        return SimpleNamespace(value=0.2 if shape.left is None else 0.1)
+    def fake_influence(models, shape):
+        return 0.2 if shape.left is None else 0.1
 
     monkeypatch.setattr("mquilt.composition.influence_over_set", fake_influence)
-    fw = Framework(5, Window(1, 5), (IND,))
+    models = (IND,)
     ra = _released(0.5, (1, 2))
     rb = _released(0.5, (4, 5))
-    rep = compose_parallel_general(ra, rb, fw)
+    rep = compose_parallel_general(ra, rb, models)
     assert rep.epsilon == pytest.approx(0.7, abs=1e-12)
 
 
+def test_parallel_general_absorbing_chain_takes_the_exact_route():
+    # State 0 never leaves, so the chain is reducible: the spectral bound
+    # does not exist, but the exact boundary influence does. It is infinite
+    # both ways (only state 1 can precede or follow state 1), so each window
+    # is charged the other's whole budget.
+    absorbing = ChainModel.from_arrays([0.5, 0.5], [[1.0, 0.0], [0.4, 0.6]])
+    models = (absorbing,)
+    ra = _released(2.0, (1, 4), model=absorbing, T=12)
+    rb = _released(3.0, (8, 12), model=absorbing, T=12)
+    assert influence_over_set(models, QuiltShape(4, None, 4)) == math.inf
+    assert influence_over_set(models, QuiltShape(8, 4, None)) == math.inf
+    for rep in (compose_parallel_general(ra, rb, models), compose_auto([ra, rb], models)):
+        assert rep.rule.value == "thm2"
+        assert rep.epsilon == 5.0
+        assert all(c.passed for c in rep.checks)
+        assert "forward inf, backward inf via exact route" in [c.evidence for c in rep.checks]
+
+
 def test_approx_parallel_takes_max_when_conditions_hold():
-    fw = Framework(60, Window(1, 60), (FAST,))
+    models = (FAST,)
     ra = _released(8.0, (1, 20), Variant.APPROX, FAST, T=60)
     rb = _released(9.0, (41, 60), Variant.APPROX, FAST, T=60)
     assert any(q.shape.is_two_sided for q in ra.active_quilts[0])
     assert any(q.shape.is_two_sided for q in rb.active_quilts[0])
-    rep = compose_parallel_mqm_approx(ra, rb, fw)
+    rep = compose_parallel_mqm_approx(ra, rb, models)
     assert rep.epsilon == pytest.approx(9.0, abs=1e-12)
     assert rep.rule.value == "thm3"
     assert all(c.passed for c in rep.checks)
 
 
 def test_approx_parallel_falls_back_when_gap_is_short():
-    fw = Framework(60, Window(1, 60), (FAST,))
+    models = (FAST,)
     ra = _released(8.0, (1, 20), Variant.APPROX, FAST, T=60)
     rb = _released(9.0, (25, 44), Variant.APPROX, FAST, T=60)
-    rep = compose_parallel_mqm_approx(ra, rb, fw)
+    rep = compose_parallel_mqm_approx(ra, rb, models)
     assert rep.rule.value == "thm2"
     assert rep.epsilon >= 9.0
     failed = [c.name for c in rep.checks if not c.passed]
@@ -212,83 +229,83 @@ def test_approx_parallel_falls_back_when_gap_is_short():
 def test_approx_parallel_falls_back_without_two_sided_quilts():
     # At this budget the spectral scores make the empty or one-sided quilt
     # win at every node, so the first qualifying condition fails.
-    fw = Framework(60, Window(1, 60), (FAST,))
+    models = (FAST,)
     ra = _released(0.4, (1, 20), Variant.APPROX, FAST, T=60)
     rb = _released(0.4, (41, 60), Variant.APPROX, FAST, T=60)
     assert not any(q.shape.is_two_sided for q in ra.active_quilts[0])
-    rep = compose_parallel_mqm_approx(ra, rb, fw)
+    rep = compose_parallel_mqm_approx(ra, rb, models)
     assert rep.rule.value == "thm2"
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"two-sided-active-earlier", "two-sided-active-later"}
 
 
 def test_approx_parallel_requires_approx_records():
-    fw = Framework(60, Window(1, 60), (FAST,))
+    models = (FAST,)
     ra = _released(1.0, (1, 20), Variant.EXACT, FAST, T=60)
     rb = _released(1.0, (41, 60), Variant.APPROX, FAST, T=60)
     with pytest.raises(NotApproxVariant):
-        compose_parallel_mqm_approx(ra, rb, fw)
+        compose_parallel_mqm_approx(ra, rb, models)
 
 
 def test_auto_single_record():
-    fw = Framework(5, Window(1, 5), (IND,))
-    rep = compose_auto([_released(0.6, (1, 5))], fw)
+    models = (IND,)
+    rep = compose_auto([_released(0.6, (1, 5))], models)
     assert rep.epsilon == pytest.approx(0.6)
     assert rep.rule.value == "thm6"
 
 
 def test_auto_same_window_sums():
-    fw = Framework(5, Window(1, 5), (IND,))
+    models = (IND,)
     recs = [_released(0.3, (1, 5), seed=s) for s in (1, 2, 3)]
-    rep = compose_auto(recs, fw)
+    rep = compose_auto(recs, models)
     assert rep.epsilon == pytest.approx(0.9)
     assert rep.rule.value == "thm6"
 
 
 def test_auto_two_disjoint_routes_by_variant():
-    fw = Framework(60, Window(1, 60), (FAST,))
+    models = (FAST,)
     ra = _released(8.0, (1, 20), Variant.APPROX, FAST, T=60)
     rb = _released(9.0, (41, 60), Variant.APPROX, FAST, T=60)
-    assert compose_auto([ra, rb], fw).rule.value == "thm3"
+    assert compose_auto([ra, rb], models).rule.value == "thm3"
     rc = _released(0.5, (1, 20), Variant.EXACT, FAST, T=60)
     rd = _released(0.5, (41, 60), Variant.EXACT, FAST, T=60)
-    assert compose_auto([rc, rd], fw).rule.value == "thm2"
+    assert compose_auto([rc, rd], models).rule.value == "thm2"
 
 
 def test_auto_rejects_partial_overlap():
-    fw = Framework(6, Window(1, 6), (IND,))
+    models = (IND,)
     ra = _released(0.5, (1, 3), T=6)
     rb = _released(0.5, (3, 6), T=6)
     with pytest.raises(OverlappingWindows):
-        compose_auto([ra, rb], fw)
+        compose_auto([ra, rb], models)
     with pytest.raises(EmptyInput):
-        compose_auto([], fw)
+        compose_auto([], models)
 
 
 def test_auto_refuses_three_disjoint_windows():
     # The parallel rules are proved for two windows; three must be composed
     # pairwise rather than folded into one unproved number.
-    fw = Framework(5, Window(1, 5), (IND,))
+    models = (IND,)
     recs = [
         _released(0.3, (1, 1)),
         _released(0.4, (3, 3)),
         _released(0.5, (5, 5)),
     ]
     with pytest.raises(TooManyWindows, match="pairwise"):
-        compose_auto(recs, fw)
-    assert compose_auto(recs[:2], fw).rule.value == "thm2"
+        compose_auto(recs, models)
+    assert compose_auto(recs[:2], models).rule.value == "thm2"
 
 
 def test_composed_budget_never_below_worst_input():
     rng = np.random.default_rng(23)
     model = ChainModel.from_arrays([0.5, 0.5], [[0.7, 0.3], [0.5, 0.5]])
-    fw = Framework(6, Window(1, 6), (model,))
+    models = (model,)
     for _ in range(20):
         ea = float(rng.uniform(0.1, 2.0))
         eb = float(rng.uniform(0.1, 2.0))
         ra = _released(ea, (1, 2), model=model, T=6)
         rb = _released(eb, (5, 6), model=model, T=6)
-        par = compose_parallel_general(ra, rb, fw)
+        par = compose_parallel_general(ra, rb, models)
         assert par.epsilon >= max(ea, eb) - 1e-12
         same = [_stub(ea), _stub(eb)]
         assert compose_sequential_mqm(same).epsilon >= max(ea, eb) - 1e-12

@@ -9,7 +9,6 @@ from mquilt.chains import ChainModel, random_model, spectral
 from mquilt.errors import BadShape, EmptyThetaSet
 from mquilt.influence import (
     QuiltShape,
-    Variant,
     approx_max_influence,
     approx_offset_threshold,
     exact_max_influence,
@@ -25,31 +24,29 @@ def test_exact_forward_one_step():
     # P(X_3=x|X_2=u) rows are (0.75, 0.25) and (0.25, 0.75); worst column
     # ratio is 3, independently of which value pair is compared.
     got = exact_max_influence(SYM, QuiltShape(2, None, 1))
-    assert got.value == pytest.approx(math.log(3.0), abs=1e-12)
-    assert got.method is Variant.EXACT
-    assert got.is_finite
+    assert type(got) is float
+    assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 def test_exact_deterministic_coupling_is_infinite():
     ident = ChainModel.from_arrays([0.5, 0.5], np.eye(2))
     got = exact_max_influence(ident, QuiltShape(3, None, 1))
-    assert got.value == math.inf
-    assert not got.is_finite
+    assert got == math.inf
 
 
 def test_exact_empty_shape_is_zero():
-    assert exact_max_influence(SYM, QuiltShape(4)).value == 0.0
+    assert exact_max_influence(SYM, QuiltShape(4)) == 0.0
 
 
 def test_exact_single_live_value_is_zero():
     # X_1 is a point mass, so there is no secret pair at node 1.
-    assert exact_max_influence(SYM, QuiltShape(1, None, 2)).value == 0.0
+    assert exact_max_influence(SYM, QuiltShape(1, None, 2)) == 0.0
 
 
 def test_exact_independent_chain_is_zero():
     ind = ChainModel.from_arrays([0.4, 0.6], [[0.4, 0.6], [0.4, 0.6]])
     for shape in [QuiltShape(3, 1, 1), QuiltShape(3, 2, None), QuiltShape(3, None, 2)]:
-        assert exact_max_influence(ind, shape).value == pytest.approx(0.0, abs=1e-12)
+        assert exact_max_influence(ind, shape) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_two_sided_splits_into_sides():
@@ -59,9 +56,9 @@ def test_exact_two_sided_splits_into_sides():
         i = int(rng.integers(2, 6))
         a = int(rng.integers(1, i))
         b = int(rng.integers(1, 4))
-        both = exact_max_influence(m, QuiltShape(i, a, b)).value
-        left = exact_max_influence(m, QuiltShape(i, a, None)).value
-        right = exact_max_influence(m, QuiltShape(i, None, b)).value
+        both = exact_max_influence(m, QuiltShape(i, a, b))
+        left = exact_max_influence(m, QuiltShape(i, a, None))
+        right = exact_max_influence(m, QuiltShape(i, None, b))
         # each side is a lower bound and their sum an upper bound
         assert both <= left + right + 1e-9
         assert both >= max(left, right) - 1e-9
@@ -72,7 +69,7 @@ def test_exact_decays_with_forward_offset():
     for _ in range(50):
         m = random_model(int(rng.integers(2, 4)), rng)
         vals = [
-            exact_max_influence(m, QuiltShape(1, None, b)).value for b in (1, 2, 3, 4)
+            exact_max_influence(m, QuiltShape(1, None, b)) for b in (1, 2, 3, 4)
         ]
         for closer, farther in zip(vals, vals[1:]):
             assert farther <= closer + 1e-9
@@ -83,7 +80,7 @@ def test_exact_decays_with_backward_offset():
     for _ in range(50):
         m = random_model(int(rng.integers(2, 4)), rng)
         vals = [
-            exact_max_influence(m, QuiltShape(5, a, None)).value for a in (1, 2, 3, 4)
+            exact_max_influence(m, QuiltShape(5, a, None)) for a in (1, 2, 3, 4)
         ]
         for closer, farther in zip(vals, vals[1:]):
             assert farther <= closer + 1e-9
@@ -131,7 +128,7 @@ def test_exact_matches_enumeration_on_sparse_chains(drawn):
     i, a, b = shape.node, shape.left, shape.right
     nodes = ([i - a] if a else []) + ([i + b] if b else [])
     want = enumerated_max_influence(model, i, nodes, horizon=i + (b or 0))
-    got = exact_max_influence(model, shape).value
+    got = exact_max_influence(model, shape)
     if math.isinf(want):
         assert got == want
     else:
@@ -158,8 +155,8 @@ def test_spectral_term_example():
     got = approx_max_influence(info, QuiltShape(5, 4, 4))
     g = info.gap
     term = math.log((0.5 + math.exp(-g * 2)) / (0.5 - math.exp(-g * 2)))
-    assert got.value == pytest.approx(3.0 * term, abs=1e-12)
-    assert got.method is Variant.APPROX
+    assert type(got) is float
+    assert got == pytest.approx(3.0 * term, abs=1e-12)
 
 
 def test_spectral_bound_infinite_below_threshold():
@@ -167,9 +164,9 @@ def test_spectral_bound_infinite_below_threshold():
     thr = approx_offset_threshold(info)
     assert thr == pytest.approx(2.0 * math.log(2.0) / info.gap, abs=1e-12)
     a_bad = max(1, int(math.floor(thr)) - 1)
-    assert not approx_max_influence(info, QuiltShape(9, a_bad, None)).is_finite
+    assert not math.isfinite(approx_max_influence(info, QuiltShape(9, a_bad, None)))
     a_good = int(math.ceil(thr)) + 1
-    assert approx_max_influence(info, QuiltShape(9, a_good, None)).is_finite
+    assert math.isfinite(approx_max_influence(info, QuiltShape(9, a_good, None)))
 
 
 def test_spectral_terms_decay():
@@ -177,7 +174,7 @@ def test_spectral_terms_decay():
     for _ in range(25):
         info = spectral(random_model(int(rng.integers(2, 5)), rng))
         vals = [
-            approx_max_influence(info, QuiltShape(9, None, b)).value
+            approx_max_influence(info, QuiltShape(9, None, b))
             for b in range(1, 8)
         ]
         finite = [v for v in vals if math.isfinite(v)]
@@ -187,9 +184,9 @@ def test_spectral_terms_decay():
 
 def test_spectral_one_sided_matches_term_structure():
     info = spectral(SYM)
-    left = approx_max_influence(info, QuiltShape(9, 3, None)).value
-    right = approx_max_influence(info, QuiltShape(9, None, 3)).value
-    both = approx_max_influence(info, QuiltShape(9, 3, 3)).value
+    left = approx_max_influence(info, QuiltShape(9, 3, None))
+    right = approx_max_influence(info, QuiltShape(9, None, 3))
+    both = approx_max_influence(info, QuiltShape(9, 3, 3))
     assert left == pytest.approx(2.0 * right, abs=1e-12)
     assert both == pytest.approx(left + right, abs=1e-12)
 
@@ -203,8 +200,8 @@ def test_exact_never_exceeds_spectral_bound():
         i = int(rng.integers(2, 6))
         a = int(rng.integers(1, i))
         b = int(rng.integers(1, 5))
-        ex = exact_max_influence(m, QuiltShape(i, a, b)).value
-        ap = approx_max_influence(info, QuiltShape(i, a, b)).value
+        ex = exact_max_influence(m, QuiltShape(i, a, b))
+        ap = approx_max_influence(info, QuiltShape(i, a, b))
         assert ex <= ap + 1e-9
         checked += 1
     assert checked == 100
@@ -214,9 +211,9 @@ def test_influence_over_set_takes_worst_model():
     slow = ChainModel.from_arrays([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
     fast = ChainModel.from_arrays([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])
     shape = QuiltShape(2, None, 1)
-    lone = exact_max_influence(slow, shape).value
+    lone = exact_max_influence(slow, shape)
     both = influence_over_set([fast, slow], shape)
-    assert both.value == pytest.approx(lone, abs=1e-12)
+    assert both == pytest.approx(lone, abs=1e-12)
 
 
 def test_influence_over_set_rejects_empty():

@@ -127,14 +127,14 @@ def test_enumerated_influence_matches_factorized_route():
         i = int(rng.integers(2, 5))
         a = int(rng.integers(1, i))
         b = int(rng.integers(1, 4))
-        two = exact_max_influence(model, QuiltShape(i, a, b)).value
+        two = exact_max_influence(model, QuiltShape(i, a, b))
         enum_two = enumerated_max_influence(model, i, [i - a, i + b], horizon=i + b)
         assert enum_two == pytest.approx(two, abs=1e-9)
-        left = exact_max_influence(model, QuiltShape(i, a, None)).value
+        left = exact_max_influence(model, QuiltShape(i, a, None))
         assert enumerated_max_influence(model, i, [i - a], horizon=i) == pytest.approx(
             left, abs=1e-9
         )
-        right = exact_max_influence(model, QuiltShape(i, None, b)).value
+        right = exact_max_influence(model, QuiltShape(i, None, b))
         assert enumerated_max_influence(
             model, i, [i + b], horizon=i + b
         ) == pytest.approx(right, abs=1e-9)
