@@ -177,12 +177,13 @@ def validate(model: ChainModel) -> ChainModel:
     if np.any(q < -tol):
         (u,) = np.argwhere(q < -tol)[0]
         raise NegativeEntry(f"initial[{u}] = {q[u]} is negative")
+    # A non-finite entry makes its sum inf or NaN; NaN fails every comparison.
     row_sums = P.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > tol
+    bad = ~(np.abs(row_sums - 1.0) <= tol)
     if np.any(bad):
         u = int(np.argmax(bad))
         raise NonStochasticRow(f"transition row {u} sums to {row_sums[u]}, not 1")
-    if abs(q.sum() - 1.0) > tol:
+    if not abs(q.sum() - 1.0) <= tol:
         raise BadInitial(f"initial distribution sums to {q.sum()}, not 1")
     P = np.clip(P, 0.0, None)
     q = np.clip(q, 0.0, None)

@@ -33,6 +33,7 @@ from .influence import QuiltShape, Variant, approx_max_influence, approx_offset_
 from .mechanism import (
     Framework,
     Window,
+    _window_values,
     count_state_query,
     quilt_scores,
     release,
@@ -68,18 +69,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:  # np.random.default_rng refuses negative seeds
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def _parse_window(text: str) -> Window:
     try:
-        start, end = text.split(":")
-        return Window(int(start), int(end))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, MquiltError):
-            raise
+        start, end = map(int, text.split(":"))
+    except ValueError as exc:
         raise FormatError(f"window must look like 'start:end', got {text!r}") from exc
-
-
-def _load_models(paths: str) -> tuple[ChainModel, ...]:
-    return tuple(load_model(p) for p in paths.split(","))
+    return Window(start, end)
 
 
 def _emit(args, payload: dict, lines: Sequence[str]) -> None:
@@ -141,7 +142,7 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_release(args) -> int:
-    models = _load_models(args.model)
+    models = tuple(load_model(p) for p in args.model.split(","))
     data = load_sequence(args.data)
     window = _parse_window(args.window) if args.window else Window(1, len(data))
     horizon = args.horizon if args.horizon else window.end
@@ -151,29 +152,37 @@ def _cmd_release(args) -> int:
     if len(data) == horizon != window.length:
         # The file holds the whole trajectory; release only the window.
         data = StateSequence(data.values[window.start - 1 : window.end])
+    if args.query == "histogram":
+        queries = [count_state_query(s, k, framework.states[s]) for s in range(k)]
+    elif args.query.startswith("count:"):
+        label = args.query.split(":", 1)[1]
+        queries = [count_state_query(models[0].state_index(label), k, label)]
+    else:
+        raise FormatError(
+            f"unknown query {args.query!r}; use 'count:<state>' or 'histogram'"
+        )
+    _window_values(data, framework)  # data that misses the window is never searched
+
+    # The queries split the budget, which thm6 sums back, and share one search;
+    # each draws its noise in turn from one generator (OS entropy without a seed).
+    epsilon = args.epsilon / len(queries)
+    search = quilt_scores(framework, epsilon, variant, scope=args.scope)
+    rng = np.random.default_rng(args.seed)
+    records = [
+        release_record(
+            search, data, q, epsilon, framework, variant, rng, scope=args.scope
+        )
+        for q in queries
+    ]
+    entries = append_release(args.ledger, framework, records) if args.ledger else []
+    ids = [e.entry_id for e in entries]
 
     if args.query == "histogram":
-        # Independent noise per bucket: every bucket draws in turn from one
-        # generator, seeded by the user seed (or OS entropy without one).
-        rng = np.random.default_rng(args.seed)
-        epsilon = args.epsilon / k
-        # The search does not depend on the query: one search serves every bucket.
-        search = quilt_scores(framework, epsilon, variant, scope=args.scope)
-        records, entry_ids = [], []
-        for s in range(k):
-            q = count_state_query(s, k, framework.states[s])
-            rec = release_record(
-                search, data, q, epsilon, framework, variant, rng,
-                scope=args.scope,
-            )
-            records.append(rec)
-            if args.ledger:
-                entry_ids.append(append_release(args.ledger, framework, rec).entry_id)
         report = compose_sequential_mqm(records)
         payload = {
             "records": [r.to_dict() for r in records],
             "composition": report.to_dict(),
-            "ledger_ids": entry_ids,
+            "ledger_ids": ids,
         }
         lines = [
             f"{r.query_id}: output {r.output:.6g} (sigma {r.sigma_max:.6g}, "
@@ -181,31 +190,18 @@ def _cmd_release(args) -> int:
             for r in records
         ]
         lines.append(f"total epsilon under budget sum: {report.epsilon:.6g}")
-        if entry_ids:
-            lines.append(f"ledger ids: {', '.join(map(str, entry_ids))}")
-        _emit(args, payload, lines)
-        return 0
-
-    if args.query.startswith("count:"):
-        label = args.query.split(":", 1)[1]
-        state = models[0].state_index(label)
-        q = count_state_query(state, k, label)
+        if ids:
+            lines.append(f"ledger ids: {', '.join(map(str, ids))}")
     else:
-        raise FormatError(
-            f"unknown query {args.query!r}; use 'count:<state>' or 'histogram'"
-        )
-    rec = release(data, q, args.epsilon, framework, variant, args.seed, scope=args.scope)
-    payload = {"record": rec.to_dict(), "ledger_id": None}
-    lines = [
-        f"output: {rec.output:.6g}",
-        f"sigma_max: {rec.sigma_max:.6g}",
-        f"epsilon: {rec.epsilon:.6g}",
-        f"variant: {rec.variant.value}",
-    ]
-    if args.ledger:
-        entry = append_release(args.ledger, framework, rec)
-        payload["ledger_id"] = entry.entry_id
-        lines.append(f"ledger id: {entry.entry_id}")
+        (rec,) = records
+        payload = {"record": rec.to_dict(), "ledger_id": ids[0] if ids else None}
+        lines = [
+            f"output: {rec.output:.6g}",
+            f"sigma_max: {rec.sigma_max:.6g}",
+            f"epsilon: {rec.epsilon:.6g}",
+            f"variant: {rec.variant.value}",
+            *(f"ledger id: {i}" for i in ids),
+        ]
     _emit(args, payload, lines)
     return 0
 
@@ -461,7 +457,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--variant", choices=["exact", "approx"], default="exact")
     p.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_seed, default=None,
         help="noise seed, for reproducible draws; default: OS entropy. "
         "Never written to the output or the ledger",
     )
@@ -494,14 +490,14 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--variant", choices=["exact", "approx"], default="exact")
     p.add_argument("--seeds", type=int, default=5, help="trial count for soundness")
-    p.add_argument("--seeds-from", type=int, default=0, help="RNG seed for the sweep")
+    p.add_argument("--seeds-from", type=_seed, default=0, help="RNG seed for the sweep")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="sample a trajectory from a model")
     p.add_argument("--model", required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)

@@ -25,8 +25,8 @@ class FitConfig:
     min_sequences: int = 1
 
     def __post_init__(self) -> None:
-        if self.smoothing < 0:
-            raise MquiltError(f"smoothing must be >= 0, got {self.smoothing}")
+        if not 0 <= self.smoothing < np.inf:  # NaN fails both comparisons
+            raise MquiltError(f"smoothing must be in [0, inf), got {self.smoothing}")
         if self.min_sequences < 1:
             raise MquiltError(
                 f"min_sequences must be >= 1, got {self.min_sequences}"

@@ -353,18 +353,15 @@ def _best_quilt(
     candidates are scored here, since their nearby counts depend on ``i``.
     """
     cands: list[_Candidate] = [] if two is None else [two]
+    # Nearby count and offset grow with the index: the first minimum wins ties.
     if e_left.size:
-        aa = np.arange(1, e_left.size + 1)
-        nearby_l = (L - i + aa).astype(float)
-        sl = _scores(e_left, nearby_l, epsilon)
-        j = int(np.lexsort((aa, nearby_l, sl))[0])
-        cands.append((float(sl[j]), int(nearby_l[j]), 1, int(aa[j]), 0))
+        sl = _scores(e_left, L - i + np.arange(1.0, e_left.size + 1), epsilon)
+        a = int(np.argmin(sl)) + 1
+        cands.append((float(sl[a - 1]), L - i + a, 1, a, 0))
     if e_right.size:
-        bb = np.arange(1, e_right.size + 1)
-        nearby_r = (i + bb - 1).astype(float)
-        sr = _scores(e_right, nearby_r, epsilon)
-        j = int(np.lexsort((bb, nearby_r, sr))[0])
-        cands.append((float(sr[j]), int(nearby_r[j]), 1, 0, int(bb[j])))
+        sr = _scores(e_right, i - 1 + np.arange(1.0, e_right.size + 1), epsilon)
+        b = int(np.argmin(sr)) + 1
+        cands.append((float(sr[b - 1]), i + b - 1, 1, 0, b))
     cands.append((L / epsilon, L, 2, 0, 0))
     s, _, _, a, b = min(cands)
     return s, QuiltShape(i, a or None, b or None)
@@ -543,6 +540,10 @@ def quilt_scores(
         L = framework.horizon
         offset = 0
         search_models = list(framework.models)
+    # The empty quilt scores L / epsilon, the largest scale the search can
+    # return; that times the largest unit_laplace draw (52 ln 2) must be finite.
+    if not math.isfinite(L / float(epsilon) * (52 * math.log(2))):
+        raise InvalidEpsilon(f"budget {epsilon} is too small for {L} nodes")
 
     sigma_max = 0.0
     active: dict[int, tuple[ActiveQuilt, ...]] = {}
@@ -587,7 +588,7 @@ def release(
     *,
     scope: str = "window",
 ) -> ReleaseRecord:
-    """Release a noisy query value over the framework's window.
+    """Release one noisy query value over the framework's window.
 
     Runs :func:`quilt_scores` and hands its result to
     :func:`release_record`, which adds the noise.

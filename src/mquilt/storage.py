@@ -6,7 +6,7 @@ advisory file lock, so concurrent writers get distinct monotone ids.
 
 Ledger operations cost what they touch, not what the ledger holds. An
 append reads only the ledger's last line, backwards from the end of the
-file, and gives the new entry that line's id + 1; so a ledger is
+file, and numbers the new entries on from that line's id; so a ledger is
 append-only, its ids increase down the file, and it must not be reordered
 by hand (a reader refuses ids that do not increase). A read streams the
 file, decodes every line and checks its id, so damage anywhere is refused,
@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -175,13 +175,14 @@ def _last_line(fh) -> tuple[bytes, bool]:
 
 
 def append_release(
-    path: str | Path, framework: Framework, record: ReleaseRecord
-) -> LedgerEntry:
-    """Append one release to the ledger and return its entry.
+    path: str | Path, framework: Framework, records: Sequence[ReleaseRecord]
+) -> list[LedgerEntry]:
+    """Append one release, the records of its queries, and return their entries.
 
-    The new id is the last line's id + 1. Reading that line and appending
-    happen under one exclusive advisory lock, so parallel writers cannot
-    collide on ids. The cost does not depend on the ledger's length.
+    The entries take consecutive ids after the last line's id and share one
+    timestamp. Reading that line and writing the entries happen under one
+    exclusive advisory lock, so parallel writers neither collide on ids nor
+    interleave entries. The cost does not depend on the ledger's length.
 
     Raises
     ------
@@ -196,20 +197,20 @@ def append_release(
             last_id = 0
             if last:
                 last_id = _line_doc(last, f"{path} last line", skim=True)["id"]
-            entry = LedgerEntry(
-                last_id + 1,
-                datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                framework,
-                record,
-            )
+            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            entries = [
+                LedgerEntry(last_id + n, stamp, framework, record)
+                for n, record in enumerate(records, start=1)
+            ]
             # A last line without its newline (written by hand, or a write
-            # cut short after the closing brace) must not absorb this entry.
+            # cut short after the closing brace) must not absorb this release.
             lead = b"" if terminated or not last else b"\n"
-            fh.write(lead + json.dumps(entry.to_dict()).encode() + b"\n")
+            lines = b"".join(json.dumps(e.to_dict()).encode() + b"\n" for e in entries)
+            fh.write(lead + lines)
             fh.flush()
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    return entry
+    return entries
 
 
 def replay_search(entry: LedgerEntry):

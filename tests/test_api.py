@@ -1,7 +1,9 @@
-"""Export lists: every listed name exists, and none is listed twice."""
+"""Export lists: every listed name exists, and none is listed twice; the
+README's library example runs and prints what it states."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,14 @@ def test_brute_force_scorer_lives_in_the_oracle():
         assert name in oracle.__all__
         assert name not in mechanism.__all__
         assert not hasattr(mechanism, name)
+
+
+def test_readme_library_example_prints_what_it_states(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(readme), "exec"), {})
+    noisy_sigma, composed, leakage = capsys.readouterr().out.splitlines()
+    assert float(noisy_sigma.split()[1]) == pytest.approx(3.54, abs=5e-3)
+    assert composed == "2.5 thm6"
+    assert float(leakage) <= 2.0

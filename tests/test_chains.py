@@ -252,6 +252,16 @@ def test_validate_bad_initial_sum():
         validate(m)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_refuses_non_finite_entries(bad):
+    # NaN fails every comparison, so it used to pass the sign and sum checks.
+    for row in ([bad, 0.5], [bad, bad]):
+        with pytest.raises(NonStochasticRow, match="row 1"):
+            validate(ChainModel.from_arrays([0.5, 0.5], [[0.5, 0.5], row]))
+        with pytest.raises(BadInitial):
+            validate(ChainModel.from_arrays(row, [[0.5, 0.5], [0.5, 0.5]]))
+
+
 def test_validate_initial_shape_mismatch():
     m = ChainModel(("0", "1"), np.array([1.0]), np.eye(2))
     with pytest.raises(BadInitial):

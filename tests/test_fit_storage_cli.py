@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 from types import SimpleNamespace
@@ -160,8 +161,8 @@ def _make_record(eps=0.7, seed=4):
 def test_ledger_ids_increase(tmp_path):
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record()
-    first = append_release(path, fw, rec)
-    second = append_release(path, fw, rec)
+    (first,) = append_release(path, fw, [rec])
+    (second,) = append_release(path, fw, [rec])
     assert (first.entry_id, second.entry_id) == (1, 2)
     entries = read_ledger(path)
     assert [e.entry_id for e in entries] == [1, 2]
@@ -172,7 +173,7 @@ def test_ledger_ids_increase(tmp_path):
 def test_ledger_replay_reproduces_search(tmp_path):
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record(eps=1.3)
-    entry = append_release(path, fw, rec)
+    (entry,) = append_release(path, fw, [rec])
     sigma, active = replay_search(entry)
     assert sigma == rec.sigma_max
     assert active[0] == rec.active_quilts[0]
@@ -193,7 +194,7 @@ def test_ledger_replay_matches_random_chains(tmp_path, k, variant):
         fw = Framework(40, Window(10, 33), (model,))
         data = StateSequence(rng.integers(0, k, 24))
         rec = release(data, count_state_query(0, k), 1.5, fw, variant, n)
-        append_release(path, fw, rec)
+        append_release(path, fw, [rec])
     entries = read_ledger(path)
     assert len(entries) == 20
     assert all(replay_matches(e) for e in entries)
@@ -202,7 +203,7 @@ def test_ledger_replay_matches_random_chains(tmp_path, k, variant):
 def test_ledger_replay_detects_tampering(tmp_path):
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record()
-    append_release(path, fw, rec)
+    append_release(path, fw, [rec])
     lines = path.read_text().splitlines()
     doctored = json.loads(lines[0])
     doctored["record"]["sigma_max"] = 99.0
@@ -235,7 +236,7 @@ def test_damaged_last_line_is_a_format_error(tmp_path, capsys, last_line):
     path.write_text(_entry_line() + "\n" + last_line)
     fw, rec = _make_record()
     with pytest.raises(FormatError, match="last line"):
-        append_release(path, fw, rec)
+        append_release(path, fw, [rec])
     with pytest.raises(FormatError, match="line 2"):
         read_ledger(path)
     model_path, data_path = _write_inputs(tmp_path)
@@ -269,7 +270,7 @@ def test_read_ledger_refuses_ids_that_do_not_increase(tmp_path):
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record()
     for _ in range(3):
-        append_release(path, fw, rec)
+        append_release(path, fw, [rec])
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(FormatError, match="must increase"):
@@ -279,37 +280,57 @@ def test_read_ledger_refuses_ids_that_do_not_increase(tmp_path):
 def test_append_after_unterminated_last_line(tmp_path):
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record()
-    append_release(path, fw, rec)
+    append_release(path, fw, [rec])
     path.write_text(path.read_text().rstrip("\n"))
-    assert append_release(path, fw, rec).entry_id == 2
+    assert append_release(path, fw, [rec])[0].entry_id == 2
     assert [e.entry_id for e in read_ledger(path)] == [1, 2]
 
 
-def _append_ten(path, barrier):
+def _append_releases(path, barrier, writer, size):
+    """Ten releases of ``size`` records each, tagged with writer and call."""
     fw, rec = _make_record()
     barrier.wait(timeout=60)
-    for _ in range(10):
-        append_release(path, fw, rec)
+    for call in range(10):
+        records = [
+            dataclasses.replace(rec, query_id=f"w{writer}c{call}q{q}")
+            for q in range(size)
+        ]
+        ids = [e.entry_id for e in append_release(path, fw, records)]
+        assert ids == list(range(ids[0], ids[0] + size)), ids
 
 
 def test_parallel_writers_get_distinct_ids(tmp_path):
-    # Four writers on two cores: the last-line read and the append must
-    # stay inside one lock, or two writers take the same id.
+    # Six writers on two cores, two of them appending 3-record releases: the
+    # last-line read and the whole release's write must stay inside one
+    # lock, or two writers take the same id or interleave their entries.
     path = tmp_path / "ledger.jsonl"
     ctx = multiprocessing.get_context("spawn")
-    barrier = ctx.Barrier(4)
+    sizes = [1, 1, 1, 1, 3, 3]
+    barrier = ctx.Barrier(len(sizes))
     procs = [
-        ctx.Process(target=_append_ten, args=(str(path), barrier)) for _ in range(4)
+        ctx.Process(target=_append_releases, args=(str(path), barrier, w, size))
+        for w, size in enumerate(sizes)
     ]
     for p in procs:
         p.start()
     for p in procs:
         p.join(timeout=120)
     assert not any(p.is_alive() for p in procs)
-    assert [p.exitcode for p in procs] == [0] * 4
+    assert [p.exitcode for p in procs] == [0] * len(sizes)
+    n = 10 * sum(sizes)
     lines = path.read_text().splitlines()
-    assert sorted(json.loads(line)["id"] for line in lines) == list(range(1, 41))
-    assert [e.entry_id for e in read_ledger(path)] == list(range(1, 41))
+    assert sorted(json.loads(line)["id"] for line in lines) == list(range(1, n + 1))
+    entries = read_ledger(path)
+    assert [e.entry_id for e in entries] == list(range(1, n + 1))
+    # Each release's records have consecutive ids, in order.
+    calls = {}
+    for e in entries:
+        call, q = e.record.query_id.rsplit("q", 1)
+        calls.setdefault(call, []).append((int(q), e.entry_id))
+    assert len(calls) == 10 * len(sizes)
+    for call, got in calls.items():
+        size = sizes[int(call[1:].split("c")[0])]
+        assert got == [(q, got[0][1] + q) for q in range(size)], call
 
 
 def test_read_ledger_by_ids_matches_full_read(tmp_path, capsys):
@@ -322,7 +343,7 @@ def test_read_ledger_by_ids_matches_full_read(tmp_path, capsys):
     # would be wrong for the next.
     for n, fw in enumerate([one, one, two, one, two, two, one]):
         rec = release(data, count_state_query(0, 2), 0.5 + n, fw, Variant.EXACT, n)
-        append_release(path, fw, rec)
+        append_release(path, fw, [rec])
     full = read_ledger(path)
     assert full[0].framework is full[1].framework
     for ids in ([2, 3, 4], [7, 1], [5], []):
@@ -352,7 +373,7 @@ def test_append_decodes_only_the_last_line(tmp_path, monkeypatch):
     # entries cost O(n^2).
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record()
-    append_release(path, fw, rec)
+    append_release(path, fw, [rec])
     doc = json.loads(path.read_text())
     with open(path, "a") as fh:
         for n in range(2, 501):
@@ -366,7 +387,7 @@ def test_append_decodes_only_the_last_line(tmp_path, monkeypatch):
     monkeypatch.setattr(
         storage, "json", SimpleNamespace(loads=counting_loads, dumps=json.dumps)
     )
-    assert append_release(path, fw, rec).entry_id == 501
+    assert append_release(path, fw, [rec])[0].entry_id == 501
     assert len(calls) <= 1
 
 
@@ -466,6 +487,70 @@ def test_cli_release_is_deterministic(tmp_path, capsys):
     assert main(argv[:-1] + ["--seed", "12", "--json"]) == 0
     third = json.loads(capsys.readouterr().out)
     assert third["record"]["output"] != first["record"]["output"]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_cli_fit_refuses_non_finite_smoothing(tmp_path, capsys, alpha):
+    data = tmp_path / "train.csv"
+    save_sequence([0, 1, 0, 1, 1, 0], data)
+    out = tmp_path / "fitted.json"
+    assert main(["fit", "--data", str(data), "--alpha", alpha, "--out", str(out)]) == 2
+    assert "smoothing must be in [0, inf), got " + alpha in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_release_refuses_a_budget_too_small_for_the_window(tmp_path, capsys):
+    model_path, data_path = _write_inputs(tmp_path)
+    for variant in ("exact", "approx"):
+        argv = ["release", "--model", model_path, "--data", data_path, "--query",
+                "histogram", "--epsilon", "1e-310", "--variant", variant]
+        assert main(argv) == 2
+        assert "too small" in capsys.readouterr().err
+
+
+def test_cli_refuses_negative_seeds(tmp_path, capsys):
+    model_path, data_path = _write_inputs(tmp_path)
+    cases = [
+        ["release", "--model", model_path, "--data", data_path, "--query", "count:0",
+         "--epsilon", "1", "--seed", "-1"],
+        ["simulate", "--model", model_path, "--T", "5", "--seed", "-1",
+         "--out", str(tmp_path / "sim.csv")],
+        ["verify", "soundness", "--T", "3", "--seeds", "1", "--seeds-from", "-1"],
+    ]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_cli_release_refuses_misfit_data_before_searching(tmp_path, capsys, monkeypatch):
+    model_path, data_path = _write_inputs(tmp_path)
+    monkeypatch.setattr(cli, "quilt_scores", lambda *a, **kw: pytest.fail("searched"))
+    for query in ("count:0", "histogram"):
+        argv = ["release", "--model", model_path, "--data", data_path, "--query",
+                query, "--epsilon", "1", "--window", "1:4"]
+        assert main(argv) == 2
+        assert "data has length 6, window needs 4" in capsys.readouterr().err
+
+
+def test_cli_histogram_is_one_ledger_append(tmp_path, capsys, monkeypatch):
+    model_path, data_path = _write_inputs(tmp_path)
+    ledger = tmp_path / "ledger.jsonl"
+    calls = []
+    monkeypatch.setattr(
+        cli, "append_release", lambda *a: calls.append(a) or append_release(*a)
+    )
+    for query in ("count:0", "histogram", "count:1"):
+        argv = ["release", "--model", model_path, "--data", data_path, "--query",
+                query, "--epsilon", "1", "--ledger", str(ledger), "--json"]
+        assert main(argv) == 0
+    assert len(calls) == 3
+    entries = read_ledger(ledger)
+    assert [e.entry_id for e in entries] == [1, 2, 3, 4]
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["ledger_ids"] == [2, 3]
+    assert entries[1].timestamp == entries[2].timestamp
+    assert [e.record.query_id for e in entries] == ["count:0", "count:0", "count:1",
+                                                    "count:1"]
 
 
 def test_cli_histogram_release_composes(tmp_path, capsys):

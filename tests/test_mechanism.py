@@ -619,6 +619,19 @@ def test_release_input_validation():
         )
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_budget_too_small_for_the_window_is_refused(variant):
+    # L / epsilon bounds the scale; times the largest unit draw (52 ln 2)
+    # it must stay finite, or the search or the noise overflows.
+    fw = _full(LAZY, 10)
+    huge = np.finfo(float).max
+    for eps in (1e-310, 10 * 20 / huge):  # 10 / eps is finite for the second
+        with pytest.raises(InvalidEpsilon, match="too small"):
+            quilt_scores(fw, eps, variant)
+    eps = 10 * 40 / huge
+    assert quilt_scores(fw, eps, variant)[0] == 10 / eps  # the empty quilt wins
+
+
 def test_count_query_evaluation():
     q = count_state_query(1, 3, "mid")
     assert q.identifier == "count:mid"
