@@ -75,6 +75,12 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _trials(text: str) -> int:
+    if int(text) < 1:  # a sweep that runs no trial must not report success
+        raise argparse.ArgumentTypeError(f"trial count must be >= 1, got {text}")
+    return int(text)
+
+
 def _parse_window(text: str) -> Window:
     try:
         start, end = map(int, text.split(":"))
@@ -489,7 +495,7 @@ def build_parser() -> _Parser:
     p.add_argument("--T", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--variant", choices=["exact", "approx"], default="exact")
-    p.add_argument("--seeds", type=int, default=5, help="trial count for soundness")
+    p.add_argument("--seeds", type=_trials, default=5, help="trial count for soundness")
     p.add_argument("--seeds-from", type=_seed, default=0, help="RNG seed for the sweep")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

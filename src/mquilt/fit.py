@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import ChainModel
+from .chains import ChainModel, validate
 from .errors import AlphabetMismatch, EmptyInput, MquiltError, TooFewSequences
 
 __all__ = ["FitConfig", "fit_chain"]
@@ -45,6 +45,8 @@ def fit_chain(
     adjacent pairs pooled over all sequences. With zero smoothing, a state
     that is never left has no estimable row and the fit is refused rather
     than guessed. ``states``, when given, must hold exactly ``k`` labels.
+    Smoothing so large that the counts overflow is refused, and the fitted
+    model is validated before it is returned.
     """
     if k < 1:
         raise MquiltError(f"state count must be >= 1, got {k}")
@@ -70,7 +72,11 @@ def fit_chain(
         np.add.at(pairs, (arr[:-1], arr[1:]), 1)
     first += config.smoothing
     pairs += config.smoothing
-    row_sums = pairs.sum(axis=1)
+    with np.errstate(over="ignore"):  # overflow is refused just below
+        row_sums = pairs.sum(axis=1)
+        total = first.sum()
+    if not (np.isfinite(row_sums).all() and np.isfinite(total)):
+        raise MquiltError(f"smoothing {config.smoothing} overflows the counts")
     if np.any(row_sums == 0):
         missing = int(np.nonzero(row_sums == 0)[0][0])
         raise MquiltError(
@@ -78,5 +84,5 @@ def fit_chain(
             "set smoothing > 0 to fit anyway"
         )
     transition = pairs / row_sums[:, None]
-    initial = first / first.sum()
-    return ChainModel.from_arrays(initial, transition, states)
+    initial = first / total
+    return validate(ChainModel.from_arrays(initial, transition, states))

@@ -79,6 +79,7 @@ from .influence import (
     Variant,
     _exact_influences,
     _log_ratio_max,
+    _opt_int,
     _spectral_term,
 )
 
@@ -203,16 +204,39 @@ class ActiveQuilt:
     shape: QuiltShape
     score: float
 
-    def to_dict(self) -> dict:
-        d = self.shape.to_dict()
-        d["node"] = self.node
-        d["score"] = self.score
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActiveQuilt":
-        shape = QuiltShape.from_dict(d)
-        return cls(int(d["node"]), shape, float(d["score"]))
+def _quilt_runs(quilts: tuple[ActiveQuilt, ...]) -> list[list]:
+    """A model's per-node winners as runs ``[first_node, last_node, left,
+    right, score]`` of consecutive nodes with one shape and score."""
+    runs: list[list] = []
+    for q in quilts:
+        key = [q.shape.left, q.shape.right, q.score]
+        if runs and runs[-1][1] == q.node - 1 and runs[-1][2:] == key:
+            runs[-1][1] = q.node
+        else:
+            runs.append([q.node, q.node, *key])
+    return runs
+
+
+def _quilts_from_doc(items: list) -> tuple[ActiveQuilt, ...]:
+    """Per-node winners from runs, or from the one-object-per-node list of
+    documents written before runs."""
+    out: list[ActiveQuilt] = []
+    for item in items:
+        if isinstance(item, dict):
+            shape = QuiltShape.from_dict(item)
+            out.append(ActiveQuilt(shape.node, shape, float(item["score"])))
+            continue
+        first, last, left, right, score = item
+        first, last = int(first), int(last)
+        if last < first:
+            raise ValueError(f"quilt run from node {first} back to node {last}")
+        left, right, score = _opt_int(left), _opt_int(right), float(score)
+        out.extend(
+            ActiveQuilt(i, QuiltShape(i, left, right), score)
+            for i in range(first, last + 1)
+        )
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -221,6 +245,8 @@ class ReleaseRecord:
 
     ``active_quilts`` maps a model's index in the framework to the winning
     quilt of every window node, in node order and with global node indices.
+    Documents store each model's winners as runs of consecutive nodes with
+    one shape and score, so their size does not grow with the window.
     ``output`` already includes the noise; neither the raw query value nor
     the noise seed is kept, since either one reveals the exact count.
     Documents written with a ``seed`` key still read; the key is ignored.
@@ -236,8 +262,10 @@ class ReleaseRecord:
     active_quilts: Mapping[int, tuple[ActiveQuilt, ...]]
     scope: str = "window"
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, *, quilts: bool = True) -> dict:
+        """The record as a JSON document; without ``quilts`` it leaves out
+        the quilt table, for a ledger line that shares another's."""
+        d = {
             "variant": self.variant.value,
             "epsilon": self.epsilon,
             "sigma_max": self.sigma_max,
@@ -245,15 +273,28 @@ class ReleaseRecord:
             "query": self.query_id,
             "lipschitz_constant": self.lipschitz_constant,
             "window": self.window.to_dict(),
-            "active_quilts": {
-                str(idx): [aq.to_dict() for aq in quilts]
-                for idx, quilts in self.active_quilts.items()
-            },
             "scope": self.scope,
         }
+        if quilts:
+            d["active_quilts"] = {
+                str(idx): _quilt_runs(q) for idx, q in self.active_quilts.items()
+            }
+        return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ReleaseRecord":
+    def from_dict(
+        cls,
+        d: dict,
+        active_quilts: Mapping[int, tuple[ActiveQuilt, ...]] | None = None,
+    ) -> "ReleaseRecord":
+        """Read a record document. ``active_quilts``, when given, is the
+        table of a document that leaves its own out; it is kept as is, so
+        records can share one table."""
+        if active_quilts is None:
+            active_quilts = {
+                int(idx): _quilts_from_doc(items)
+                for idx, items in d["active_quilts"].items()
+            }
         return cls(
             variant=Variant(d["variant"]),
             epsilon=float(d["epsilon"]),
@@ -262,10 +303,7 @@ class ReleaseRecord:
             query_id=str(d["query"]),
             lipschitz_constant=float(d["lipschitz_constant"]),
             window=Window.from_dict(d["window"]),
-            active_quilts={
-                int(idx): tuple(ActiveQuilt.from_dict(a) for a in quilts)
-                for idx, quilts in d["active_quilts"].items()
-            },
+            active_quilts=active_quilts,
             scope=str(d.get("scope", "window")),
         )
 

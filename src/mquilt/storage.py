@@ -4,13 +4,23 @@ Models are JSON documents; trajectories are one-column CSV files with a
 ``state`` header; releases append to a JSON-lines ledger guarded by an
 advisory file lock, so concurrent writers get distinct monotone ids.
 
+Each ledger line is one entry. A release's first line, its head, is
+tagged ``"v": 2`` and holds the release's framework and its first record,
+quilt table included. Every later line of the release holds ``"v": 2``,
+``"release": <head id>`` and its own record, which leaves the quilt table
+out when it equals the head's. A release thus stores its framework and
+quilt table once, and since records store quilts as runs of nodes, no
+line grows with the window. Lines without ``"v"`` are version 1: each
+holds its own framework and record, and reads as a release of one entry.
+
 Ledger operations cost what they touch, not what the ledger holds. An
 append reads only the ledger's last line, backwards from the end of the
 file, and numbers the new entries on from that line's id; so a ledger is
 append-only, its ids increase down the file, and it must not be reordered
 by hand (a reader refuses ids that do not increase). A read streams the
 file, decodes every line and checks its id, so damage anywhere is refused,
-but builds entries only for the ids asked for.
+but builds entries only for the ids asked for, and decodes a release's
+head in full only when one of its entries is asked for.
 """
 
 from __future__ import annotations
@@ -127,14 +137,6 @@ class LedgerEntry:
     framework: Framework
     record: ReleaseRecord
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.entry_id,
-            "timestamp": self.timestamp,
-            "framework": framework_to_dict(self.framework),
-            "record": self.record.to_dict(),
-        }
-
 
 # Bytes read per step when looking for the ledger's last line.
 _TAIL_BLOCK = 1 << 16
@@ -180,9 +182,12 @@ def append_release(
     """Append one release, the records of its queries, and return their entries.
 
     The entries take consecutive ids after the last line's id and share one
-    timestamp. Reading that line and writing the entries happen under one
-    exclusive advisory lock, so parallel writers neither collide on ids nor
-    interleave entries. The cost does not depend on the ledger's length.
+    timestamp. The first line, the release's head, carries the framework;
+    the others refer to it and carry a quilt table only where theirs
+    differs from the head's. Reading the last line and writing the entries
+    happen under one exclusive advisory lock, so parallel writers neither
+    collide on ids nor interleave entries. The cost does not depend on the
+    ledger's length.
 
     Raises
     ------
@@ -202,10 +207,21 @@ def append_release(
                 LedgerEntry(last_id + n, stamp, framework, record)
                 for n, record in enumerate(records, start=1)
             ]
+            head = entries[0] if entries else None
+            docs = []
+            for e in entries:
+                doc = {"v": 2, "id": e.entry_id, "timestamp": stamp}
+                if e is head:
+                    doc["framework"] = framework_to_dict(framework)
+                else:
+                    doc["release"] = head.entry_id
+                own = e is head or e.record.active_quilts != head.record.active_quilts
+                doc["record"] = e.record.to_dict(quilts=own)
+                docs.append(doc)
             # A last line without its newline (written by hand, or a write
             # cut short after the closing brace) must not absorb this release.
             lead = b"" if terminated or not last else b"\n"
-            lines = b"".join(json.dumps(e.to_dict()).encode() + b"\n" for e in entries)
+            lines = b"".join(json.dumps(d).encode() + b"\n" for d in docs)
             fh.write(lead + lines)
             fh.flush()
         finally:
@@ -241,6 +257,38 @@ def replay_matches(entry: LedgerEntry) -> bool:
     )
 
 
+@dataclass
+class _Head:
+    """The line that opens the release being read: a version-2 head, or a
+    version-1 line, which is a release of its own and has no ``id`` that a
+    later line may refer to. ``parts`` holds its framework, record and
+    timestamp once an entry of the release needs them."""
+
+    id: int | None
+    line: bytes
+    where: str
+    doc: dict | None  # the decoded line, unless it was only skimmed
+    parts: tuple[Framework, ReleaseRecord, str] | None = None
+
+
+def _decode(
+    doc: dict, where: str, framework: Framework | None = None, quilts=None
+) -> tuple[Framework, ReleaseRecord, str]:
+    """The framework, record and timestamp of a decoded ledger line.
+
+    ``framework`` stands in for the line's own (a later line of a release
+    has none), and ``quilts`` for a quilt table its record leaves out.
+    """
+    try:
+        if framework is None:
+            framework = framework_from_dict(doc["framework"])
+        rec = doc["record"]
+        record = ReleaseRecord.from_dict(rec, None if "active_quilts" in rec else quilts)
+        return framework, record, str(doc["timestamp"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{where} is a malformed entry: {exc!r}") from exc
+
+
 def read_ledger(
     path: str | Path, ids: Iterable[int] | None = None
 ) -> list[LedgerEntry]:
@@ -248,10 +296,12 @@ def read_ledger(
     those whose id is in ``ids``.
 
     The file is streamed line by line. Every line is decoded and its id
-    checked, so a damaged line or ids that do not increase are refused
-    even where that entry was not asked for; only the asked-for entries
-    are built. Consecutive entries with equal framework documents share
-    one (frozen) ``Framework``.
+    checked, so a damaged line, ids that do not increase, or a line that
+    refers to any release but the one being read are refused even where
+    that entry was not asked for; only the asked-for entries are built.
+    The entries of one release share one (frozen) ``Framework`` and one
+    quilt table, and consecutive releases with equal framework documents
+    share one ``Framework``.
 
     Raises
     ------
@@ -259,8 +309,11 @@ def read_ledger(
         No ledger at ``path``, or a line that is not a ledger entry.
     """
     wanted = None if ids is None else set(ids)
+    skim = wanted is not None
     entries = []
-    last_id, raw_framework, framework = 0, None, None
+    last_id = 0
+    head: _Head | None = None
+    known = (None, None)  # the last framework document built, and its Framework
     try:
         fh = open(path, "rb")
     except FileNotFoundError as exc:
@@ -270,24 +323,39 @@ def read_ledger(
             if not line.strip():
                 continue
             where = f"{path} line {n}"
-            doc = _line_doc(line, where, skim=wanted is not None)
-            if doc["id"] <= last_id:
+            doc = _line_doc(line, where, skim=skim)
+            entry_id = doc["id"]
+            if entry_id <= last_id:
                 raise FormatError(
-                    f"{where} has id {doc['id']} after id {last_id}; "
+                    f"{where} has id {entry_id} after id {last_id}; "
                     "ledger ids must increase"
                 )
-            last_id = doc["id"]
-            if wanted is not None:
-                if last_id not in wanted:
-                    continue
-                doc = json.loads(line)  # was skimmed; now its floats are needed
-            try:
-                if framework is None or doc["framework"] != raw_framework:
-                    raw_framework = doc["framework"]
-                    framework = framework_from_dict(raw_framework)
-                record = ReleaseRecord.from_dict(doc["record"])
-                timestamp = str(doc["timestamp"])
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{where} is a malformed entry: {exc!r}") from exc
-            entries.append(LedgerEntry(last_id, timestamp, framework, record))
+            last_id = entry_id
+            version = doc.get("v", 1)
+            if type(version) is not int or version not in (1, 2):
+                raise FormatError(f"{where} has unknown ledger version {version!r}")
+            later = version == 2 and "release" in doc
+            if later:
+                ref, current = doc["release"], head.id if head is not None else None
+                if type(ref) is not int or ref != current:
+                    raise FormatError(
+                        f"{where} refers to release {ref!r}, but the release "
+                        f"being read is {current!r}"
+                    )
+            else:
+                head = _Head(entry_id if version == 2 else None, line, where,
+                             None if skim else doc)
+            if skim and entry_id not in wanted:
+                continue
+            if head.parts is None:
+                head_doc = head.doc if head.doc is not None else json.loads(head.line)
+                raw = head_doc.get("framework")
+                shared = known[1] if raw == known[0] else None
+                head.parts = _decode(head_doc, head.where, shared)
+                known = (raw, head.parts[0])
+            framework, record, timestamp = head.parts
+            if later:
+                line_doc = json.loads(line) if skim else doc
+                _, record, timestamp = _decode(line_doc, where, framework, record.active_quilts)
+            entries.append(LedgerEntry(entry_id, timestamp, framework, record))
     return entries

@@ -9,6 +9,7 @@ import pytest
 from mquilt import cli, mechanism, storage
 from mquilt.chains import ChainModel, StateSequence
 from mquilt.cli import main
+from mquilt.composition import compose_auto, compose_sequential_mqm
 from mquilt.errors import (
     AlphabetMismatch,
     EmptyInput,
@@ -219,11 +220,24 @@ def test_read_ledger_rejects_garbage(tmp_path):
         read_ledger(path)
 
 
+def _v1_line(entry_id, fw, rec, **record_changes) -> str:
+    """A ledger line as written before version 2: no "v", its own
+    framework, and one quilt object per node."""
+    quilts = {
+        str(idx): [
+            {"node": q.node, "left": q.shape.left, "right": q.shape.right,
+             "score": q.score}
+            for q in qs
+        ]
+        for idx, qs in rec.active_quilts.items()
+    }
+    record = {**rec.to_dict(), "active_quilts": quilts, **record_changes}
+    return json.dumps({"id": entry_id, "timestamp": "t",
+                       "framework": framework_to_dict(fw), "record": record})
+
+
 def _entry_line(**record_changes) -> str:
-    fw, rec = _make_record()
-    doc = {"id": 1, "timestamp": "t", "framework": framework_to_dict(fw),
-           "record": {**rec.to_dict(), **record_changes}}
-    return json.dumps(doc)
+    return _v1_line(1, *_make_record(), **record_changes)
 
 
 @pytest.mark.parametrize(
@@ -391,6 +405,145 @@ def test_append_decodes_only_the_last_line(tmp_path, monkeypatch):
     assert len(calls) <= 1
 
 
+def _histogram(k=30, L=40, eps=3.0, variant=Variant.APPROX, seed=1):
+    """One release of k bucket counts that share one search, as the CLI
+    makes it."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((k, k)) + 0.05
+    q = rng.random(k) + 0.05
+    model = ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+    fw = Framework(L + 20, Window(11, L + 10), (model,))
+    data = StateSequence(rng.integers(0, k, L))
+    search = mechanism.quilt_scores(fw, eps / k, variant)
+    gen = np.random.default_rng(seed)
+    records = [
+        mechanism.release_record(search, data, count_state_query(s, k), eps / k, fw,
+                                 variant, gen)
+        for s in range(k)
+    ]
+    return fw, records
+
+
+def test_histogram_append_writes_framework_and_quilts_once(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fw, records = _histogram()
+    entries = append_release(path, fw, records)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == 30
+    assert all(line["v"] == 2 for line in lines)
+    assert ["framework" in line for line in lines] == [True] + [False] * 29
+    assert ["active_quilts" in line["record"] for line in lines] == [True] + [False] * 29
+    assert [line.get("release") for line in lines] == [None] + [1] * 29
+    # The framework is most of a head line; the others are a few hundred bytes.
+    sizes = [len(line) for line in path.read_text().splitlines()]
+    assert max(sizes[1:]) < 500 < len(json.dumps(framework_to_dict(fw))) < sizes[0]
+    for back in (read_ledger(path), read_ledger(path, [3, 1, 30])):
+        assert all(e.framework is back[0].framework for e in back)
+        assert all(e.record.active_quilts is back[0].record.active_quilts for e in back)
+        want = {e.entry_id: e.record for e in entries}
+        assert all(e.record == want[e.entry_id] for e in back)
+    assert read_ledger(path, [7])[0].record == records[6]
+
+
+def test_release_with_its_own_quilt_table_keeps_it(tmp_path):
+    # A record whose table differs from the head's carries its own.
+    path = tmp_path / "ledger.jsonl"
+    fw, rec = _make_record(eps=0.7)
+    _, other = _make_record(eps=2.5)
+    assert other.active_quilts != rec.active_quilts
+    append_release(path, fw, [rec, other, rec])
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert ["active_quilts" in line["record"] for line in lines] == [True, True, False]
+    for back in (read_ledger(path), read_ledger(path, [2, 3])):
+        assert [e.record for e in back] == [rec, other, rec][-len(back):]
+        assert all(replay_matches(e) for e in back)
+
+
+@pytest.mark.parametrize("where", ["earlier-head", "itself", "no-head", "after-v1"])
+def test_release_reference_to_another_head_is_a_format_error(tmp_path, where):
+    path = tmp_path / "ledger.jsonl"
+    fw, rec = _make_record()
+    append_release(path, fw, [rec, rec])
+    append_release(path, fw, [rec, rec])
+    lines = path.read_text().splitlines()
+    docs = [json.loads(line) for line in lines]
+    if where == "earlier-head":
+        docs[3]["release"] = 1
+    elif where == "itself":
+        docs[3]["release"] = 4
+    elif where == "no-head":
+        docs = docs[1:2]
+    else:
+        docs[2] = json.loads(_v1_line(3, fw, rec))
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    with pytest.raises(FormatError, match="refers to release"):
+        read_ledger(path)
+    with pytest.raises(FormatError, match="refers to release"):
+        read_ledger(path, [1])
+
+
+def test_unknown_ledger_version_is_a_format_error(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fw, rec = _make_record()
+    append_release(path, fw, [rec])
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "v": 3}) + "\n")
+    with pytest.raises(FormatError, match="unknown ledger version 3"):
+        read_ledger(path)
+
+
+def test_v1_ledger_reads_composes_and_replays_beside_v2_releases(tmp_path, capsys):
+    path = tmp_path / "ledger.jsonl"
+    other = ChainModel.from_arrays([0.5, 0.5], [[0.6, 0.4], [0.1, 0.9]])
+    early = Framework(40, Window(1, 12), (LAZY, other))
+    late = Framework(40, Window(29, 40), (LAZY, other))
+    rng = np.random.default_rng(6)
+    data = StateSequence(rng.integers(0, 2, 12))
+    v1 = [
+        (early, release(data, count_state_query(0, 2), 0.6, early, Variant.EXACT, 1)),
+        (early, release(data, count_state_query(1, 2), 0.9, early, Variant.EXACT, 2)),
+        (late, release(data, count_state_query(0, 2), 0.7, late, Variant.APPROX, 3)),
+    ]
+    path.write_text(
+        _v1_line(1, *v1[0]) + "\n"
+        + _v1_line(2, *v1[1], seed=2) + "\n"
+        + _v1_line(3, *v1[2]) + "\n"
+    )
+    v2 = [
+        (fw, rec)
+        for fw in (early, late)
+        for rec in [release(data, count_state_query(s, 2), 0.4, fw, Variant.EXACT, s)
+                    for s in range(2)]
+    ]
+    append_release(path, early, [rec for _, rec in v2[:2]])
+    append_release(path, late, [rec for _, rec in v2[2:]])
+    written = v1 + v2
+    full = read_ledger(path)
+    assert [e.entry_id for e in full] == [1, 2, 3, 4, 5, 6, 7]
+    assert [e.record for e in full] == [rec for _, rec in written]
+    for e, (fw, _) in zip(full, written):
+        assert e.framework.window == fw.window
+        assert all(a.equal_to(b) for a, b in zip(e.framework.models, fw.models))
+    for ids in ([2, 5], [7, 1, 3], [6]):
+        assert [e.record for e in read_ledger(path, ids)] == [
+            full[i - 1].record for i in sorted(ids)
+        ]
+    assert all(replay_matches(e) for e in full if e.record.variant is Variant.EXACT)
+    recs = [rec for _, rec in written]
+    cases = [
+        ("1,2", "thm6", compose_sequential_mqm([recs[0], recs[1]])),
+        ("2,4", "thm6", compose_sequential_mqm([recs[1], recs[3]])),
+        ("1,2", "auto", compose_auto([recs[0], recs[1]], early.models)),
+        ("1,3", "auto", compose_auto([recs[0], recs[2]], early.models)),
+        ("3,6", "auto", compose_auto([recs[2], recs[5]], early.models)),
+    ]
+    for ids, rule, want in cases:
+        argv = ["compose", "--ledger", str(path), "--ids", ids, "--rule", rule, "--json"]
+        assert main(argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["rule"], got["epsilon"]) == (want.rule.value, want.epsilon), ids
+
+
 # ---------------------------------------------------------------------- CLI
 
 
@@ -497,6 +650,27 @@ def test_cli_fit_refuses_non_finite_smoothing(tmp_path, capsys, alpha):
     assert main(["fit", "--data", str(data), "--alpha", alpha, "--out", str(out)]) == 2
     assert "smoothing must be in [0, inf), got " + alpha in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_refuses_smoothing_that_overflows(tmp_path, capsys):
+    # Counts plus 1e308 sum past the float maximum; the fit must not come
+    # back as an all-zero model, nor warn on the way (warnings fail tier-1).
+    sample = np.random.default_rng(0).integers(0, 3, 1000)
+    with pytest.raises(MquiltError, match="overflows the counts"):
+        fit_chain([sample], 3, FitConfig(smoothing=1e308))
+    data, out = tmp_path / "train.csv", tmp_path / "fitted.json"
+    save_sequence(sample, data)
+    assert main(["fit", "--data", str(data), "--alpha", "1e308", "--out", str(out)]) == 2
+    assert "error: smoothing 1e+308 overflows the counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_cli_soundness_refuses_a_sweep_of_no_trials(capsys, seeds):
+    assert main(["verify", "soundness", "--T", "3", "--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert f"trial count must be >= 1, got {seeds}" in captured.err
+    assert "trials passed" not in captured.out
 
 
 def test_cli_release_refuses_a_budget_too_small_for_the_window(tmp_path, capsys):
@@ -607,6 +781,7 @@ def test_cli_histogram_runs_one_search(tmp_path, capsys, monkeypatch):
         want = release(StateSequence(values), count_state_query(s, 3), 1.2 / 3, fw,
                        Variant.APPROX, rng)
         assert got == json.loads(json.dumps(want.to_dict()))
+        assert mechanism.ReleaseRecord.from_dict(got) == want
     first = release(StateSequence(values), count_state_query(0, 3), 1.2 / 3, fw,
                     Variant.APPROX, 9)
     assert records[0] == json.loads(json.dumps(first.to_dict()))

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import logging
 import math
 import re
@@ -645,13 +646,31 @@ def test_record_round_trip():
     q = count_state_query(0, 2)
     data = StateSequence(np.array([0, 1, 0, 0]))
     rec = release(data, q, 0.7, fw, Variant.EXACT, seed=11, scope="window")
-    back = ReleaseRecord.from_dict(rec.to_dict())
+    back = ReleaseRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
     assert back.epsilon == rec.epsilon
     assert back.sigma_max == rec.sigma_max
     assert back.output == rec.output
     assert back.window == rec.window
     assert back.scope == rec.scope
     assert back.active_quilts == dict(rec.active_quilts)
+    assert back == rec
+
+
+def test_record_stores_quilts_as_runs_whose_size_does_not_grow_with_the_window():
+    model = random_model(10, np.random.default_rng(3))
+    docs = []
+    for L in (4096, 20000):
+        fw = Framework(L, Window(1, L), (model,))
+        data = StateSequence(np.zeros(L, dtype=np.int64))
+        rec = release(data, count_state_query(0, 10), 1.0, fw, Variant.EXACT, seed=1)
+        doc = rec.to_dict()
+        runs = doc["active_quilts"]["0"]
+        assert runs[0][0] == 1 and runs[-1][1] == L
+        assert all(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
+        assert ReleaseRecord.from_dict(json.loads(json.dumps(doc))) == rec
+        docs.append(json.dumps(doc))
+    assert abs(len(docs[1]) - len(docs[0])) <= 1024
+    assert len(docs[1]) < 4096
 
 
 def test_active_quilt_nodes_are_global():
