@@ -112,7 +112,7 @@ def _cmd_fit(args) -> int:
     sequences = [load_sequence(p).values for p in args.data.split(",")]
     states = args.states.split(",") if args.states else None
     k = args.k if args.k else int(max(int(s.max()) for s in sequences)) + 1
-    config = FitConfig(smoothing=args.alpha, min_sequences=args.min_sequences)
+    config = FitConfig(smoothing=args.alpha)
     model = fit_chain(sequences, k, config, states)
     save_model(model, args.out)
     _emit(
@@ -441,7 +441,6 @@ def build_parser() -> _Parser:
         "--k", type=int, default=None, help="number of states (default: inferred)"
     )
     p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing")
-    p.add_argument("--min-sequences", type=int, default=1)
     p.add_argument("--states", default=None, help="comma-separated state labels")
     p.add_argument("--out", required=True, help="where to write the model JSON")
     p.add_argument("--json", action="store_true")

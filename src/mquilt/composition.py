@@ -303,13 +303,17 @@ def _two_sided_active_everywhere(rec: ReleaseRecord, tag: str) -> Check:
     missing = [
         theta
         for theta, quilts in rec.active_quilts.items()
-        if not any(q.shape.is_two_sided for q in quilts)
+        if not any(
+            left is not None and right is not None
+            for _, _, left, right, _ in quilts.runs
+        )
     ]
-    if missing:
+    if missing or not rec.active_quilts:
         return Check(
             f"two-sided-active-{tag}",
             False,
-            f"models {missing} have no node whose winning quilt is two-sided",
+            f"models {missing} have no node whose winning quilt is two-sided"
+            if missing else "the record holds no quilt table",
         )
     return Check(
         f"two-sided-active-{tag}",

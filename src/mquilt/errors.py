@@ -115,9 +115,5 @@ class AlphabetMismatch(MquiltError):
     """Sequences mention labels outside the common alphabet."""
 
 
-class TooFewSequences(MquiltError):
-    """Fewer sequences than the configured minimum sample size."""
-
-
 class FormatError(MquiltError):
     """A file does not parse as the expected format."""

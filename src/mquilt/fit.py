@@ -8,29 +8,24 @@ from typing import Sequence
 import numpy as np
 
 from .chains import ChainModel, validate
-from .errors import AlphabetMismatch, EmptyInput, MquiltError, TooFewSequences
+from .errors import AlphabetMismatch, EmptyInput, MquiltError
 
 __all__ = ["FitConfig", "fit_chain"]
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the counting estimator.
+    """Settings for the counting estimator.
 
     ``smoothing`` is added to every transition and initial-state count
     before normalizing; zero keeps the raw maximum-likelihood counts.
     """
 
     smoothing: float = 1.0
-    min_sequences: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.smoothing < np.inf:  # NaN fails both comparisons
             raise MquiltError(f"smoothing must be in [0, inf), got {self.smoothing}")
-        if self.min_sequences < 1:
-            raise MquiltError(
-                f"min_sequences must be >= 1, got {self.min_sequences}"
-            )
 
 
 def fit_chain(
@@ -54,10 +49,6 @@ def fit_chain(
         raise AlphabetMismatch(f"got {len(states)} state labels for {k} states")
     if len(sequences) == 0:
         raise EmptyInput("no sequences to fit")
-    if len(sequences) < config.min_sequences:
-        raise TooFewSequences(
-            f"got {len(sequences)} sequences, need {config.min_sequences}"
-        )
     first = np.zeros(k)
     pairs = np.zeros((k, k))
     for n, seq in enumerate(sequences):

@@ -60,7 +60,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,6 +89,7 @@ __all__ = [
     "LipschitzQuery",
     "count_state_query",
     "ActiveQuilt",
+    "QuiltRuns",
     "ReleaseRecord",
     "quilt_scores",
     "release",
@@ -205,38 +206,38 @@ class ActiveQuilt:
     score: float
 
 
-def _quilt_runs(quilts: tuple[ActiveQuilt, ...]) -> list[list]:
-    """A model's per-node winners as runs ``[first_node, last_node, left,
-    right, score]`` of consecutive nodes with one shape and score."""
-    runs: list[list] = []
-    for q in quilts:
-        key = [q.shape.left, q.shape.right, q.score]
-        if runs and runs[-1][1] == q.node - 1 and runs[-1][2:] == key:
-            runs[-1][1] = q.node
-        else:
-            runs.append([q.node, q.node, *key])
-    return runs
+@dataclass(frozen=True)
+class QuiltRuns:
+    """One model's winning quilts as runs ``(first_node, last_node, left,
+    right, score)`` of consecutive nodes with one shape and score. ``runs``
+    may be any iterable; adjacent runs that share both are merged, so equal
+    tables have equal runs, and runs that skip or repeat a node are refused.
+    Iterating yields each node's :class:`ActiveQuilt` in node order and
+    ``len`` is the node count, yet nothing per node is kept."""
 
+    runs: tuple[tuple[int, int, int | None, int | None, float], ...]
 
-def _quilts_from_doc(items: list) -> tuple[ActiveQuilt, ...]:
-    """Per-node winners from runs, or from the one-object-per-node list of
-    documents written before runs."""
-    out: list[ActiveQuilt] = []
-    for item in items:
-        if isinstance(item, dict):
-            shape = QuiltShape.from_dict(item)
-            out.append(ActiveQuilt(shape.node, shape, float(item["score"])))
-            continue
-        first, last, left, right, score = item
-        first, last = int(first), int(last)
-        if last < first:
-            raise ValueError(f"quilt run from node {first} back to node {last}")
-        left, right, score = _opt_int(left), _opt_int(right), float(score)
-        out.extend(
-            ActiveQuilt(i, QuiltShape(i, left, right), score)
-            for i in range(first, last + 1)
-        )
-    return tuple(out)
+    def __post_init__(self) -> None:
+        merged: list[list] = []
+        for first, last, left, right, score in self.runs:
+            first, last = int(first), int(last)
+            key = [_opt_int(left), _opt_int(right), float(score)]
+            prev = merged[-1][1] if merged else first - 1
+            if not prev + 1 == first <= last:
+                raise ValueError(f"quilt run from node {first} to node {last} after node {prev}")
+            if merged and merged[-1][2:] == key:
+                merged[-1][1] = last
+            else:
+                merged.append([first, last, *key])
+        object.__setattr__(self, "runs", tuple(map(tuple, merged)))
+
+    def __len__(self) -> int:
+        return self.runs[-1][1] - self.runs[0][0] + 1 if self.runs else 0
+
+    def __iter__(self) -> Iterator[ActiveQuilt]:
+        for first, last, left, right, score in self.runs:
+            for i in range(first, last + 1):
+                yield ActiveQuilt(i, QuiltShape(i, left, right), score)
 
 
 @dataclass(frozen=True)
@@ -244,9 +245,9 @@ class ReleaseRecord:
     """Everything needed to audit one noisy release (the data excluded).
 
     ``active_quilts`` maps a model's index in the framework to the winning
-    quilt of every window node, in node order and with global node indices.
-    Documents store each model's winners as runs of consecutive nodes with
-    one shape and score, so their size does not grow with the window.
+    quilts of the searched nodes, with global node indices, held as runs of
+    consecutive nodes with one shape and score (:class:`QuiltRuns`); the
+    record and its document thus do not grow with the window.
     ``output`` already includes the noise; neither the raw query value nor
     the noise seed is kept, since either one reveals the exact count.
     Documents written with a ``seed`` key still read; the key is ignored.
@@ -259,7 +260,7 @@ class ReleaseRecord:
     query_id: str
     lipschitz_constant: float
     window: Window
-    active_quilts: Mapping[int, tuple[ActiveQuilt, ...]]
+    active_quilts: Mapping[int, QuiltRuns]
     scope: str = "window"
 
     def to_dict(self, *, quilts: bool = True) -> dict:
@@ -277,7 +278,7 @@ class ReleaseRecord:
         }
         if quilts:
             d["active_quilts"] = {
-                str(idx): _quilt_runs(q) for idx, q in self.active_quilts.items()
+                str(idx): [list(r) for r in q.runs] for idx, q in self.active_quilts.items()
             }
         return d
 
@@ -285,14 +286,18 @@ class ReleaseRecord:
     def from_dict(
         cls,
         d: dict,
-        active_quilts: Mapping[int, tuple[ActiveQuilt, ...]] | None = None,
+        active_quilts: Mapping[int, QuiltRuns] | None = None,
     ) -> "ReleaseRecord":
         """Read a record document. ``active_quilts``, when given, is the
         table of a document that leaves its own out; it is kept as is, so
         records can share one table."""
         if active_quilts is None:
             active_quilts = {
-                int(idx): _quilts_from_doc(items)
+                int(idx): QuiltRuns(
+                    (q["node"], q["node"], q.get("left"), q.get("right"), q["score"])
+                    if isinstance(q, dict) else q  # one object per node, before runs
+                    for q in items
+                )
                 for idx, items in d["active_quilts"].items()
             }
         return cls(
@@ -542,11 +547,11 @@ def quilt_scores(
     variant: Variant,
     *,
     scope: str = "window",
-) -> tuple[float, dict[int, tuple[ActiveQuilt, ...]]]:
+) -> tuple[float, dict[int, QuiltRuns]]:
     """Run the per-model, per-node quilt search and return the noise scale.
 
     Returns ``(sigma_max, active)`` where ``active[model_index]`` holds the
-    winning quilt of every searched node with global node indices.
+    winning quilts of the searched nodes, with global node indices, as runs.
 
     ``scope`` chooses the node loop: ``"window"`` treats the release window
     as its own chain (initial law advanced to the window start), while
@@ -584,7 +589,7 @@ def quilt_scores(
         raise InvalidEpsilon(f"budget {epsilon} is too small for {L} nodes")
 
     sigma_max = 0.0
-    active: dict[int, tuple[ActiveQuilt, ...]] = {}
+    active: dict[int, QuiltRuns] = {}
     for idx, model in enumerate(search_models):
         if variant is Variant.EXACT:
             with np.errstate(divide="ignore"):
@@ -597,9 +602,9 @@ def quilt_scores(
             "%d nodes served from the shared table",
             idx, variant.value, caps, L, calls, shared,
         )
-        active[idx] = tuple(
-            ActiveQuilt(i + offset, QuiltShape(i + offset, shape.left, shape.right), s)
-            for i, (s, shape) in enumerate(best, start=1)
+        active[idx] = QuiltRuns(
+            (i, i, shape.left, shape.right, s)
+            for i, (s, shape) in enumerate(best, start=offset + 1)
         )
         sigma_max = max(sigma_max, max(s for s, _ in best))
     return sigma_max, active
@@ -639,7 +644,7 @@ def release(
 
 
 def release_record(
-    search: tuple[float, Mapping[int, tuple[ActiveQuilt, ...]]],
+    search: tuple[float, Mapping[int, QuiltRuns]],
     data: StateSequence,
     query: LipschitzQuery,
     epsilon: float,

@@ -244,17 +244,9 @@ def replay_search(entry: LedgerEntry):
 
 
 def replay_matches(entry: LedgerEntry) -> bool:
-    """Whether a replayed search reproduces the stored scale and quilts."""
+    """Whether a replayed search reproduces the stored scale and quilt runs."""
     sigma, active = replay_search(entry)
-    rec = entry.record
-    if sigma != rec.sigma_max:
-        return False
-    if set(active.keys()) != set(rec.active_quilts.keys()):
-        return False
-    return all(
-        tuple(active[idx]) == tuple(rec.active_quilts[idx])
-        for idx in active
-    )
+    return sigma == entry.record.sigma_max and active == dict(entry.record.active_quilts)
 
 
 @dataclass
@@ -277,13 +269,23 @@ def _decode(
     """The framework, record and timestamp of a decoded ledger line.
 
     ``framework`` stands in for the line's own (a later line of a release
-    has none), and ``quilts`` for a quilt table its record leaves out.
+    has none), and ``quilts`` for a quilt table its record leaves out. The
+    table must hold runs over the searched nodes (the window, or the
+    horizon under scope "chain") for every framework model.
     """
     try:
         if framework is None:
             framework = framework_from_dict(doc["framework"])
         rec = doc["record"]
         record = ReleaseRecord.from_dict(rec, None if "active_quilts" in rec else quilts)
+        win, n = framework.window, len(framework.models)
+        searched = (1, framework.horizon) if record.scope == "chain" else (win.start, win.end)
+        spans = {i: q.runs and (q.runs[0][0], q.runs[-1][1]) for i, q in record.active_quilts.items()}
+        if spans != dict.fromkeys(range(n), searched):
+            raise ValueError(
+                f"quilt runs span nodes {spans} by model index, not {searched} "
+                f"under each of the {n} framework models"
+            )
         return framework, record, str(doc["timestamp"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{where} is a malformed entry: {exc!r}") from exc

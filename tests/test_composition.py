@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -237,6 +238,21 @@ def test_approx_parallel_falls_back_without_two_sided_quilts():
     assert rep.rule.value == "thm2"
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"two-sided-active-earlier", "two-sided-active-later"}
+
+
+def test_approx_parallel_does_not_pass_on_a_record_without_quilts():
+    # An empty table has no model without a two-sided winner, yet it shows
+    # no two-sided winner either: the rule must fall back, not take the max.
+    models = (FAST,)
+    ra = _released(8.0, (1, 20), Variant.APPROX, FAST, T=60)
+    rb = _released(9.0, (41, 60), Variant.APPROX, FAST, T=60)
+    assert compose_parallel_mqm_approx(ra, rb, models).rule.value == "thm3"
+    bare = [dataclasses.replace(r, active_quilts={}) for r in (ra, rb)]
+    for rep in (compose_parallel_mqm_approx(*bare, models), compose_auto(bare, models)):
+        assert rep.rule.value == "thm2"
+        assert rep.epsilon == compose_parallel_general(ra, rb, models).epsilon > 9.0
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"two-sided-active-earlier", "two-sided-active-later"}
 
 
 def test_approx_parallel_requires_approx_records():

@@ -15,7 +15,6 @@ from mquilt.errors import (
     EmptyInput,
     FormatError,
     MquiltError,
-    TooFewSequences,
 )
 from mquilt.fit import FitConfig, fit_chain
 from mquilt.influence import Variant
@@ -76,8 +75,6 @@ def test_fit_input_validation():
         fit_chain([], 2)
     with pytest.raises(EmptyInput):
         fit_chain([[]], 2)
-    with pytest.raises(TooFewSequences):
-        fit_chain([[0, 1]], 2, FitConfig(min_sequences=3))
     with pytest.raises(AlphabetMismatch):
         fit_chain([[0, 2]], 2)
     with pytest.raises(MquiltError):
@@ -240,6 +237,18 @@ def _entry_line(**record_changes) -> str:
     return _v1_line(1, *_make_record(), **record_changes)
 
 
+def _offset_window_line(**record_changes) -> str:
+    """A line over nodes 2..5 of a 6-node horizon."""
+    fw = Framework(6, Window(2, 5), (LAZY,))
+    data = StateSequence(np.array([0, 1, 0, 0]))
+    rec = release(data, count_state_query(0, 2), 0.7, fw, Variant.EXACT, 4)
+    return _v1_line(1, fw, rec, **record_changes)
+
+
+def _node(n):
+    return {"node": n, "left": None, "right": None, "score": 5.0}
+
+
 @pytest.mark.parametrize(
     "last_line",
     ['{"id": 1, "trunc', '{"id": "x"}', '{"no-id": 1}', "[1, 2]"],
@@ -268,8 +277,24 @@ def test_damaged_last_line_is_a_format_error(tmp_path, capsys, last_line):
         _entry_line(active_quilts=[1]),
         _entry_line(epsilon="high"),
         json.dumps({"id": 1, "timestamp": "t"}),
+        _entry_line(active_quilts={}),
+        _entry_line(active_quilts={"0": [[1, 4, None, None, 5.0]],
+                                   "1": [[1, 4, None, None, 5.0]]}),
+        _entry_line(active_quilts={"0": []}),
+        _entry_line(active_quilts={"0": [[1, 200000, None, None, 5.0]]}),
+        _entry_line(active_quilts={"0": [[1, 2, None, None, 5.0], [4, 4, None, None, 5.0]]}),
+        _entry_line(active_quilts={"0": [[1, 3, None, None, 5.0], [3, 4, None, None, 5.0]]}),
+        _entry_line(active_quilts={"0": [[1, 0, None, None, 5.0]]}),
+        _offset_window_line(active_quilts={"0": [[1, 5, None, None, 5.0]]}),
+        _offset_window_line(scope="chain"),
+        _entry_line(active_quilts={"0": [_node(1), _node(2), _node(4)]}),
+        _entry_line(active_quilts={"0": [_node(1), _node(2), _node(2), _node(3), _node(4)]}),
     ],
-    ids=["unknown-variant", "quilts-not-a-map", "epsilon-not-a-number", "no-record"],
+    ids=["unknown-variant", "quilts-not-a-map", "epsilon-not-a-number", "no-record",
+         "no-quilt-table", "extra-model", "no-runs", "runs-past-the-window",
+         "runs-with-a-gap", "runs-overlap", "run-ends-before-it-starts",
+         "runs-before-the-window", "chain-scope-runs-cover-only-the-window",
+         "v1-skips-a-node", "v1-repeats-a-node"],
 )
 def test_malformed_entry_is_a_format_error(tmp_path, line):
     path = tmp_path / "ledger.jsonl"

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,7 @@ from mquilt.mechanism import (
     unit_laplace,
 )
 from mquilt.oracle import enumerate_quilts, score
+from mquilt.storage import append_release, read_ledger
 
 LAZY = ChainModel.from_arrays([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]])
 
@@ -120,7 +122,7 @@ def test_independent_chain_sigma_is_inverse_epsilon():
         sigma, active = quilt_scores(_full(ind, 7), eps, Variant.EXACT)
         assert sigma == pytest.approx(1.0 / eps, abs=1e-12)
         # interior nodes win with the tightest two-sided quilt
-        aq = active[0][3]
+        aq = list(active[0])[3]
         assert aq.shape == QuiltShape(4, 1, 1)
 
 
@@ -139,7 +141,7 @@ def test_search_matches_direct_enumeration_exact():
                 score(s, exact_max_influence(model, s), eps, T)
                 for s in enumerate_quilts(T, i)
             )
-            aq = active[0][i - 1]
+            aq = list(active[0])[i - 1]
             assert aq.score == pytest.approx(wanted, rel=1e-12, abs=1e-12)
             # the recorded shape must itself achieve the recorded score
             achieved = score(
@@ -164,7 +166,7 @@ def test_search_matches_direct_enumeration_approx():
                 score(s, approx_max_influence(info, s), eps, T)
                 for s in enumerate_quilts(T, i)
             )
-            assert active[0][i - 1].score == pytest.approx(
+            assert list(active[0])[i - 1].score == pytest.approx(
                 wanted, rel=1e-12, abs=1e-12
             )
         assert sigma == pytest.approx(
@@ -656,7 +658,7 @@ def test_record_round_trip():
     assert back == rec
 
 
-def test_record_stores_quilts_as_runs_whose_size_does_not_grow_with_the_window():
+def test_record_stores_quilts_as_runs_whose_size_does_not_grow_with_the_window(tmp_path):
     model = random_model(10, np.random.default_rng(3))
     docs = []
     for L in (4096, 20000):
@@ -669,6 +671,20 @@ def test_record_stores_quilts_as_runs_whose_size_does_not_grow_with_the_window()
         assert all(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
         assert ReleaseRecord.from_dict(json.loads(json.dumps(doc))) == rec
         docs.append(json.dumps(doc))
+        # In memory too: reading the head back holds runs, not one quilt per
+        # node, so its allocations do not grow with the window.
+        path = tmp_path / f"ledger-{L}.jsonl"
+        append_release(path, fw, [rec])
+        tracemalloc.start()
+        try:
+            (entry,) = read_ledger(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = entry.record.active_quilts[0]
+        assert len(table.runs) <= 30 and len(table) == L
+        assert entry.record == rec
+        assert peak < 64 * 1024, peak
     assert abs(len(docs[1]) - len(docs[0])) <= 1024
     assert len(docs[1]) < 4096
 
