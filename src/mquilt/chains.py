@@ -352,19 +352,17 @@ def sample(model: ChainModel, T: int, seed: int) -> StateSequence:
     return StateSequence(out)
 
 
-def random_model(
-    k: int, rng: np.random.Generator, floor: float = 0.05
-) -> ChainModel:
+def random_model(k: int, rng: np.random.Generator) -> ChainModel:
     """A random chain with entries bounded away from zero.
 
-    Every entry of the initial law and transition matrix is at least
-    ``floor`` before normalization, which forces irreducibility and
-    aperiodicity. Handy for randomized testing and soundness sweeps.
+    Every entry of the initial law and transition matrix is at least 0.05
+    before normalization, which forces irreducibility and aperiodicity.
+    Handy for randomized testing and soundness sweeps.
     """
     if k < 1:
         raise MquiltError(f"need at least one state, got k={k}")
-    P = rng.random((k, k)) + floor
-    q = rng.random(k) + floor
+    P = rng.random((k, k)) + 0.05
+    q = rng.random(k) + 0.05
     return validate(
         ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
     )

@@ -28,7 +28,7 @@ from .composition import (
     compose_sequential_mqm,
 )
 from .errors import FormatError, MixedFrameworks, MquiltError
-from .fit import FitConfig, fit_chain
+from .fit import fit_chain
 from .influence import QuiltShape, Variant, approx_max_influence, approx_offset_threshold, exact_max_influence
 from .mechanism import (
     Framework,
@@ -112,8 +112,7 @@ def _cmd_fit(args) -> int:
     sequences = [load_sequence(p).values for p in args.data.split(",")]
     states = args.states.split(",") if args.states else None
     k = args.k if args.k else int(max(int(s.max()) for s in sequences)) + 1
-    config = FitConfig(smoothing=args.alpha)
-    model = fit_chain(sequences, k, config, states)
+    model = fit_chain(sequences, k, args.alpha, states)
     save_model(model, args.out)
     _emit(
         args,

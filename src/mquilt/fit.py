@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -10,39 +9,28 @@ import numpy as np
 from .chains import ChainModel, validate
 from .errors import AlphabetMismatch, EmptyInput, MquiltError
 
-__all__ = ["FitConfig", "fit_chain"]
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Settings for the counting estimator.
-
-    ``smoothing`` is added to every transition and initial-state count
-    before normalizing; zero keeps the raw maximum-likelihood counts.
-    """
-
-    smoothing: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.smoothing < np.inf:  # NaN fails both comparisons
-            raise MquiltError(f"smoothing must be in [0, inf), got {self.smoothing}")
+__all__ = ["fit_chain"]
 
 
 def fit_chain(
     sequences: Sequence[Sequence[int]],
     k: int,
-    config: FitConfig = FitConfig(),
+    smoothing: float = 1.0,
     states: Sequence[str] | None = None,
 ) -> ChainModel:
     """Estimate initial and transition laws by (smoothed) counting.
 
     The initial law counts first symbols; the transition matrix counts
-    adjacent pairs pooled over all sequences. With zero smoothing, a state
-    that is never left has no estimable row and the fit is refused rather
-    than guessed. ``states``, when given, must hold exactly ``k`` labels.
+    adjacent pairs pooled over all sequences. ``smoothing`` is added to
+    every transition and initial-state count before normalizing; zero keeps
+    the raw maximum-likelihood counts. With zero smoothing, a state that is
+    never left has no estimable row and the fit is refused rather than
+    guessed. ``states``, when given, must hold exactly ``k`` labels.
     Smoothing so large that the counts overflow is refused, and the fitted
     model is validated before it is returned.
     """
+    if not 0 <= smoothing < np.inf:  # NaN fails both comparisons
+        raise MquiltError(f"smoothing must be in [0, inf), got {smoothing}")
     if k < 1:
         raise MquiltError(f"state count must be >= 1, got {k}")
     if states is not None and len(states) != k:
@@ -61,13 +49,13 @@ def fit_chain(
             )
         first[arr[0]] += 1
         np.add.at(pairs, (arr[:-1], arr[1:]), 1)
-    first += config.smoothing
-    pairs += config.smoothing
+    first += smoothing
+    pairs += smoothing
     with np.errstate(over="ignore"):  # overflow is refused just below
         row_sums = pairs.sum(axis=1)
         total = first.sum()
     if not (np.isfinite(row_sums).all() and np.isfinite(total)):
-        raise MquiltError(f"smoothing {config.smoothing} overflows the counts")
+        raise MquiltError(f"smoothing {smoothing} overflows the counts")
     if np.any(row_sums == 0):
         missing = int(np.nonzero(row_sums == 0)[0][0])
         raise MquiltError(

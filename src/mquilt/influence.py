@@ -99,10 +99,6 @@ class QuiltShape:
     def to_dict(self) -> dict:
         return {"node": self.node, "left": self.left, "right": self.right}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuiltShape":
-        return cls(int(d["node"]), _opt_int(d.get("left")), _opt_int(d.get("right")))
-
 
 def _opt_int(x) -> int | None:
     return None if x is None else int(x)

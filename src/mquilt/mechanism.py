@@ -246,8 +246,9 @@ class ReleaseRecord:
 
     ``active_quilts`` maps a model's index in the framework to the winning
     quilts of the searched nodes, with global node indices, held as runs of
-    consecutive nodes with one shape and score (:class:`QuiltRuns`); the
-    record and its document thus do not grow with the window.
+    consecutive nodes with one shape and score (:class:`QuiltRuns`), never
+    one object per node. Budget, scale and sensitivity must be positive
+    and finite, the output finite, and the scope ``window`` or ``chain``.
     ``output`` already includes the noise; neither the raw query value nor
     the noise seed is kept, since either one reveals the exact count.
     Documents written with a ``seed`` key still read; the key is ignored.
@@ -262,6 +263,16 @@ class ReleaseRecord:
     window: Window
     active_quilts: Mapping[int, QuiltRuns]
     scope: str = "window"
+
+    def __post_init__(self) -> None:
+        for name in ("epsilon", "sigma_max", "lipschitz_constant"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise MquiltError(f"record {name} must be positive and finite, got {value}")
+        if not math.isfinite(self.output):
+            raise MquiltError(f"record output must be finite, got {self.output}")
+        if self.scope not in ("window", "chain"):
+            raise MquiltError(f"record scope must be 'window' or 'chain', got {self.scope!r}")
 
     def to_dict(self, *, quilts: bool = True) -> dict:
         """The record as a JSON document; without ``quilts`` it leaves out
@@ -387,8 +398,8 @@ def _best_quilt(
     e_left: NDArray[np.float64],
     e_right: NDArray[np.float64],
     two: _Candidate | None,
-) -> tuple[float, QuiltShape]:
-    """Minimize the score at local node ``i``.
+) -> _Candidate:
+    """The winning candidate at local node ``i``.
 
     ``e_left[a-1]`` and ``e_right[b-1]`` bound the influence of the
     one-sided quilts at offsets ``a`` and ``b``; ``two`` is the best
@@ -406,8 +417,7 @@ def _best_quilt(
         b = int(np.argmin(sr)) + 1
         cands.append((float(sr[b - 1]), i + b - 1, 1, 0, b))
     cands.append((L / epsilon, L, 2, 0, 0))
-    s, _, _, a, b = min(cands)
-    return s, QuiltShape(i, a or None, b or None)
+    return min(cands)
 
 
 def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
@@ -461,8 +471,10 @@ def _search_model(
     L: int,
     epsilon: float,
     cap: int,
-) -> tuple[list[tuple[float, QuiltShape]], int, int]:
-    """Best score and quilt of every local node over offsets up to ``cap``.
+) -> tuple[list[list], int, int]:
+    """Best quilt of every local node over offsets up to ``cap``, as runs
+    ``[first, last, left, right, score]`` of consecutive local nodes with
+    one shape and score, built while the nodes are walked.
 
     Influences are exact when ``log_margs`` (the log marginals of the
     searched nodes) is given and spectral bounds from ``info`` otherwise;
@@ -471,7 +483,8 @@ def _search_model(
     search. Also returns the number of exact-kernel calls and of nodes
     served from another node's table entry (see the module docstring).
     """
-    best: list[tuple[float, QuiltShape]] = []
+    runs: list[list] = []
+    last = None  # the last run's (left, right, score), 0 for an absent side
     calls = shared = 0
     # Only interior nodes (na = nb = cap) can have the same inputs as
     # another node. Their inputs are keyed by the ids of their log-marginal
@@ -510,10 +523,15 @@ def _search_model(
             if interior:
                 table[key] = (e_left, e_right, two)
         if interior and two[0] < out_of_cap:
-            best.append((two[0], QuiltShape(i, two[3], two[4])))
+            s, _, _, a, b = two
         else:
-            best.append(_best_quilt(i, L, epsilon, e_left, e_right, two))
-    return best, calls, shared
+            s, _, _, a, b = _best_quilt(i, L, epsilon, e_left, e_right, two)
+        if (a, b, s) == last:
+            runs[-1][1] = i
+        else:
+            last = (a, b, s)
+            runs.append([i, i, a or None, b or None, s])
+    return runs, calls, shared
 
 
 def _pruned_search(
@@ -522,22 +540,23 @@ def _pruned_search(
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
-) -> tuple[list[tuple[float, QuiltShape]], list[int], int, int]:
+) -> tuple[list[list], float, list[int], int, int]:
     """:func:`_search_model` over all offsets, searching only those that can
-    still win (see the module docstring). Also returns the cap of every
-    round and the kernel calls and shared nodes summed over the rounds."""
+    still win (see the module docstring). Also returns the scale, the cap
+    of every round, and the kernel calls and shared nodes summed over the
+    rounds."""
     cap, caps, calls, shared = _FIRST_CAP, [], 0, 0
     while True:
         full = 2 * cap >= L
         if full:
             cap = L - 1
-        best, n_calls, n_shared = _search_model(model, log_margs, info, L, epsilon, cap)
+        runs, n_calls, n_shared = _search_model(model, log_margs, info, L, epsilon, cap)
         caps.append(cap)
         calls += n_calls
         shared += n_shared
-        sigma = max(s for s, _ in best)
+        sigma = max(run[4] for run in runs)
         if full or (cap + 1) / epsilon > sigma:
-            return best, caps, calls, shared
+            return runs, sigma, caps, calls, shared
         cap = max(2 * cap, math.floor(sigma * epsilon) + 1)
 
 
@@ -568,8 +587,8 @@ def quilt_scores(
 
     Each model's search logs one DEBUG record on this module's logger: the
     cap of every round, the nodes searched, the exact-kernel calls (none
-    in the approx variant), and the nodes served from another node's
-    table entry.
+    in the approx variant), the nodes served from another node's table
+    entry, and the number of quilt runs.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")
@@ -596,17 +615,17 @@ def quilt_scores(
                 log_margs, info = np.log(_marginals(model, L)), None
         else:
             log_margs, info = None, spectral(model)
-        best, caps, calls, shared = _pruned_search(model, log_margs, info, L, epsilon)
+        runs, sigma, caps, calls, shared = _pruned_search(model, log_margs, info, L, epsilon)
         _log.debug(
             "model %d (%s): rounds at caps %s over %d nodes, %d kernel calls, "
-            "%d nodes served from the shared table",
-            idx, variant.value, caps, L, calls, shared,
+            "%d nodes served from the shared table, %d quilt runs",
+            idx, variant.value, caps, L, calls, shared, len(runs),
         )
         active[idx] = QuiltRuns(
-            (i, i, shape.left, shape.right, s)
-            for i, (s, shape) in enumerate(best, start=offset + 1)
+            (first + offset, last + offset, left, right, s)
+            for first, last, left, right, s in runs
         )
-        sigma_max = max(sigma_max, max(s for s, _ in best))
+        sigma_max = max(sigma_max, sigma)
     return sigma_max, active
 
 

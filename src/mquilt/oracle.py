@@ -53,15 +53,15 @@ ENUMERATION_LIMIT = 10**6
 """Refuse to enumerate more trajectories than this."""
 
 
-def enumerate_sequences(k: int, T: int, limit: int = ENUMERATION_LIMIT) -> NDArray[np.int64]:
+def enumerate_sequences(k: int, T: int) -> NDArray[np.int64]:
     """All k^T trajectories, one per row, in lexicographic order.
 
     The last time step varies fastest. Raises ``TooLarge`` when the table
-    would exceed ``limit`` rows.
+    would exceed ``ENUMERATION_LIMIT`` rows.
     """
     total = k**T
-    if total > limit:
-        raise TooLarge(f"{k}^{T} = {total} trajectories exceeds limit {limit}")
+    if total > ENUMERATION_LIMIT:
+        raise TooLarge(f"{k}^{T} = {total} trajectories exceeds limit {ENUMERATION_LIMIT}")
     idx = np.arange(total)
     seqs = np.empty((total, T), dtype=np.int64)
     for t in range(T):

@@ -9,9 +9,9 @@ tagged ``"v": 2`` and holds the release's framework and its first record,
 quilt table included. Every later line of the release holds ``"v": 2``,
 ``"release": <head id>`` and its own record, which leaves the quilt table
 out when it equals the head's. A release thus stores its framework and
-quilt table once, and since records store quilts as runs of nodes, no
-line grows with the window. Lines without ``"v"`` are version 1: each
-holds its own framework and record, and reads as a release of one entry.
+quilt table once, and records store quilts as runs of nodes, not one
+object per node. Lines without ``"v"`` are version 1: each holds its own
+framework and record, and reads as a release of one entry.
 
 Ledger operations cost what they touch, not what the ledger holds. An
 append reads only the ledger's last line, backwards from the end of the
@@ -270,8 +270,9 @@ def _decode(
 
     ``framework`` stands in for the line's own (a later line of a release
     has none), and ``quilts`` for a quilt table its record leaves out. The
-    table must hold runs over the searched nodes (the window, or the
-    horizon under scope "chain") for every framework model.
+    record's window must be the framework's, and the table must hold runs
+    over the searched nodes (the window, or the horizon under scope
+    "chain") for every framework model.
     """
     try:
         if framework is None:
@@ -279,6 +280,8 @@ def _decode(
         rec = doc["record"]
         record = ReleaseRecord.from_dict(rec, None if "active_quilts" in rec else quilts)
         win, n = framework.window, len(framework.models)
+        if record.window != win:
+            raise ValueError(f"record window {record.window} is not the framework's {win}")
         searched = (1, framework.horizon) if record.scope == "chain" else (win.start, win.end)
         spans = {i: q.runs and (q.runs[0][0], q.runs[-1][1]) for i, q in record.active_quilts.items()}
         if spans != dict.fromkeys(range(n), searched):

@@ -16,7 +16,7 @@ from mquilt.errors import (
     FormatError,
     MquiltError,
 )
-from mquilt.fit import FitConfig, fit_chain
+from mquilt.fit import fit_chain
 from mquilt.influence import Variant
 from mquilt.mechanism import Framework, Window, count_state_query, release
 from mquilt.storage import (
@@ -41,13 +41,13 @@ LAZY = ChainModel.from_arrays([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]])
 
 
 def test_fit_alternating_sequence_without_smoothing():
-    model = fit_chain([[0, 1, 0, 1]], 2, FitConfig(smoothing=0.0))
+    model = fit_chain([[0, 1, 0, 1]], 2, smoothing=0.0)
     np.testing.assert_array_equal(model.initial, [1.0, 0.0])
     np.testing.assert_array_equal(model.transition, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_fit_heavy_smoothing_flattens_rows():
-    model = fit_chain([[0, 0, 0, 0]], 2, FitConfig(smoothing=1000.0))
+    model = fit_chain([[0, 0, 0, 0]], 2, smoothing=1000.0)
     np.testing.assert_allclose(model.transition, 0.5, atol=2e-3)
     np.testing.assert_allclose(model.initial, 0.5, atol=2e-3)
 
@@ -67,7 +67,7 @@ def test_fit_rows_always_stochastic():
 
 def test_fit_refuses_unleavable_state_without_smoothing():
     with pytest.raises(MquiltError, match="never left"):
-        fit_chain([[0, 0, 0]], 2, FitConfig(smoothing=0.0))
+        fit_chain([[0, 0, 0]], 2, smoothing=0.0)
 
 
 def test_fit_input_validation():
@@ -78,7 +78,7 @@ def test_fit_input_validation():
     with pytest.raises(AlphabetMismatch):
         fit_chain([[0, 2]], 2)
     with pytest.raises(MquiltError):
-        FitConfig(smoothing=-1.0)
+        fit_chain([[0, 1]], 2, smoothing=-1.0)
 
 
 def test_fit_carries_state_labels():
@@ -289,12 +289,25 @@ def test_damaged_last_line_is_a_format_error(tmp_path, capsys, last_line):
         _offset_window_line(scope="chain"),
         _entry_line(active_quilts={"0": [_node(1), _node(2), _node(4)]}),
         _entry_line(active_quilts={"0": [_node(1), _node(2), _node(2), _node(3), _node(4)]}),
+        _entry_line(epsilon=-0.9),
+        _entry_line(epsilon=float("nan")),
+        _entry_line(sigma_max=0.0),
+        _entry_line(sigma_max=float("inf")),
+        _entry_line(lipschitz_constant=-1.0),
+        _entry_line(output=float("nan")),
+        _entry_line(output=float("inf")),
+        _entry_line(scope="bogus"),
+        _entry_line(window={"start": 40, "end": 60}),
+        _offset_window_line(window={"start": 1, "end": 4}),
     ],
     ids=["unknown-variant", "quilts-not-a-map", "epsilon-not-a-number", "no-record",
          "no-quilt-table", "extra-model", "no-runs", "runs-past-the-window",
          "runs-with-a-gap", "runs-overlap", "run-ends-before-it-starts",
          "runs-before-the-window", "chain-scope-runs-cover-only-the-window",
-         "v1-skips-a-node", "v1-repeats-a-node"],
+         "v1-skips-a-node", "v1-repeats-a-node", "negative-epsilon", "nan-epsilon",
+         "zero-sigma", "infinite-sigma", "negative-lipschitz-constant", "nan-output",
+         "infinite-output", "unknown-scope", "window-past-the-horizon",
+         "window-not-the-frameworks"],
 )
 def test_malformed_entry_is_a_format_error(tmp_path, line):
     path = tmp_path / "ledger.jsonl"
@@ -682,7 +695,7 @@ def test_fit_refuses_smoothing_that_overflows(tmp_path, capsys):
     # back as an all-zero model, nor warn on the way (warnings fail tier-1).
     sample = np.random.default_rng(0).integers(0, 3, 1000)
     with pytest.raises(MquiltError, match="overflows the counts"):
-        fit_chain([sample], 3, FitConfig(smoothing=1e308))
+        fit_chain([sample], 3, smoothing=1e308)
     data, out = tmp_path / "train.csv", tmp_path / "fitted.json"
     save_sequence(sample, data)
     assert main(["fit", "--data", str(data), "--alpha", "1e308", "--out", str(out)]) == 2
@@ -844,6 +857,35 @@ def test_cli_release_ledger_compose_round_trip(tmp_path, capsys):
     legacy = json.loads(capsys.readouterr().out)
     assert legacy["epsilon"] == pytest.approx(0.8)
     assert auto["epsilon"] <= legacy["epsilon"] + 1e-12
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"epsilon": -0.9}, {"epsilon": float("nan")}, {"window": {"start": 40, "end": 60}}],
+    ids=["negative-epsilon", "nan-epsilon", "window-off-the-framework"],
+)
+def test_cli_compose_refuses_an_impossible_record(tmp_path, capsys, changes):
+    # Two counts over nodes 1..30; a record doctored after the append must
+    # be refused, not composed into too small a budget.
+    model_path, data_path = tmp_path / "model.json", tmp_path / "walk.csv"
+    save_model(LAZY, model_path)
+    save_sequence(StateSequence(np.arange(30) % 2), data_path)
+    ledger = tmp_path / "ledger.jsonl"
+    for query, seed in (("count:0", "1"), ("count:1", "2")):
+        assert main(["release", "--model", str(model_path), "--data", str(data_path),
+                     "--query", query, "--epsilon", "1.0", "--seed", seed,
+                     "--ledger", str(ledger)]) == 0
+    for rule in ("thm6", "auto"):
+        assert main(["compose", "--ledger", str(ledger), "--ids", "1,2", "--rule", rule]) == 0
+    lines = ledger.read_text().splitlines()
+    doctored = json.loads(lines[0])
+    doctored["record"].update(changes)
+    ledger.write_text(json.dumps(doctored) + "\n" + lines[1] + "\n")
+    capsys.readouterr()
+    for rule in ("thm6", "auto"):
+        assert main(["compose", "--ledger", str(ledger), "--ids", "1,2", "--rule", rule]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 def test_cli_compose_thm5_needs_divergence_bound(tmp_path, capsys):

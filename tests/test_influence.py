@@ -219,8 +219,3 @@ def test_influence_over_set_takes_worst_model():
 def test_influence_over_set_rejects_empty():
     with pytest.raises(EmptyThetaSet):
         influence_over_set([], QuiltShape(2, None, 1))
-
-
-def test_shape_round_trip():
-    for shape in [QuiltShape(3, 1, 2), QuiltShape(3, None, 2), QuiltShape(3)]:
-        assert QuiltShape.from_dict(shape.to_dict()) == shape

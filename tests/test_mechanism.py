@@ -361,6 +361,18 @@ def _two_sided_best(epsilon, e_two):
     return (float(s2[ai, bi]), int(nearby2[ai, bi]), 0, ai + 1, bi + 1)
 
 
+def _as_runs(winners):
+    """Per-node winning candidates, one per local node from node 1, as the
+    search's runs ``[first, last, left, right, score]``."""
+    runs = []
+    for i, (s, _, _, a, b) in enumerate(winners, start=1):
+        if runs and runs[-1][2:] == [a or None, b or None, s]:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i, a or None, b or None, s])
+    return runs
+
+
 def _unshared_search_model(model, log_margs, info, L, epsilon, cap):
     """One kernel call and one full scoring per node, for every node."""
     log_powers, right_max = mechanism._log_powers(model.transition, cap)
@@ -375,7 +387,7 @@ def _unshared_search_model(model, log_margs, info, L, epsilon, cap):
         )
         two = _two_sided_best(epsilon, e_two)
         best.append(mechanism._best_quilt(i, L, epsilon, e_left, e_right, two))
-    return best, L, 0
+    return _as_runs(best), L, 0
 
 
 def _unshared(fw, eps, scope="window"):
@@ -447,7 +459,7 @@ def _per_node_approx_search_model(model, log_margs, info, L, epsilon, cap):
         na, nb = min(i - 1, cap), min(L - i, cap)
         two = _two_sided_best(epsilon, 2.0 * terms[:na, None] + terms[None, :nb])
         best.append(mechanism._best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two))
-    return best, 0, 0
+    return _as_runs(best), 0, 0
 
 
 def _per_node_approx(fw, eps, scope="window"):
@@ -550,11 +562,17 @@ def test_kernel_calls_do_not_grow_with_the_window():
     assert quilt_scores(fw, 1.0, Variant.EXACT) == _unshared(fw, 1.0)
 
 
+def _logged_runs(records):
+    """The quilt run count of every DEBUG record of the search."""
+    return [int(re.search(r"(\d+) quilt runs$", r.getMessage()).group(1))
+            for r in records if r.name == "mquilt.mechanism"]
+
+
 def test_search_logs_its_work_per_model(caplog):
     fw = Framework(400, Window(1, 400), (_chain(3, 3), _chain(5, 3, 0.97)))
     with _kernel_calls() as calls, _rounds() as caps, \
             caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
-        quilt_scores(fw, 0.5, Variant.EXACT)
+        _, active = quilt_scores(fw, 0.5, Variant.EXACT)
     records = [r for r in caplog.records if r.name == "mquilt.mechanism"]
     assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
     first = records[0].getMessage()
@@ -570,18 +588,36 @@ def test_search_logs_its_work_per_model(caplog):
     # Every searched node either calls the kernel or is served from the table.
     assert sum(logged_calls) + sum(logged_shared) == 400 * len(caps)
     assert logged_shared[0] > 0
+    assert _logged_runs(records) == [len(active[idx].runs) for idx in (0, 1)]
 
     # The approx search calls no kernel; its interior nodes but the first
     # of each round share that node's entry.
     caplog.clear()
     with _kernel_calls() as calls, _rounds() as caps, \
             caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
-        quilt_scores(fw, 0.5, Variant.APPROX)
+        _, active = quilt_scores(fw, 0.5, Variant.APPROX)
+    assert _logged_runs(caplog.records) == [len(active[idx].runs) for idx in (0, 1)]
     records = [r.getMessage() for r in caplog.records if r.name == "mquilt.mechanism"]
     assert len(records) == 2 and records[0].startswith("model 0 (approx): rounds at caps")
     logged = [re.search(r"(\d+) kernel calls, (\d+) nodes served", r).groups() for r in records]
     assert calls == [] and all(n_calls == "0" for n_calls, _ in logged)
     assert sum(int(n) for _, n in logged) == sum(max(400 - 2 * c - 1, 0) for c in caps) > 0
+
+
+def test_search_builds_no_quilt_shape_per_node():
+    # The node loop emits runs; a QuiltShape per node is built only when a
+    # caller walks the runs node by node.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return QuiltShape(*args, **kwargs)
+
+    fw = _full(random_model(10, np.random.default_rng(3)), 20000)
+    with mock.patch.object(mechanism, "QuiltShape", counting):
+        _, active = quilt_scores(fw, 1.0, Variant.EXACT)
+        assert len(active[0]) == 20000
+    assert len(built) == 0
 
 
 def test_release_determinism_and_decomposition():

@@ -42,8 +42,6 @@ def test_enumeration_order_and_probabilities():
 
 def test_enumeration_refuses_large_tables():
     with pytest.raises(TooLarge):
-        enumerate_sequences(2, 5, limit=10)
-    with pytest.raises(TooLarge):
         enumerate_sequences(2, 21)
 
 
