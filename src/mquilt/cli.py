@@ -11,6 +11,7 @@ failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -431,6 +432,7 @@ def _cmd_simulate(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """A fresh parser of the ``mquilt`` command line."""
     parser = _Parser(prog="mquilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -509,10 +511,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` uses, built once: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits on usage errors and on --help; surface the code
         # instead of tearing down the caller.

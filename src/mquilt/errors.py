@@ -105,7 +105,8 @@ class TooManyWindows(MquiltError):
 
 
 class TooLarge(MquiltError):
-    """Exhaustive enumeration would exceed the configured size limit."""
+    """A computation would exceed a fixed size limit: an exhaustive
+    enumeration, or a two-sided influence table of the quilt search."""
 
 
 # ----------------------------------------------------------------- fitting/IO

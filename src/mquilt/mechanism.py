@@ -9,47 +9,49 @@ so the scale never exceeds ``window length / epsilon``.
 
 The search only scans offsets that can still win, and returns exactly what
 the scan of every offset would. Influence is never negative, so a quilt
-with ``n`` nearby nodes scores at least ``n / epsilon``. A search capped at
-offset ``c`` leaves out only quilts with at least ``c + 1`` nearby nodes,
-and its scale ``sigma_c`` is at least the full search's, since it takes
-each node's minimum over fewer candidates. Once ``(c + 1) / epsilon >
-sigma_c``, every left-out quilt scores strictly above every node's capped
-minimum, so the capped winners are the full search's winners, ties
-included. Rounding is monotone, so the same holds for the computed
-scores, bit for bit. Otherwise the cap grows to
-``max(2c, floor(sigma_c * epsilon) + 1)`` and the search runs again.
+with ``n`` nearby nodes scores at least ``n / epsilon``. Each node
+certifies its own winner: capped at offset ``c``, its search leaves out
+only quilts with at least ``c + 1`` nearby nodes, so once its capped
+minimum ``s`` is below ``(c + 1) / epsilon`` the capped winner is the full
+search's, ties included, and by monotone rounding bit for bit. Otherwise
+its cap grows to ``max(2c, floor(s * epsilon) + 1)``, or to its full reach
+(``na = i - 1``, ``nb = L - i``) once twice that reaches ``L``; the
+candidate that scored ``s`` is kept and now clears the test, so no node
+takes more than two steps. The test does not depend on how the caps were
+chosen, so neither does the result.
 
-Within a round of the exact search, nodes with identical kernel inputs
-share one kernel call. Node ``i`` feeds the kernel only its offset counts
-``na = min(i - 1, c)`` and ``nb = min(L - i, c)`` and the log marginals of
-nodes ``i - na .. i``. The marginal recursion reaches a bitwise fixed
-point or 2-cycle, on random chains within a few dozen steps, and past that
-point every interior node (``na = nb = c``) repeats one of at most two
-inputs. The best two-sided quilt depends only on those inputs. The
-one-sided and empty candidates do not: their nearby counts ``L - i + a``
-and ``i + b - 1`` depend on ``i``. At an interior node each of them has at
-least ``c + 1`` nearby nodes, so it scores at least ``(c + 1) / epsilon``,
-in floating point too, because ``epsilon - e <= epsilon`` and rounding is
-monotone. A shared two-sided minimum below ``(c + 1) / epsilon`` therefore
-wins strictly at every interior node that shares it, and is taken without
-scoring the rest. Every other node is scored in full from the shared
-one-sided influences: the boundary nodes, whose inputs are their own, and
-interior nodes whose shared minimum is not below ``(c + 1) / epsilon``.
-Such a round is never accepted, but the next cap reads its scale, so that
-scale stays exact. Per distinct input the search keeps the one-sided
-influences and the two-sided winner, never the two-sided table, whose size
-would be quadratic in ``c``.
+Nodes with identical inputs at one cap share them. Node ``i`` feeds the
+exact kernel only its offset counts ``na = min(i - 1, c)`` and
+``nb = min(L - i, c)`` and the log marginals of nodes ``i - na .. i``. The
+marginal recursion reaches a bitwise fixed point or 2-cycle, on random
+chains within a few dozen steps, and past that point every interior node
+(``na = nb = c``) repeats one of at most two inputs per cap. The best
+two-sided quilt depends only on those inputs. The one-sided and empty
+candidates do not: their nearby counts ``L - i + a`` and ``i + b - 1``
+depend on ``i``. At an interior node each of them has at least ``c + 1``
+nearby nodes, so it scores at least ``(c + 1) / epsilon``, in floating
+point too, because ``epsilon - e <= epsilon`` and rounding is monotone. A
+shared two-sided minimum below ``(c + 1) / epsilon`` therefore wins
+strictly at every interior node that shares it, and is taken without
+scoring the rest. Otherwise it sizes the node's next cap, and only an
+interior node with no finite two-sided quilt, or a boundary node, whose
+inputs are its own, is scored in full. Per distinct input the search
+keeps the one-sided influences and the two-sided winner, never the exact
+two-sided table, whose size would be quadratic in ``c``.
 
 The approx search runs the same node loop. Its influences depend on the
 offsets alone (``2 t(a) + t(b)`` for the quilt at offsets ``a`` and
-``b``), so it scores one table of the round's ``c * c`` two-sided quilts
-and ranks them in the tie order (score, nearby count, ``a``, ``b``).
-After prefix minima of the ranks along both axes, the entry at
-``(na - 1, nb - 1)`` ranks node ``i``'s winner. Each entry is the same
-floating-point expression as in a table of the node's own offsets, so
-this is that table's lexicographic minimum, bit for bit. Spectral terms
-``log((pi_min + d) / (pi_min - d))`` are never negative, so the interior
-shortcut holds, and all interior nodes share one input.
+``b``), so it scores one table of two-sided quilts, grown geometrically
+to cover the largest offset any node has needed so far, and ranks them in
+the tie order (score, nearby count, ``a``, ``b``). After prefix minima of
+the ranks along both axes, the entry at ``(na - 1, nb - 1)`` ranks node
+``i``'s winner. Each entry is the same floating-point expression as in a
+table of the node's own offsets, so this is that table's lexicographic
+minimum, bit for bit. Spectral terms ``log((pi_min + d) / (pi_min - d))``
+are never negative, so the interior shortcut holds, and all interior
+nodes at one cap share one input. Neither variant builds a two-sided
+table of more than ``_TABLE_LIMIT`` entries; a search that would is
+refused with :class:`~mquilt.errors.TooLarge`.
 
 Scores depend only on the framework, the budget, and the variant, never on
 the observed data, so records can be replayed and audited.
@@ -73,6 +75,7 @@ from .errors import (
     LengthMismatch,
     MixedFrameworks,
     MquiltError,
+    TooLarge,
 )
 from .influence import (
     QuiltShape,
@@ -338,8 +341,14 @@ def unit_laplace(rng: np.random.Generator) -> float:
 # --------------------------------------------------------------- quilt search
 
 _FIRST_CAP = 8
-"""Offset cap of the first pruned round. Windows of at most twice the cap
-go straight to the full search, which costs them about as much as a round."""
+"""Offset cap at which every node's search starts. In windows of at most
+twice the cap every node starts at its full reach, which costs it about as
+much as a capped step."""
+
+_TABLE_LIMIT = 2**24
+"""The most entries a two-sided influence table may hold: ranking one takes
+about 40 bytes per entry, so this is about 0.7 GB, and full searches of up
+to 4097 nodes still run."""
 
 _Candidate = tuple[float, int, int, int, int]
 """A scored quilt: score, nearby count, kind rank (two-sided 0, one-sided
@@ -351,8 +360,7 @@ def _scores(
     e: NDArray[np.float64], nearby: NDArray[np.float64], epsilon: float
 ) -> NDArray[np.float64]:
     s = np.full(e.shape, np.inf)
-    ok = e < epsilon
-    s[ok] = nearby[ok] / (epsilon - e[ok])
+    np.divide(nearby, epsilon - e, out=s, where=e < epsilon)
     return s
 
 
@@ -366,16 +374,12 @@ def _two_sided_winners(
     ma, mb = e_two.shape
     aa = np.arange(1, ma + 1)
     bb = np.arange(1, mb + 1)
-    nearby2 = aa[:, None] + bb[None, :] - 1
-    s2 = _scores(e_two, nearby2.astype(float), epsilon)
-    order = np.lexsort(
-        (
-            np.broadcast_to(bb[None, :], s2.shape).ravel(),
-            np.broadcast_to(aa[:, None], s2.shape).ravel(),
-            nearby2.ravel(),
-            s2.ravel(),
-        )
-    )
+    nearby2 = (aa[:, None] + bb[None, :] - 1).astype(float)
+    s2 = _scores(e_two, nearby2, epsilon)
+    # The sort is stable and flat indices run in (a, b) order, so ties in
+    # score and nearby count stay in the tie order.
+    order = np.lexsort((nearby2.ravel(), s2.ravel()))
+    del nearby2
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     rank = rank.reshape(ma, mb)
@@ -464,100 +468,115 @@ def _log_powers(
     return log_powers, right_max
 
 
+def _check_table(i: int, L: int, variant: str, rows: int, cols: int) -> None:
+    if rows * cols > _TABLE_LIMIT:
+        raise TooLarge(
+            f"the {variant} search of node {i} of {L} needs a {rows} x {cols} two-sided "
+            f"influence table ({rows * cols} entries); the limit is {_TABLE_LIMIT} entries"
+        )
+
+
 def _search_model(
     model: ChainModel,
     log_margs: NDArray[np.float64] | None,
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
-    cap: int,
-) -> tuple[list[list], int, int]:
-    """Best quilt of every local node over offsets up to ``cap``, as runs
+) -> tuple[list[list], dict[int, int], int, int, int]:
+    """Best quilt of every local node over all offsets, as runs
     ``[first, last, left, right, score]`` of consecutive local nodes with
     one shape and score, built while the nodes are walked.
 
     Influences are exact when ``log_margs`` (the log marginals of the
     searched nodes) is given and spectral bounds from ``info`` otherwise;
-    the variants differ only in where a node's one-sided influences and
-    two-sided winner come from. With ``cap >= L - 1`` this is the full
-    search. Also returns the number of exact-kernel calls and of nodes
-    served from another node's table entry (see the module docstring).
+    the variants differ only in where a step's one-sided influences and
+    two-sided winner come from. Each node grows its own offset cap until
+    its winner is certified (see the module docstring); cap ``L`` stands
+    for a node's full reach. Also returns the node steps taken at each
+    cap, the most steps a node took, the number of exact-kernel calls and
+    the number of steps served from another node's table entry.
     """
     runs: list[list] = []
     last = None  # the last run's (left, right, score), 0 for an absent side
-    calls = shared = 0
-    # Only interior nodes (na = nb = cap) can have the same inputs as
-    # another node. Their inputs are keyed by the ids of their log-marginal
-    # rows, equal ids for bitwise-equal rows (one id for all in the approx
-    # search), and the table keeps e_left, e_right and the two-sided
-    # winner per key.
+    first = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
+    first_bound = (first + 1) / epsilon
+    caps, most, calls, shared = {first: L}, 1, 0, 0
+    # Only interior steps (na = nb = cap) can have the same inputs as
+    # another node's. Their inputs are keyed by the ids of their cap + 1
+    # log-marginal rows, equal ids for bitwise-equal rows (one id for all in
+    # the approx search), so a key's length names its cap. The table keeps
+    # e_left, e_right and the two-sided winner per key.
     if log_margs is None:
-        terms = np.array([_spectral_term(info, x) for x in range(1, cap + 1)])
-        winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
         row_ids = np.zeros(L, dtype=np.intp)
     else:
-        log_powers, right_max = _log_powers(model.transition, cap)
         rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
         row_ids = np.unique(rows[:, 0], return_inverse=True)[1]
     table: dict[bytes, tuple[NDArray[np.float64], NDArray[np.float64], _Candidate]] = {}
-    out_of_cap = (cap + 1) / epsilon
-    for i in range(1, L + 1):
-        na, nb = min(i - 1, cap), min(L - i, cap)
-        interior = na == nb == cap > 0
-        key = row_ids[i - 1 - na : i].tobytes() if interior else None
-        if key in table:
-            e_left, e_right, two = table[key]
-            shared += 1
-        else:
+    # The log powers, or the spectral terms and their two-sided table, up to
+    # offset ``top``; they grow geometrically, and a smaller cap reads their
+    # leading block.
+    top = -1
+    log_powers = right_max = terms = winner = None
+
+    def inputs(i: int, na: int, nb: int):
+        """Node ``i``'s one-sided influences and best two-sided quilt."""
+        nonlocal top, log_powers, right_max, terms, winner, calls
+        if max(na, nb) > top:
+            top = max(na, nb, 2 * top)
+            top = top if 2 * top < L else L - 1
             if log_margs is None:
-                e_left, e_right, two = 2.0 * terms[:na], terms[:nb], winner(na, nb)
+                _check_table(i, L, "approx", top, top)
+                terms = np.array([_spectral_term(info, x) for x in range(1, top + 1)])
+                winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
             else:
-                e_left, e_right, e_two = _exact_influences(
-                    log_margs[i - 1],
-                    log_margs[i - 1 - na : i - 1][::-1],  # nearest node first
-                    log_powers[1 : na + 1],
-                    right_max[1 : nb + 1],
-                )
-                calls += 1
-                two = _two_sided_winners(epsilon, e_two)(na, nb)
-            if interior:
-                table[key] = (e_left, e_right, two)
-        if interior and two[0] < out_of_cap:
-            s, _, _, a, b = two
-        else:
-            s, _, _, a, b = _best_quilt(i, L, epsilon, e_left, e_right, two)
+                log_powers, right_max = _log_powers(model.transition, top)
+        if log_margs is None:
+            return 2.0 * terms[:na], terms[:nb], winner(na, nb)
+        _check_table(i, L, "exact", na, nb)
+        e_left, e_right, e_two = _exact_influences(
+            log_margs[i - 1],
+            log_margs[i - 1 - na : i - 1][::-1],  # nearest node first
+            log_powers[1 : na + 1],
+            right_max[1 : nb + 1],
+        )
+        calls += 1
+        return e_left, e_right, _two_sided_winners(epsilon, e_two)(na, nb)
+
+    for i in range(1, L + 1):
+        cap, bound, n = first, first_bound, 1
+        while True:
+            na, nb = min(i - 1, cap), min(L - i, cap)
+            if na == nb == cap:
+                key = row_ids[i - 1 - cap : i].tobytes()
+                entry = table.get(key)
+                if entry is None:
+                    entry = table[key] = inputs(i, na, nb)
+                else:
+                    shared += 1
+                best = entry[2]
+                if best[0] < bound:
+                    break
+                # No one-sided or empty quilt can clear an interior cap, so
+                # the shared two-sided score sizes the next one if finite.
+                s = best[0] if best[0] < math.inf else _best_quilt(i, L, epsilon, *entry)[0]
+            else:
+                best = _best_quilt(i, L, epsilon, *inputs(i, na, nb))
+                if best[0] < bound or na + nb == L - 1:
+                    break
+                s = best[0]
+            cap = max(2 * cap, math.floor(s * epsilon) + 1)
+            cap = cap if 2 * cap < L else L
+            bound = (cap + 1) / epsilon
+            caps[cap] = caps.get(cap, 0) + 1
+            n += 1
+            most = max(most, n)
+        s, _, _, a, b = best
         if (a, b, s) == last:
             runs[-1][1] = i
         else:
             last = (a, b, s)
             runs.append([i, i, a or None, b or None, s])
-    return runs, calls, shared
-
-
-def _pruned_search(
-    model: ChainModel,
-    log_margs: NDArray[np.float64] | None,
-    info: SpectralInfo | None,
-    L: int,
-    epsilon: float,
-) -> tuple[list[list], float, list[int], int, int]:
-    """:func:`_search_model` over all offsets, searching only those that can
-    still win (see the module docstring). Also returns the scale, the cap
-    of every round, and the kernel calls and shared nodes summed over the
-    rounds."""
-    cap, caps, calls, shared = _FIRST_CAP, [], 0, 0
-    while True:
-        full = 2 * cap >= L
-        if full:
-            cap = L - 1
-        runs, n_calls, n_shared = _search_model(model, log_margs, info, L, epsilon, cap)
-        caps.append(cap)
-        calls += n_calls
-        shared += n_shared
-        sigma = max(run[4] for run in runs)
-        if full or (cap + 1) / epsilon > sigma:
-            return runs, sigma, caps, calls, shared
-        cap = max(2 * cap, math.floor(sigma * epsilon) + 1)
+    return runs, caps, most, calls, shared
 
 
 def quilt_scores(
@@ -577,18 +596,17 @@ def quilt_scores(
     ``"chain"`` searches every node of the full horizon, which can only
     raise the noise scale.
 
-    Per model, the search first admits only offsets up to a small cap ``c``.
-    A quilt outside the cap has at least ``c + 1`` nearby nodes, so it
-    scores at least ``(c + 1) / epsilon``; once that exceeds the model's
-    capped scale, no such quilt can win at any node and the capped result
-    is the full result bit for bit, ties included. Otherwise the cap grows
-    to ``max(2c, floor(sigma_c * epsilon) + 1)``, and the full search runs
-    once the cap reaches half the window.
+    Each node's search admits offsets up to a cap that it grows until no
+    quilt outside the cap can win at the node, in at most two steps, so
+    the result is the full search's bit for bit (see the module docstring).
 
     Each model's search logs one DEBUG record on this module's logger: the
-    cap of every round, the nodes searched, the exact-kernel calls (none
-    in the approx variant), the nodes served from another node's table
-    entry, and the number of quilt runs.
+    nodes searched, the node steps taken at each cap (cap ``L`` is a
+    node's full reach) and the most taken by one node, the exact-kernel
+    calls (none in the approx variant), the nodes served from another
+    node's table entry, and the number of quilt runs. A search that would
+    build a two-sided influence table of more than ``2**24`` entries raises
+    :class:`~mquilt.errors.TooLarge`.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise InvalidEpsilon(f"budget must be positive and finite, got {epsilon}")
@@ -615,17 +633,17 @@ def quilt_scores(
                 log_margs, info = np.log(_marginals(model, L)), None
         else:
             log_margs, info = None, spectral(model)
-        runs, sigma, caps, calls, shared = _pruned_search(model, log_margs, info, L, epsilon)
+        runs, caps, most, calls, shared = _search_model(model, log_margs, info, L, epsilon)
         _log.debug(
-            "model %d (%s): rounds at caps %s over %d nodes, %d kernel calls, "
-            "%d nodes served from the shared table, %d quilt runs",
-            idx, variant.value, caps, L, calls, shared, len(runs),
+            "model %d (%s): %d nodes, node steps at caps %s, at most %d per node, "
+            "%d kernel calls, %d nodes served from the shared table, %d quilt runs",
+            idx, variant.value, L, dict(sorted(caps.items())), most, calls, shared, len(runs),
         )
         active[idx] = QuiltRuns(
             (first + offset, last + offset, left, right, s)
             for first, last, left, right, s in runs
         )
-        sigma_max = max(sigma_max, sigma)
+        sigma_max = max(sigma_max, max(run[4] for run in runs))
     return sigma_max, active
 
 

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import multiprocessing
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mquilt import cli, mechanism, storage
-from mquilt.chains import ChainModel, StateSequence
+from mquilt.chains import ChainModel, StateSequence, random_model, sample
 from mquilt.cli import main
 from mquilt.composition import compose_auto, compose_sequential_mqm
 from mquilt.errors import (
@@ -612,6 +613,62 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compose", "--ledger", "ledger.jsonl", "--ids", "1,x"]) == 2
     assert "error: ids must be comma-separated integers" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    model_path, data_path = _write_inputs(tmp_path)
+    release = ["release", "--model", model_path, "--data", data_path,
+               "--query", "count:0", "--epsilon", "0.8", "--seed", "11", "--json"]
+    runs = [
+        ["release", "--model", model_path],  # a usage error first
+        release,
+        ["no-such-command"],
+        ["gap", "--model", model_path, "--json"],
+        release[:-1],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in runs:
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = outcomes()  # a new parser for every call
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 0, 0]
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    try:
+        with mock.patch.object(cli, "build_parser", counting):
+            assert outcomes() == fresh
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build() is not build()
+
+
+def test_cli_approx_count_over_the_table_limit_exits_2(tmp_path, capsys):
+    # Nodes of this 10**5-node window step to ever larger caps until the
+    # approx search's two-sided table would pass its limit; it is refused
+    # before it is built, with no traceback.
+    model = random_model(10, np.random.default_rng(3))
+    model_path, data_path = tmp_path / "model.json", tmp_path / "walk.csv"
+    save_model(model, model_path)
+    save_sequence(sample(model, 100_000, 1), data_path)
+    argv = ["release", "--model", str(model_path), "--data", str(data_path),
+            "--query", f"count:{model.states[0]}", "--epsilon", "1", "--variant", "approx",
+            "--seed", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: the approx search of node ") and "limit is 16777216" in err
 
 
 def test_cli_missing_files_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import json
 import logging
@@ -21,6 +22,7 @@ from mquilt.errors import (
     LengthMismatch,
     MixedFrameworks,
     MquiltError,
+    TooLarge,
 )
 from mquilt.influence import (
     QuiltShape,
@@ -205,17 +207,20 @@ def _chain(seed, k, stay=0.0):
 
 
 @contextlib.contextmanager
-def _rounds():
-    """Record the offset cap of every search round run inside the block."""
-    caps = []
+def _node_steps():
+    """Record, per model searched inside the block, the node steps taken at
+    each cap (cap ``L`` is a node's full reach) and the most steps one node
+    took."""
+    work = []
     inner = mechanism._search_model
 
-    def counting(*args):
-        caps.append(args[-1])
-        return inner(*args)
+    def recording(*args):
+        out = inner(*args)
+        work.append(out[1:3])
+        return out
 
-    with mock.patch.object(mechanism, "_search_model", counting):
-        yield caps
+    with mock.patch.object(mechanism, "_search_model", recording):
+        yield work
 
 
 def _unpruned(fw, eps, variant):
@@ -264,7 +269,7 @@ def _brute_force_check(fw, eps, variant):
     assert sigma == pytest.approx(max(wanted), rel=1e-9)
 
 
-# Windows longer than 16 nodes are where the capped rounds run.
+# Windows longer than 16 nodes are where capped steps run.
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(17, 30), st.floats(0.2, 3.0),
        st.sampled_from([0.0, 0.9]))
@@ -279,26 +284,37 @@ def test_pruned_approx_search_matches_brute_force(seed, k, L, eps, stay):
     _brute_force_check(_full(_chain(seed, k, stay), L), eps, Variant.APPROX)
 
 
-def test_sticky_chain_needs_several_rounds():
+def test_sticky_chain_nodes_take_at_most_two_steps():
     for variant, eps in ((Variant.EXACT, 0.5), (Variant.APPROX, 4.0)):
         fw = _full(_chain(5, 3, 0.97), 150)
-        with _rounds() as caps:
+        with _node_steps() as work:
             got = quilt_scores(fw, eps, variant)
-        assert len(caps) >= 2 and caps[0] == mechanism._FIRST_CAP
-        assert caps == sorted(caps)
+        [(caps, most)] = work
+        assert most == 2 and caps[mechanism._FIRST_CAP] == 150
+        assert sum(caps.values()) > 150
         assert got == _unpruned(fw, eps, variant)
 
 
-def test_fast_chain_needs_one_round():
-    with _rounds() as caps:
+def test_fast_chain_accepts_every_node_at_the_first_cap():
+    with _node_steps() as work:
         quilt_scores(_full(_chain(3, 4), 200), 1.0, Variant.EXACT)
-    assert caps == [mechanism._FIRST_CAP]
+    assert work == [({mechanism._FIRST_CAP: 200}, 1)]
 
 
-def test_short_window_runs_full_search_at_once():
-    with _rounds() as caps:
-        quilt_scores(_full(LAZY, 12), 1.0, Variant.EXACT)
-    assert caps == [11]
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("L", [1, 2, 12, 2 * mechanism._FIRST_CAP])
+def test_short_window_searches_every_node_once_at_full_reach(L, variant):
+    scored = []
+    inner = mechanism._best_quilt
+
+    def recording(i, L, epsilon, e_left, e_right, two):
+        scored.append((i, e_left.size, e_right.size))
+        return inner(i, L, epsilon, e_left, e_right, two)
+
+    with _node_steps() as work, mock.patch.object(mechanism, "_best_quilt", recording):
+        quilt_scores(_full(_chain(5, 3, 0.97), L), 1.0, variant)
+    assert work == [({L: L}, 1)]
+    assert scored == [(i, i - 1, L - i) for i in range(1, L + 1)]
 
 
 def _stepped_marginals(model, L):
@@ -373,12 +389,35 @@ def _as_runs(winners):
     return runs
 
 
-def _unshared_search_model(model, log_margs, info, L, epsilon, cap):
-    """One kernel call and one full scoring per node, for every node."""
-    log_powers, right_max = mechanism._log_powers(model.transition, cap)
-    best = []
+def _per_node_search(L, epsilon, step):
+    """Every node's search under the per-node cap rule, scoring each step in
+    full with ``step(i, na, nb)``. Its caps grow from the node's own best
+    score, never from a shared two-sided one. Returns the runs, the steps
+    at each cap, the most steps of one node and the number of steps."""
+    first = L if 2 * mechanism._FIRST_CAP >= L else mechanism._FIRST_CAP
+    winners, caps, most = [], {}, 0
     for i in range(1, L + 1):
-        na, nb = min(i - 1, cap), min(L - i, cap)
+        cap, n = first, 0
+        while True:
+            n += 1
+            caps[cap] = caps.get(cap, 0) + 1
+            na, nb = min(i - 1, cap), min(L - i, cap)
+            best = step(i, na, nb)
+            if best[0] < (cap + 1) / epsilon or na + nb == L - 1:
+                break
+            cap = max(2 * cap, math.floor(best[0] * epsilon) + 1)
+            if 2 * cap >= L:
+                cap = L
+        most = max(most, n)
+        winners.append(best)
+    return _as_runs(winners), caps, most, sum(caps.values())
+
+
+def _unshared_search_model(model, log_margs, info, L, epsilon):
+    """One kernel call and one full scoring at every step of every node."""
+    log_powers, right_max = mechanism._log_powers(model.transition, L - 1)
+
+    def step(i, na, nb):
         e_left, e_right, e_two = mechanism._exact_influences(
             log_margs[i - 1],
             log_margs[i - 1 - na : i - 1][::-1],
@@ -386,14 +425,16 @@ def _unshared_search_model(model, log_margs, info, L, epsilon, cap):
             right_max[1 : nb + 1],
         )
         two = _two_sided_best(epsilon, e_two)
-        best.append(mechanism._best_quilt(i, L, epsilon, e_left, e_right, two))
-    return _as_runs(best), L, 0
+        return mechanism._best_quilt(i, L, epsilon, e_left, e_right, two)
+
+    runs, caps, most, steps = _per_node_search(L, epsilon, step)
+    return runs, caps, most, steps, 0
 
 
 def _unshared(fw, eps, scope="window"):
     """The exact search with no node sharing another's kernel call. Each of
-    its rounds, accepted or not, is also run by the shared search, which
-    must agree node for node."""
+    its model searches is also run by the shared search, which must agree
+    node for node."""
     shared = mechanism._search_model
 
     def search(*args):
@@ -439,11 +480,11 @@ def _exact_instances(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_exact_instances())
-# A round that is not accepted while interior nodes share their inputs.
+# Interior nodes that share their inputs take a second step.
 @example((_full(_chain(3, 3), 300), 0.2, "window"))
 # Two models, scope "chain", window off node 1.
 @example((Framework(320, Window(21, 300), (_chain(3, 3), _chain(4, 3, 0.3))), 1.0, "chain"))
-# One-sided quilts win at interior nodes of a round that is not accepted.
+# One-sided quilts win at interior nodes that are not accepted at the first cap.
 @example((_full(ChainModel.from_arrays([0.33, 0.67], [[0.9987, 0.0013], [0.5734, 0.4266]]),
                 36), 4.7, "window"))
 def test_shared_exact_search_equals_unshared_search(inst):
@@ -451,21 +492,22 @@ def test_shared_exact_search_equals_unshared_search(inst):
     assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
 
 
-def _per_node_approx_search_model(model, log_margs, info, L, epsilon, cap):
-    """The approx search with its own two-sided table scored at every node."""
-    terms = np.array([mechanism._spectral_term(info, x) for x in range(1, cap + 1)])
-    best = []
-    for i in range(1, L + 1):
-        na, nb = min(i - 1, cap), min(L - i, cap)
+def _per_node_approx_search_model(model, log_margs, info, L, epsilon):
+    """The approx search with its own two-sided table scored at every step."""
+    terms = np.array([mechanism._spectral_term(info, x) for x in range(1, L)])
+
+    def step(i, na, nb):
         two = _two_sided_best(epsilon, 2.0 * terms[:na, None] + terms[None, :nb])
-        best.append(mechanism._best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two))
-    return _as_runs(best), 0, 0
+        return mechanism._best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two)
+
+    runs, caps, most, _ = _per_node_search(L, epsilon, step)
+    return runs, caps, most, 0, 0
 
 
 def _per_node_approx(fw, eps, scope="window"):
-    """The approx search with a two-sided table per node. Each of its
-    rounds, accepted or not, is also run by the search with one table per
-    round, which must agree node for node."""
+    """The approx search with a two-sided table per step. Each of its model
+    searches is also run by the search with one shared table, which must
+    agree node for node."""
     one_table = mechanism._search_model
 
     def search(*args):
@@ -494,13 +536,13 @@ def _approx_instances(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_approx_instances())
-# Rounds at caps 8 and 299: the full round looks up every node's winner.
+# Most nodes step to their full reach, the first ones to caps of their own.
 @example((_full(random_model(10, np.random.default_rng(3)), 300), 2.0, "window"))
-# A sticky chain whose second round is the full search.
+# A sticky chain whose nodes take their second step at their full reach.
 @example((_full(_chain(5, 3, 0.97), 150), 4.0, "window"))
 # Two models, scope "chain", window off node 1.
 @example((Framework(320, Window(21, 300), (_chain(3, 3), _chain(4, 3, 0.9))), 3.0, "chain"))
-# A one-sided quilt wins at an interior node of a round that is not accepted.
+# A one-sided quilt wins at an interior node not accepted at the first cap.
 @example((_full(_chain(752767291, 2), 100), 5.48, "window"))
 def test_one_table_approx_search_equals_per_node_search(inst):
     fw, eps, scope = inst
@@ -520,8 +562,11 @@ def test_block_winners_equal_a_sort_of_each_block(seed, ma, mb, eps):
             assert winner(na, nb) == _two_sided_best(eps, e_two[:na, :nb])
 
 
-def test_approx_search_builds_one_two_sided_table_per_round():
-    fw = _full(random_model(10, np.random.default_rng(3)), 1024)
+@pytest.mark.parametrize("fw, eps", [
+    (_full(random_model(10, np.random.default_rng(3)), 1024), 2.0),
+    (_full(_chain(5, 3, 0.97), 150), 4.0),
+], ids=["random", "sticky"])
+def test_approx_search_builds_one_two_sided_table_per_growth(fw, eps):
     tables = []
     inner = mechanism._two_sided_winners
 
@@ -530,10 +575,16 @@ def test_approx_search_builds_one_two_sided_table_per_round():
         return inner(epsilon, e_two)
 
     with mock.patch.object(mechanism, "_two_sided_winners", counting), \
-            _rounds() as caps:
-        quilt_scores(fw, 2.0, Variant.APPROX)
-    assert caps[0] == mechanism._FIRST_CAP and caps[-1] == 1023
-    assert tables == [(c, c) for c in caps]
+            _node_steps() as work:
+        quilt_scores(fw, eps, Variant.APPROX)
+    [(caps, _)] = work
+    L = fw.horizon
+    sides = [a for a, _ in tables]
+    assert tables == [(a, a) for a in sides] and sides[0] == mechanism._FIRST_CAP
+    # Each table at least doubles the last, or spans the window, and the
+    # last one covers every cap a node reached.
+    assert all(new >= 2 * old or new == L - 1 > old for old, new in zip(sides, sides[1:]))
+    assert len(sides) > 1 and sides[-1] >= min(max(caps), L - 1)
 
 
 @contextlib.contextmanager
@@ -562,46 +613,85 @@ def test_kernel_calls_do_not_grow_with_the_window():
     assert quilt_scores(fw, 1.0, Variant.EXACT) == _unshared(fw, 1.0)
 
 
+def test_best_quilt_calls_do_not_grow_with_the_window():
+    # Interior nodes that do not clear the first cap size their next one
+    # from the shared two-sided score, without scoring themselves in full.
+    counts = []
+    for L in (4096, 20000):
+        calls = []
+        inner = mechanism._best_quilt
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        with mock.patch.object(mechanism, "_best_quilt", counting), _node_steps() as work:
+            quilt_scores(_full(LAZY, L), 1.0, Variant.EXACT)  # the README's chain
+        assert work[0][1] == 2  # interior nodes do take a second step
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 100
+
+
+@pytest.mark.parametrize("variant, eps", [(Variant.EXACT, 0.5), (Variant.APPROX, 4.0)])
+def test_search_refuses_a_two_sided_table_over_the_limit(variant, eps):
+    fw = _full(_chain(5, 3, 0.97), 150)
+    limit = mechanism._FIRST_CAP ** 2
+    with mock.patch.object(mechanism, "_TABLE_LIMIT", limit):
+        # Every node clears the first cap, so no table exceeds the limit.
+        quilt_scores(_full(_chain(3, 4), 200), 1.0, Variant.EXACT)
+        with pytest.raises(TooLarge, match=rf"the {variant.value} search of node \d+ of 150 "
+                           rf"needs a \d+ x \d+ two-sided influence table .*limit is {limit}"):
+            quilt_scores(fw, eps, variant)
+
+
 def _logged_runs(records):
     """The quilt run count of every DEBUG record of the search."""
     return [int(re.search(r"(\d+) quilt runs$", r.getMessage()).group(1))
             for r in records if r.name == "mquilt.mechanism"]
 
 
+def _logged_work(message):
+    """The node steps at each cap, kernel calls and shared nodes of one
+    DEBUG record of the search."""
+    steps, n_calls, n_shared = re.search(
+        r"node steps at caps (\{[^}]*\}), at most \d+ per node, (\d+) kernel calls, "
+        r"(\d+) nodes served from the shared table", message
+    ).groups()
+    return ast.literal_eval(steps), int(n_calls), int(n_shared)
+
+
 def test_search_logs_its_work_per_model(caplog):
     fw = Framework(400, Window(1, 400), (_chain(3, 3), _chain(5, 3, 0.97)))
-    with _kernel_calls() as calls, _rounds() as caps, \
+    with _kernel_calls() as calls, _node_steps() as work, \
             caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
         _, active = quilt_scores(fw, 0.5, Variant.EXACT)
     records = [r for r in caplog.records if r.name == "mquilt.mechanism"]
     assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
     first = records[0].getMessage()
-    assert first.startswith("model 0 (exact): rounds at caps [8] over 400 nodes")
-    logged_calls, logged_shared = [], []
-    for r in records:
-        n_calls, n_shared = re.search(
-            r"(\d+) kernel calls, (\d+) nodes served from the shared table", r.getMessage()
-        ).groups()
-        logged_calls.append(int(n_calls))
-        logged_shared.append(int(n_shared))
-    assert sum(logged_calls) == len(calls)
-    # Every searched node either calls the kernel or is served from the table.
-    assert sum(logged_calls) + sum(logged_shared) == 400 * len(caps)
-    assert logged_shared[0] > 0
+    assert first.startswith("model 0 (exact): 400 nodes, node steps at caps {8: 400}, "
+                            "at most 1 per node")
+    logged = [_logged_work(r.getMessage()) for r in records]
+    assert [steps for steps, _, _ in logged] == [caps for caps, _ in work]
+    assert sum(n_calls for _, n_calls, _ in logged) == len(calls)
+    # Every node step either calls the kernel or is served from the table.
+    for steps, n_calls, n_shared in logged:
+        assert n_calls + n_shared == sum(steps.values())
+    assert logged[0][2] > 0 and sum(logged[1][0].values()) > 400
     assert _logged_runs(records) == [len(active[idx].runs) for idx in (0, 1)]
 
-    # The approx search calls no kernel; its interior nodes but the first
-    # of each round share that node's entry.
+    # The approx search calls no kernel. Its interior nodes but the first
+    # share one entry at the first cap, and its boundary nodes none.
     caplog.clear()
-    with _kernel_calls() as calls, _rounds() as caps, \
-            caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
+    with _kernel_calls() as calls, caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
         _, active = quilt_scores(fw, 0.5, Variant.APPROX)
     assert _logged_runs(caplog.records) == [len(active[idx].runs) for idx in (0, 1)]
     records = [r.getMessage() for r in caplog.records if r.name == "mquilt.mechanism"]
-    assert len(records) == 2 and records[0].startswith("model 0 (approx): rounds at caps")
-    logged = [re.search(r"(\d+) kernel calls, (\d+) nodes served", r).groups() for r in records]
-    assert calls == [] and all(n_calls == "0" for n_calls, _ in logged)
-    assert sum(int(n) for _, n in logged) == sum(max(400 - 2 * c - 1, 0) for c in caps) > 0
+    assert len(records) == 2 and records[0].startswith("model 0 (approx): 400 nodes")
+    interior = 400 - 2 * mechanism._FIRST_CAP
+    assert calls == []
+    for steps, n_calls, n_shared in map(_logged_work, records):
+        assert n_calls == 0
+        assert interior - 1 <= n_shared <= sum(steps.values()) - 2 * mechanism._FIRST_CAP - 1
 
 
 def test_search_builds_no_quilt_shape_per_node():
