@@ -301,6 +301,7 @@ def _cmd_verify_soundness(args) -> int:
     variant = Variant(args.variant)
     failures = 0
     lines = []
+    results = []
     for trial in range(args.seeds):
         model = (
             validate(load_model(args.model))
@@ -317,6 +318,9 @@ def _cmd_verify_soundness(args) -> int:
         emp = empirical_epsilon(fw, [(vals, sigma)])
         ok = emp.value <= args.epsilon + 1e-9
         failures += 0 if ok else 1
+        results.append(
+            {"empirical_epsilon": emp.value, "slack": args.epsilon - emp.value}
+        )
         lines.append(
             f"trial {trial}: empirical {emp.value:.6f} vs budget "
             f"{args.epsilon:.6f} -> {'PASS' if ok else 'FAIL'}"
@@ -324,7 +328,7 @@ def _cmd_verify_soundness(args) -> int:
     lines.append(f"{args.seeds - failures}/{args.seeds} trials passed")
     _emit(
         args,
-        {"trials": args.seeds, "failures": failures},
+        {"trials": args.seeds, "failures": failures, "results": results},
         lines,
     )
     return 0 if failures == 0 else 2

@@ -172,12 +172,15 @@ class Framework:
 class LipschitzQuery:
     """A numeric query with a known sensitivity to one-node changes.
 
-    ``evaluate`` maps a window's worth of state indices to a float;
-    changing a single node moves the value by at most ``lipschitz_constant``.
+    ``evaluate`` is batched: it maps an integer array of state indices of
+    shape ``(..., L)``, one window of ``L`` nodes per trailing row, to the
+    values of shape ``(...)``, so the oracle evaluates every enumerated
+    trajectory in one call and a release evaluates its one window.
+    Changing a single node moves a value by at most ``lipschitz_constant``.
     """
 
     identifier: str
-    evaluate: Callable[[NDArray[np.int64]], float]
+    evaluate: Callable[[NDArray[np.int64]], NDArray[np.float64] | float]
     lipschitz_constant: float = 1.0
 
     def __post_init__(self) -> None:
@@ -194,8 +197,8 @@ def count_state_query(state: int, k: int, label: str | None = None) -> Lipschitz
         raise BadState(f"state index {state} outside 0..{k - 1}")
     name = label if label is not None else str(state)
 
-    def evaluate(values: NDArray[np.int64]) -> float:
-        return float(np.count_nonzero(np.asarray(values) == state))
+    def evaluate(values: NDArray[np.int64]) -> NDArray[np.float64] | float:
+        return np.count_nonzero(np.asarray(values) == state, axis=-1).astype(float)
 
     return LipschitzQuery(f"count:{name}", evaluate, 1.0)
 

@@ -14,6 +14,16 @@ Ratio evaluations rescale each kernel by a reference anchored to the
 evaluation point, which cancels in matched ratios and keeps everything
 inside floating range even for tiny noise scales.
 
+The work scales with the number of distinct release values, not with the
+number of trajectories. A query is evaluated over the whole trajectory
+table in one batched call (:class:`~mquilt.mechanism.LipschitzQuery`), and a
+trajectory's Laplace factors depend on it only through its release values,
+so :func:`empirical_epsilon` bins trajectory probability by (state at the
+secret node, combination of distinct values) and contracts the binned
+mass with each release's factor matrix over its distinct centers.
+:func:`reevaluate_witness` recomputes a witness trajectory by trajectory,
+independently of the binning.
+
 :func:`enumerate_quilts` and :func:`score` score one quilt at a time; they
 are the reference the mechanism's batched quilt search must reproduce.
 """
@@ -28,7 +38,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chains import ChainModel, marginal, validate
-from .errors import BadShape, InvalidEpsilon, MquiltError, TooLarge
+from .errors import (
+    BadShape,
+    InvalidEpsilon,
+    InvalidTime,
+    LengthMismatch,
+    MquiltError,
+    TooLarge,
+)
 from .influence import QuiltShape, Variant, nearby_size
 from .mechanism import Framework, LipschitzQuery, ReleaseRecord, Window, quilt_scores
 
@@ -201,27 +218,13 @@ def release_values(
 ) -> tuple[NDArray[np.float64], float]:
     """Scaled query values over full trajectories, plus the noise scale.
 
-    Slices each trajectory to the record's window before evaluating, so
-    the result plugs straight into the oracle as one release.
+    Slices the trajectory table to the record's window and evaluates the
+    query over all rows in one batched call, so the result plugs straight
+    into the oracle as one release.
     """
     lo, hi = record.window.start - 1, record.window.end
-    vals = np.array([float(query.evaluate(row[lo:hi])) for row in seqs])
+    vals = np.asarray(query.evaluate(seqs[:, lo:hi]), dtype=float)
     return vals / record.lipschitz_constant, record.sigma_max
-
-
-def _pair_ratio_tensors(
-    probs: NDArray[np.float64],
-    seqs: NDArray[np.int64],
-    node: int,
-    factor_list: list[NDArray[np.float64]],
-    m_i: NDArray[np.float64],
-    letters_subs: str,
-) -> dict[int, NDArray[np.float64]]:
-    tensors: dict[int, NDArray[np.float64]] = {}
-    for state in np.nonzero(m_i > 0)[0]:
-        w = probs * (seqs[:, node - 1] == state) / m_i[state]
-        tensors[int(state)] = np.einsum(letters_subs, *factor_list, w)
-    return tensors
 
 
 def empirical_epsilon(
@@ -233,37 +236,64 @@ def empirical_epsilon(
 
     ``releases`` pairs per-trajectory scaled values (in enumeration order
     over the full horizon) with noise scales. Secrets default to every
-    node of the framework window, under every model; value pairs whose
-    conditioning probability is zero are skipped.
+    node of the framework window, under every model; values whose
+    conditioning probability is zero are skipped. Raises ``InvalidTime``
+    for a secret node outside ``1..horizon`` and ``LengthMismatch`` for a
+    value array that is not one value per trajectory.
+
+    For each model and node, trajectory probability is binned by the
+    state at the node and the combination of distinct release values,
+    then contracted with each release's factor matrix over its distinct
+    centers and normalised by the binned state mass.
     """
     seqs = enumerate_sequences(framework.k, framework.horizon)
-    value_arrays = [np.asarray(v, dtype=float) for v, _ in releases]
-    sigmas = [float(s) for _, s in releases]
     nodes = (
         list(secret_nodes)
         if secret_nodes is not None
         else list(range(framework.window.start, framework.window.end + 1))
     )
-    grids = [_grid_points(v) for v in value_arrays]
+    bad = [i for i in nodes if not 1 <= i <= framework.horizon]
+    if bad:
+        raise InvalidTime(f"secret nodes {bad} outside 1..{framework.horizon}")
+    grids, factors, codes = [], [], []
+    for values, sigma in releases:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (seqs.shape[0],):
+            raise LengthMismatch(
+                f"release values of shape {values.shape}, expected one per "
+                f"trajectory ({seqs.shape[0]})"
+            )
+        centers, code = np.unique(values, return_inverse=True)
+        grids.append(_grid_points(centers))
+        factors.append(_factor_rows(centers, float(sigma), grids[-1]))
+        codes.append(code)
+    dims = tuple(f.shape[1] for f in factors)
+    combo = np.ravel_multi_index(codes, dims)
+    n_combos = math.prod(dims)
     best = -math.inf
     best_witness: Witness | None = None
-    letters = [chr(ord("a") + j) for j in range(len(releases))]
-    subs = ",".join(f"{letter}x" for letter in letters) + ",x->" + "".join(letters)
     for mdx, model in enumerate(framework.models):
         probs = sequence_probs(model, seqs)
-        factor_list = [
-            _factor_rows(value_arrays[j], sigmas[j], grids[j])
-            for j in range(len(releases))
-        ]
         for i in nodes:
-            m_i = marginal(model, i)
-            tensors = _pair_ratio_tensors(probs, seqs, i, factor_list, m_i, subs)
-            live = sorted(tensors.keys())
-            for ai in range(len(live)):
-                for bi in range(ai + 1, len(live)):
-                    a, b = live[ai], live[bi]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        gap = np.abs(np.log(tensors[a]) - np.log(tensors[b]))
+            mass = np.bincount(
+                seqs[:, i - 1] * n_combos + combo,
+                weights=probs,
+                minlength=framework.k * n_combos,
+            ).reshape(framework.k, *dims)
+            state_mass = mass.reshape(framework.k, -1).sum(axis=1)
+            live = np.nonzero(state_mass > 0)[0]
+            if live.size < 2:
+                continue
+            law = mass[live]
+            for fac in factors:
+                law = np.tensordot(law, fac, axes=([1], [1]))
+            law /= state_mass[live].reshape(-1, *[1] * len(dims))
+            with np.errstate(divide="ignore"):
+                logs = np.log(law)
+            for ai in range(live.size):
+                for bi in range(ai + 1, live.size):
+                    with np.errstate(invalid="ignore"):
+                        gap = np.abs(logs[ai] - logs[bi])
                     flat = int(np.nanargmax(gap))
                     val = float(gap.ravel()[flat])
                     if val > best:
@@ -272,7 +302,8 @@ def empirical_epsilon(
                             float(grids[j][c]) for j, c in enumerate(coords)
                         )
                         best = val
-                        best_witness = Witness(mdx, i, (a, b), point, val)
+                        pair = (int(live[ai]), int(live[bi]))
+                        best_witness = Witness(mdx, i, pair, point, val)
     if best_witness is None:
         return EmpiricalEpsilon(0.0, None)
     return EmpiricalEpsilon(best, best_witness)
@@ -402,8 +433,7 @@ def check_joint_remote_bound(
         seqs = enumerate_sequences(model.k, L)
         probs = sequence_probs(model, seqs)
         values = (
-            np.array([float(query.evaluate(row)) for row in seqs])
-            / query.lipschitz_constant
+            np.asarray(query.evaluate(seqs), dtype=float) / query.lipschitz_constant
         )
         for aq in active[mdx]:
             i_local = aq.node - offset

@@ -1057,6 +1057,24 @@ def test_cli_verify_soundness_and_lemmas(capsys):
     assert "4/4" in capsys.readouterr().out
 
 
+def test_cli_verify_soundness_json_reports_each_trial(capsys):
+    argv = ["verify", "soundness", "--T", "4", "--seeds", "3", "--epsilon", "0.8"]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trials"] == 3 and payload["failures"] == 0
+    results = payload["results"]
+    assert len(results) == 3
+    for res in results:
+        assert res["slack"] == 0.8 - res["empirical_epsilon"]
+        assert 0.0 < res["empirical_epsilon"] <= 0.8 + 1e-9
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        f"trial {n}: empirical {res['empirical_epsilon']:.6f} vs budget 0.800000 -> PASS"
+        for n, res in enumerate(results)
+    ]
+
+
 def test_cli_verify_soundness_single_state_chain(capsys):
     # A one-state chain has no secret pair: zero leakage, not a crash.
     assert main(["verify", "soundness", "--k", "1", "--T", "3", "--seeds", "1"]) == 0

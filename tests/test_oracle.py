@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mquilt.chains import ChainModel, StateSequence, random_model
-from mquilt.errors import TooLarge
+from mquilt import oracle
+from mquilt.chains import ChainModel, StateSequence, marginal, random_model
+from mquilt.errors import InvalidTime, LengthMismatch, TooLarge
 from mquilt.influence import QuiltShape, Variant, exact_max_influence
 from mquilt.mechanism import (
     Framework,
+    LipschitzQuery,
     Window,
     count_state_query,
     release,
@@ -207,3 +211,151 @@ def test_release_values_slice_to_window():
     # row [0, 1, 0] has one zero inside window [2, 3]
     np.testing.assert_allclose(vals[2], 1.0)
     np.testing.assert_allclose(vals[0], 2.0)
+
+
+def test_empirical_epsilon_refuses_secret_nodes_outside_the_horizon():
+    fw = _full(LAZY, 3)
+    values = np.arange(8, dtype=float)
+    for nodes in ([4], [0], [1, -1]):
+        with pytest.raises(InvalidTime):
+            empirical_epsilon(fw, [(values, 1.0)], secret_nodes=nodes)
+
+
+def test_empirical_epsilon_refuses_values_not_one_per_trajectory():
+    fw = _full(LAZY, 3)
+    for values in (np.zeros(7), np.zeros(9), np.zeros((8, 1))):
+        with pytest.raises(LengthMismatch):
+            empirical_epsilon(fw, [(np.zeros(8), 1.0), (values, 1.0)])
+
+
+def _counting(query):
+    """The query, plus the list of shapes its ``evaluate`` was called on."""
+    calls = []
+
+    def evaluate(values):
+        calls.append(np.shape(values))
+        return query.evaluate(values)
+
+    return LipschitzQuery(query.identifier, evaluate, query.lipschitz_constant), calls
+
+
+def test_release_values_evaluates_the_query_once():
+    fw = Framework(5, Window(2, 4), (LAZY,))
+    query = count_state_query(1, 2)
+    rec = release(StateSequence(np.zeros(3, dtype=np.int64)), query, 1.0, fw,
+                  Variant.EXACT, 2)
+    seqs = enumerate_sequences(2, 5)
+    counted, calls = _counting(query)
+    vals, _ = release_values(rec, counted, seqs)
+    assert calls == [(32, 3)]
+    want = [float(np.count_nonzero(row[1:4] == 1)) for row in seqs]
+    np.testing.assert_array_equal(vals, want)
+
+
+def test_remote_bound_evaluates_the_query_once_per_model():
+    fw = Framework(3, Window(1, 3), (LAZY, random_model(2, np.random.default_rng(5))))
+    counted, calls = _counting(count_state_query(0, 2))
+    rep = check_joint_remote_bound(fw, counted, 1.0)
+    assert calls == [(8, 3), (8, 3)]
+    assert rep == check_joint_remote_bound(fw, count_state_query(0, 2), 1.0)
+
+
+def _per_trajectory_epsilon(framework, releases, secret_nodes):
+    """Worst log ratio from one Laplace factor per trajectory and grid
+    point, contracted over all k^T trajectories and normalised by the
+    marginal law; None when no node has two live states."""
+    seqs = enumerate_sequences(framework.k, framework.horizon)
+    values = [np.asarray(v, dtype=float) for v, _ in releases]
+    factors = [
+        oracle._factor_rows(v, s, oracle._grid_points(v))
+        for v, (_, s) in zip(values, releases)
+    ]
+    letters = "abc"[: len(releases)]
+    subs = ",".join(f"{c}x" for c in letters) + ",x->" + letters
+    best = None
+    for model in framework.models:
+        probs = sequence_probs(model, seqs)
+        for i in secret_nodes:
+            m_i = marginal(model, i)
+            live = np.nonzero(m_i > 0)[0]
+            laws = [
+                np.einsum(subs, *factors, probs * (seqs[:, i - 1] == a) / m_i[a])
+                for a in live
+            ]
+            for x in range(live.size):
+                for y in range(x + 1, live.size):
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        gap = np.abs(np.log(laws[x]) - np.log(laws[y]))
+                    best = max(best or 0.0, float(np.nanmax(gap)))
+    return best
+
+
+@st.composite
+def _oracle_instances(draw):
+    k = draw(st.sampled_from([2, 3, 1]))
+    T = draw(st.sampled_from(range(8, 0, -1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for _ in range(draw(st.integers(1, 2))):
+        initial = rng.dirichlet(np.ones(k))
+        P = rng.dirichlet(np.ones(k), size=k)
+        if draw(st.booleans()):  # zero initial mass
+            initial[rng.random(k) < 0.5] = 0.0
+            initial[rng.integers(k)] += 0.1
+        if draw(st.booleans()):  # an absorbing state
+            s = rng.integers(k)
+            P[s] = np.eye(k)[s]
+        models.append(ChainModel.from_arrays(initial / initial.sum(), P))
+    start = draw(st.integers(1, T))
+    fw = Framework(T, Window(start, draw(st.integers(start, T))), tuple(models))
+    seqs = enumerate_sequences(k, T)
+    releases = []
+    for _ in range(draw(st.integers(1, 3))):
+        sigma = draw(st.floats(0.2, 3.0))
+        a = draw(st.integers(1, T))
+        b = draw(st.integers(a, T))
+        if draw(st.booleans()):
+            query = count_state_query(draw(st.integers(0, k - 1)), k)
+            values = query.evaluate(seqs[:, a - 1 : b])
+        else:  # a few arbitrary real values, shared by many trajectories
+            values = rng.integers(0, 4, size=seqs.shape[0]) * draw(st.floats(0.1, 2.0))
+        releases.append((values, sigma))
+    nodes = draw(st.one_of(
+        st.none(), st.lists(st.integers(1, T), min_size=1, max_size=T, unique=True)
+    ))
+    return fw, releases, nodes
+
+
+def _three_state_instance():
+    """Three counts over three windows at k=3, T=7, under two models: one
+    with zero initial mass, one with an absorbing state."""
+    rng = np.random.default_rng(19)
+    P = rng.dirichlet(np.ones(3), size=3)
+    P[2] = [0.0, 0.0, 1.0]
+    models = (
+        ChainModel.from_arrays([0.0, 0.6, 0.4], rng.dirichlet(np.ones(3), size=3)),
+        ChainModel.from_arrays([0.2, 0.5, 0.3], P),
+    )
+    seqs = enumerate_sequences(3, 7)
+    releases = [
+        (count_state_query(s, 3).evaluate(seqs[:, a - 1 : b]), sigma)
+        for s, (a, b), sigma in ((0, (1, 7), 0.6), (1, (2, 5), 1.3), (2, (4, 7), 0.9))
+    ]
+    return Framework(7, Window(2, 7), models), releases, None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_oracle_instances())
+@example(_three_state_instance())
+def test_empirical_epsilon_matches_the_per_trajectory_reference(inst):
+    fw, releases, nodes = inst
+    emp = empirical_epsilon(fw, releases, secret_nodes=nodes)
+    if nodes is None:
+        nodes = range(fw.window.start, fw.window.end + 1)
+    want = _per_trajectory_epsilon(fw, releases, nodes)
+    if want is None:
+        assert emp == EmpiricalEpsilon(0.0, None)
+        return
+    assert math.isclose(emp.value, want, rel_tol=1e-12, abs_tol=1e-15)
+    again = reevaluate_witness(fw, releases, emp.witness)
+    assert again == pytest.approx(emp.value, rel=1e-9, abs=1e-12)
