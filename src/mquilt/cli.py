@@ -112,7 +112,7 @@ def _print_report(args, report: CompositionReport) -> None:
 def _cmd_fit(args) -> int:
     sequences = [load_sequence(p).values for p in args.data.split(",")]
     states = args.states.split(",") if args.states else None
-    k = args.k if args.k else int(max(int(s.max()) for s in sequences)) + 1
+    k = args.k if args.k is not None else int(max(int(s.max()) for s in sequences)) + 1
     model = fit_chain(sequences, k, args.alpha, states)
     save_model(model, args.out)
     _emit(
@@ -151,7 +151,7 @@ def _cmd_release(args) -> int:
     models = tuple(load_model(p) for p in args.model.split(","))
     data = load_sequence(args.data)
     window = _parse_window(args.window) if args.window else Window(1, len(data))
-    horizon = args.horizon if args.horizon else window.end
+    horizon = args.horizon if args.horizon is not None else window.end
     framework = Framework(horizon, window, models)
     variant = Variant(args.variant)
     k = framework.k

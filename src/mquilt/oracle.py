@@ -17,12 +17,18 @@ inside floating range even for tiny noise scales.
 The work scales with the number of distinct release values, not with the
 number of trajectories. A query is evaluated over the whole trajectory
 table in one batched call (:class:`~mquilt.mechanism.LipschitzQuery`), and a
-trajectory's Laplace factors depend on it only through its release values,
-so :func:`empirical_epsilon` bins trajectory probability by (state at the
-secret node, combination of distinct values) and contracts the binned
-mass with each release's factor matrix over its distinct centers.
-:func:`reevaluate_witness` recomputes a witness trajectory by trajectory,
-independently of the binning.
+trajectory's Laplace factors depend on it only through its release values.
+One binned scan serves every conditional-law check: it bins trajectory
+probability by (state at the secret node, outcome bin), contracts each
+release's axis with its factor matrix over its distinct centers, keeps
+exactly observed axes as they are, and takes the worst log ratio between
+two states' normalised laws. :func:`empirical_epsilon` bins by the
+combination of distinct release values, :func:`check_joint_remote_bound`
+adds the realization of the nodes outside each winning quilt as an exact
+axis, and :func:`enumerated_max_influence` bins by the realization on its
+node set alone. :func:`reevaluate_witness` and :func:`verify_counterexample`
+recompute their ratios trajectory by trajectory, independently of the
+binning.
 
 :func:`enumerate_quilts` and :func:`score` score one quilt at a time; they
 are the reference the mechanism's batched quilt search must reproduce.
@@ -79,11 +85,8 @@ def enumerate_sequences(k: int, T: int) -> NDArray[np.int64]:
     total = k**T
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"{k}^{T} = {total} trajectories exceeds limit {ENUMERATION_LIMIT}")
-    idx = np.arange(total)
-    seqs = np.empty((total, T), dtype=np.int64)
-    for t in range(T):
-        seqs[:, t] = (idx // k ** (T - 1 - t)) % k
-    return seqs
+    seqs = np.indices((k,) * T, dtype=np.int64).reshape(T, total)
+    return np.ascontiguousarray(seqs.T)
 
 
 def sequence_probs(model: ChainModel, seqs: NDArray[np.int64]) -> NDArray[np.float64]:
@@ -169,6 +172,72 @@ def _grid_points(centers: NDArray[np.float64]) -> list[float]:
     return [-math.inf] + [float(v) for v in np.unique(centers)] + [math.inf]
 
 
+def _realizations(
+    seqs: NDArray[np.int64], nodes: Sequence[int], k: int
+) -> NDArray[np.int64]:
+    """Each trajectory's realization on ``nodes`` (1-based, ascending) as an
+    index into ``range(k ** len(nodes))``, in lexicographic order."""
+    return seqs[:, [n - 1 for n in nodes]] @ k ** np.arange(len(nodes) - 1, -1, -1)
+
+
+def _worst_gap(
+    states: NDArray[np.int64],
+    k: int,
+    probs: NDArray[np.float64],
+    bins: NDArray[np.int64],
+    dims: tuple[int, ...],
+    factors: Sequence[NDArray[np.float64] | None],
+) -> tuple[float, tuple[int, int], tuple[int, ...]] | None:
+    """Worst log ratio between the outcome laws given two states of a node.
+
+    ``states`` holds the node's state on each trajectory and ``bins`` its
+    index into an outcome table of shape ``dims``. Each table axis has a
+    factor matrix (grid points by bins), or None where the outcome on that
+    axis is observed exactly. Returns the largest
+    ``|log p(o | a) - log p(o | b)|`` over states ``a < b`` of positive mass
+    and grid outcomes ``o`` where either law is positive, with ``(a, b)``
+    and the index of ``o``; None when fewer than two states have mass.
+    """
+    n_bins = math.prod(dims)
+    mass = np.bincount(
+        states * n_bins + bins, weights=probs, minlength=k * n_bins
+    ).reshape(k, *dims)
+    state_mass = mass.reshape(k, -1).sum(axis=1)
+    live = np.nonzero(state_mass > 0)[0]
+    if live.size < 2:
+        return None
+    law = mass[live]
+    for fac in factors:
+        if fac is None:
+            law = np.moveaxis(law, 1, -1)
+        else:
+            law = np.tensordot(law, fac, axes=([1], [1]))
+    law /= state_mass[live].reshape(-1, *[1] * len(dims))
+    with np.errstate(divide="ignore"):
+        logs = np.log(law)
+    best = None
+    for ai in range(live.size):
+        for bi in range(ai + 1, live.size):
+            with np.errstate(invalid="ignore"):
+                gap = np.abs(logs[ai] - logs[bi])
+            flat = int(np.nanargmax(gap))
+            val = float(gap.ravel()[flat])
+            if best is None or val > best[0]:
+                pair = (int(live[ai]), int(live[bi]))
+                best = (val, pair, np.unravel_index(flat, gap.shape))
+    return best
+
+
+def _encode(v: float) -> float | str:
+    """A grid coordinate for JSON, with the tail limits as ``"+inf"`` and
+    ``"-inf"``."""
+    if v == math.inf:
+        return "+inf"
+    if v == -math.inf:
+        return "-inf"
+    return v
+
+
 # ------------------------------------------------------- empirical epsilon
 
 
@@ -183,18 +252,11 @@ class Witness:
     log_ratio: float
 
     def to_dict(self) -> dict:
-        def enc(v: float):
-            if v == math.inf:
-                return "+inf"
-            if v == -math.inf:
-                return "-inf"
-            return v
-
         return {
             "model_index": self.model_index,
             "node": self.node,
             "pair": list(self.pair),
-            "point": [enc(v) for v in self.point],
+            "point": [_encode(v) for v in self.point],
             "log_ratio": self.log_ratio,
         }
 
@@ -269,41 +331,16 @@ def empirical_epsilon(
         codes.append(code)
     dims = tuple(f.shape[1] for f in factors)
     combo = np.ravel_multi_index(codes, dims)
-    n_combos = math.prod(dims)
     best = -math.inf
     best_witness: Witness | None = None
     for mdx, model in enumerate(framework.models):
         probs = sequence_probs(model, seqs)
         for i in nodes:
-            mass = np.bincount(
-                seqs[:, i - 1] * n_combos + combo,
-                weights=probs,
-                minlength=framework.k * n_combos,
-            ).reshape(framework.k, *dims)
-            state_mass = mass.reshape(framework.k, -1).sum(axis=1)
-            live = np.nonzero(state_mass > 0)[0]
-            if live.size < 2:
-                continue
-            law = mass[live]
-            for fac in factors:
-                law = np.tensordot(law, fac, axes=([1], [1]))
-            law /= state_mass[live].reshape(-1, *[1] * len(dims))
-            with np.errstate(divide="ignore"):
-                logs = np.log(law)
-            for ai in range(live.size):
-                for bi in range(ai + 1, live.size):
-                    with np.errstate(invalid="ignore"):
-                        gap = np.abs(logs[ai] - logs[bi])
-                    flat = int(np.nanargmax(gap))
-                    val = float(gap.ravel()[flat])
-                    if val > best:
-                        coords = np.unravel_index(flat, gap.shape)
-                        point = tuple(
-                            float(grids[j][c]) for j, c in enumerate(coords)
-                        )
-                        best = val
-                        pair = (int(live[ai]), int(live[bi]))
-                        best_witness = Witness(mdx, i, pair, point, val)
+            found = _worst_gap(seqs[:, i - 1], framework.k, probs, combo, dims, factors)
+            if found is not None and found[0] > best:
+                best, pair, coords = found
+                point = tuple(float(grids[j][c]) for j, c in enumerate(coords))
+                best_witness = Witness(mdx, i, pair, point, best)
     if best_witness is None:
         return EmpiricalEpsilon(0.0, None)
     return EmpiricalEpsilon(best, best_witness)
@@ -343,29 +380,25 @@ def enumerated_max_influence(
     Groups trajectories by their realization on ``node_set`` and compares
     conditional masses across value pairs at ``node``. Realizations that
     are impossible under both values are skipped; possible under exactly
-    one gives ``inf``.
+    one gives ``inf``. Raises ``InvalidTime`` for a node outside
+    ``1..horizon``.
     """
     model = validate(model)
     T = horizon if horizon is not None else max([node, *node_set])
+    bad = [n for n in (node, *node_set) if not 1 <= n <= T]
+    if bad:
+        raise InvalidTime(f"nodes {bad} outside 1..{T}")
     seqs = enumerate_sequences(model.k, T)
-    probs = sequence_probs(model, seqs)
-    m_i = marginal(model, node)
-    live = np.nonzero(m_i > 0)[0]
-    if live.size < 2:
-        return 0.0
-    if not node_set:
-        return 0.0
-    cols = [n - 1 for n in sorted(node_set)]
-    _, group = np.unique(seqs[:, cols], axis=0, return_inverse=True)
-    n_groups = int(group.max()) + 1
-    cond = np.zeros((live.size, n_groups))
-    for row, state in enumerate(live):
-        mask = seqs[:, node - 1] == state
-        np.add.at(cond[row], group[mask], probs[mask] / m_i[state])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(cond)
-        diff = logs[:, None, :] - logs[None, :, :]
-    return float(np.fmax(np.nanmax(diff), 0.0))
+    nodes = sorted(set(node_set))
+    found = _worst_gap(
+        seqs[:, node - 1],
+        model.k,
+        sequence_probs(model, seqs),
+        _realizations(seqs, nodes, model.k),
+        (model.k ** len(nodes),),
+        [None],
+    )
+    return 0.0 if found is None else found[0]
 
 
 # ----------------------------------------------------- joint remote bound
@@ -400,17 +433,6 @@ class RemoteBoundReport:
         }
 
 
-def _nearby_local_nodes(shape, L: int) -> set[int]:
-    i = shape.node
-    if shape.is_two_sided:
-        return set(range(i - shape.left + 1, i + shape.right))
-    if shape.left is not None:
-        return set(range(i - shape.left + 1, L + 1))
-    if shape.right is not None:
-        return set(range(1, i + shape.right))
-    return set(range(1, L + 1))
-
-
 def check_joint_remote_bound(
     framework: Framework,
     query: LipschitzQuery,
@@ -421,71 +443,46 @@ def check_joint_remote_bound(
     Runs the exact quilt search, then for each model and node conditions on
     each realization of the nodes outside the winning quilt's nearby set
     and checks the output-law ratio against ``exp(epsilon)`` on the exact
-    evaluation grid, up to 1e-9 of rounding.
+    evaluation grid, up to 1e-9 of rounding. The remote realization is an
+    exactly observed axis of the binned outcome table, next to the
+    release's distinct values.
     """
     sigma_max, active = quilt_scores(framework, epsilon, Variant.EXACT)
-    L = framework.window.length
+    k, L = framework.k, framework.window.length
     offset = framework.window.start - 1
+    seqs = enumerate_sequences(k, L)
     worst = -math.inf
     witness: dict = {}
     for mdx, base in enumerate(framework.models):
-        model = framework.window_model(base)
-        seqs = enumerate_sequences(model.k, L)
-        probs = sequence_probs(model, seqs)
+        probs = sequence_probs(framework.window_model(base), seqs)
         values = (
             np.asarray(query.evaluate(seqs), dtype=float) / query.lipschitz_constant
         )
+        centers, code = np.unique(values, return_inverse=True)
+        grid = _grid_points(centers)
+        fac = _factor_rows(centers, sigma_max, grid)
         for aq in active[mdx]:
-            i_local = aq.node - offset
-            shape = aq.shape
-            local_shape_nodes = _nearby_local_nodes(
-                QuiltShape(i_local, shape.left, shape.right), L
+            i, shape = aq.node - offset, aq.shape
+            lo = i - shape.left + 1 if shape.left is not None else 1
+            hi = i + shape.right - 1 if shape.right is not None else L
+            remote = [*range(1, lo), *range(hi + 1, L + 1)]
+            group = _realizations(seqs, remote, k)
+            dims = (k ** len(remote), centers.size)
+            found = _worst_gap(
+                seqs[:, i - 1], k, probs, group * centers.size + code, dims, [None, fac]
             )
-            remote = sorted(set(range(1, L + 1)) - local_shape_nodes)
-            m_i = probs @ (seqs[:, i_local - 1][:, None] == np.arange(model.k))
-            live = np.nonzero(m_i > 0)[0]
-            if live.size < 2:
+            if found is None or found[0] <= worst:
                 continue
-            if remote:
-                _, group = np.unique(
-                    seqs[:, [n - 1 for n in remote]], axis=0, return_inverse=True
-                )
-            else:
-                group = np.zeros(seqs.shape[0], dtype=np.int64)
-            n_groups = int(group.max()) + 1
-            grid = _grid_points(values)
-            fac = _factor_rows(values, sigma_max, grid)
-            for g in range(n_groups):
-                in_group = group == g
-                masses = {}
-                for state in live:
-                    w = probs * ((seqs[:, i_local - 1] == state) & in_group)
-                    masses[int(state)] = (w / m_i[state]) @ fac.T
-                for ai in range(live.size):
-                    for bi in range(live.size):
-                        if ai == bi:
-                            continue
-                        a, b = int(live[ai]), int(live[bi])
-                        top, bot = masses[a], masses[b]
-                        both_zero = (top == 0) & (bot == 0)
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            ratio = np.log(top) - np.log(bot)
-                        ratio[both_zero] = -math.inf
-                        val = float(ratio.max())
-                        if val > worst:
-                            worst = val
-                            gdx = int(ratio.argmax())
-                            witness = {
-                                "model_index": mdx,
-                                "node": aq.node,
-                                "pair": [a, b],
-                                "remote_nodes": [n + offset for n in remote],
-                                "realization_group": g,
-                                "point": grid[gdx]
-                                if math.isfinite(grid[gdx])
-                                else ("+inf" if grid[gdx] > 0 else "-inf"),
-                                "log_ratio": val,
-                            }
+            worst, pair, (g, p) = found
+            witness = {
+                "model_index": mdx,
+                "node": aq.node,
+                "pair": list(pair),
+                "remote_nodes": [n + offset for n in remote],
+                "realization_group": int(g),
+                "point": _encode(grid[p]),
+                "log_ratio": worst,
+            }
     return RemoteBoundReport(
         passed=worst <= epsilon + 1e-9,
         epsilon=float(epsilon),

@@ -1,6 +1,8 @@
 """Export lists: every listed name exists, and none is listed twice; the
-README's library example runs and prints what it states."""
+README's library example runs and prints what it states; only the CLI
+prints."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -43,3 +45,19 @@ def test_readme_library_example_prints_what_it_states(capsys):
     assert float(noisy_sigma.split()[1]) == pytest.approx(3.54, abs=5e-3)
     assert composed == "2.5 thm6"
     assert float(leakage) <= 2.0
+
+
+@pytest.mark.parametrize("name", ["mquilt"] + [
+    f"mquilt.{m.name}" for m in pkgutil.iter_modules(mquilt.__path__) if m.name != "cli"
+])
+def test_library_modules_do_not_print(name):
+    # Library code reports through logging; only the command line prints.
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    prints = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    ]
+    assert prints == []

@@ -760,6 +760,26 @@ def test_fit_refuses_smoothing_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cli_fit_refuses_a_state_count_below_one(tmp_path, capsys, k):
+    # 0 is a given count, not a request to infer one from the data.
+    data, out = tmp_path / "train.csv", tmp_path / "fitted.json"
+    save_sequence([0, 1, 0, 1, 1, 0], data)
+    assert main(["fit", "--data", str(data), "--k", k, "--out", str(out)]) == 2
+    assert f"state count must be >= 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_cli_release_refuses_a_horizon_below_one(tmp_path, capsys, horizon):
+    # 0 is a given horizon, not a request to end it at the window.
+    model_path, data_path = _write_inputs(tmp_path)
+    argv = ["release", "--model", model_path, "--data", data_path, "--query", "count:0",
+            "--epsilon", "1.0", "--seed", "1", "--horizon", horizon]
+    assert main(argv) == 2
+    assert f"horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_cli_soundness_refuses_a_sweep_of_no_trials(capsys, seeds):
     assert main(["verify", "soundness", "--T", "3", "--seeds", seeds]) == 1

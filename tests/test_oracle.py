@@ -14,6 +14,7 @@ from mquilt.mechanism import (
     LipschitzQuery,
     Window,
     count_state_query,
+    quilt_scores,
     release,
 )
 from mquilt.oracle import (
@@ -47,6 +48,18 @@ def test_enumeration_order_and_probabilities():
 def test_enumeration_refuses_large_tables():
     with pytest.raises(TooLarge):
         enumerate_sequences(2, 21)
+
+
+@pytest.mark.parametrize("k, T", [(1, 1), (1, 5), (2, 16), (3, 12), (10, 6)])
+def test_enumeration_matches_the_per_column_formula(k, T):
+    idx = np.arange(k**T)
+    want = np.empty((k**T, T), dtype=np.int64)
+    for t in range(T):
+        want[:, t] = (idx // k ** (T - 1 - t)) % k
+    seqs = enumerate_sequences(k, T)
+    assert seqs.dtype == want.dtype and seqs.shape == want.shape
+    assert seqs.flags.c_contiguous
+    np.testing.assert_array_equal(seqs, want)
 
 
 def test_empirical_epsilon_zero_for_constant_release():
@@ -146,6 +159,14 @@ def test_enumerated_influence_edge_cases():
     assert enumerated_max_influence(LAZY, 2, [], horizon=3) == 0.0
     point = ChainModel.from_arrays([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
     assert enumerated_max_influence(point, 1, [2], horizon=2) == 0.0
+
+
+def test_enumerated_influence_refuses_nodes_outside_the_horizon():
+    for node, node_set in ((2, [0]), (4, [1]), (2, [1, 4]), (0, [1])):
+        with pytest.raises(InvalidTime):
+            enumerated_max_influence(LAZY, node, node_set, horizon=3)
+    with pytest.raises(InvalidTime):
+        enumerated_max_influence(LAZY, 2, [-1])
 
 
 def test_remote_bound_independent_chain():
@@ -359,3 +380,88 @@ def test_empirical_epsilon_matches_the_per_trajectory_reference(inst):
     assert math.isclose(emp.value, want, rel_tol=1e-12, abs_tol=1e-15)
     again = reevaluate_witness(fw, releases, emp.witness)
     assert again == pytest.approx(emp.value, rel=1e-9, abs=1e-12)
+
+
+def _per_group_remote_bound(framework, query, epsilon):
+    """Worst remote-conditioned log ratio, one remote realization group,
+    state and ordered state pair at a time; the reference that
+    ``check_joint_remote_bound`` must match."""
+    sigma_max, active = quilt_scores(framework, epsilon, Variant.EXACT)
+    L = framework.window.length
+    offset = framework.window.start - 1
+    worst = -math.inf
+    for mdx, base in enumerate(framework.models):
+        model = framework.window_model(base)
+        seqs = enumerate_sequences(model.k, L)
+        probs = sequence_probs(model, seqs)
+        values = np.asarray(query.evaluate(seqs), dtype=float)
+        values /= query.lipschitz_constant
+        fac = oracle._factor_rows(values, sigma_max, oracle._grid_points(values))
+        for aq in active[mdx]:
+            i, left, right = aq.node - offset, aq.shape.left, aq.shape.right
+            if left is not None and right is not None:
+                nearby = set(range(i - left + 1, i + right))
+            elif left is not None:
+                nearby = set(range(i - left + 1, L + 1))
+            elif right is not None:
+                nearby = set(range(1, i + right))
+            else:
+                nearby = set(range(1, L + 1))
+            remote = sorted(set(range(1, L + 1)) - nearby)
+            m_i = probs @ (seqs[:, i - 1][:, None] == np.arange(model.k))
+            live = np.nonzero(m_i > 0)[0]
+            if live.size < 2:
+                continue
+            if remote:
+                _, group = np.unique(
+                    seqs[:, [n - 1 for n in remote]], axis=0, return_inverse=True
+                )
+            else:
+                group = np.zeros(seqs.shape[0], dtype=np.int64)
+            for g in range(int(group.max()) + 1):
+                masses = {
+                    a: (probs * ((seqs[:, i - 1] == a) & (group == g)) / m_i[a]) @ fac.T
+                    for a in live
+                }
+                for a in live:
+                    for b in live:
+                        if a == b:
+                            continue
+                        top, bot = masses[a], masses[b]
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            ratio = np.log(top) - np.log(bot)
+                        ratio[(top == 0) & (bot == 0)] = -math.inf
+                        worst = max(worst, float(ratio.max()))
+    return worst <= epsilon + 1e-9, worst
+
+
+@st.composite
+def _remote_instances(draw):
+    k = draw(st.sampled_from([2, 3]))
+    T = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for _ in range(draw(st.integers(1, 2))):
+        initial = rng.dirichlet(np.ones(k))
+        P = rng.dirichlet(np.ones(k), size=k)
+        if draw(st.booleans()):  # zero initial mass
+            initial[rng.random(k) < 0.5] = 0.0
+            initial[rng.integers(k)] += 0.1
+        if draw(st.booleans()):  # an absorbing state
+            s = rng.integers(k)
+            P[s] = np.eye(k)[s]
+        models.append(ChainModel.from_arrays(initial / initial.sum(), P))
+    start = draw(st.integers(1, T))
+    fw = Framework(T, Window(start, draw(st.integers(start, T))), tuple(models))
+    query = count_state_query(draw(st.integers(0, k - 1)), k)
+    return fw, query, draw(st.floats(0.3, 2.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_remote_instances())
+def test_remote_bound_matches_the_per_group_reference(inst):
+    fw, query, eps = inst
+    rep = check_joint_remote_bound(fw, query, eps)
+    passed, worst = _per_group_remote_bound(fw, query, eps)
+    assert rep.passed == passed
+    assert math.isclose(rep.worst_log_ratio, worst, rel_tol=1e-12)
