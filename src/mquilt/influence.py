@@ -13,7 +13,8 @@ plain floats:
     joint law of ``(X_{i-a}, X_i)``, built from the marginal at ``i - a``
     and ``P^a``; the forward part at offset ``b`` compares rows of
     ``P^b``. The kernel takes these per offset, as stacks: the quilt
-    search passes every offset up to its cap at once, and
+    search passes every offset up to its cap at once, for a block of
+    nodes that share their live values, and
     :func:`exact_max_influence` passes the one row of a single shape,
     built directly with :func:`~mquilt.chains.transition_power`, so a
     far-away offset costs no table up to it.
@@ -122,8 +123,10 @@ def nearby_size(shape: QuiltShape, T: int) -> int:
     return T
 
 
-_BLOCK_FLOATS = 1_000_000
-"""Size bound of the blocked temporaries in :func:`_exact_influences`."""
+_BLOCK_FLOATS = 2**15
+"""Size bound of the blocked temporaries of :func:`_exact_influences`, and
+so of the node blocks the quilt search hands it. Small blocks stay in
+cache; a larger bound only adds page faults on fresh temporaries."""
 
 
 def _log_ratio_max(log_rows: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -141,11 +144,16 @@ def _log_ratio_max(log_rows: NDArray[np.float64]) -> NDArray[np.float64]:
 def _pair_indices(live: NDArray[np.bool_]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
     """Both orders of every pair of distinct live values."""
     idx = np.nonzero(live)[0]
-    if idx.size < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    uu, vv = np.meshgrid(idx, idx, indexing="ij")
+    uu, vv = np.repeat(idx, idx.size), np.tile(idx, idx.size)
     keep = uu != vv
     return uu[keep], vv[keep]
+
+
+def _row_floats(k: int, pairs: int, nb: int) -> int:
+    """Floats of kernel temporaries per node and backward offset: the
+    ``(x, u, v)`` differences of the backward part, or the ``(b, pair)``
+    sums of the two-sided part over ``nb`` forward offsets."""
+    return max(k**3, nb * pairs)
 
 
 def _exact_influences(
@@ -154,45 +162,53 @@ def _exact_influences(
     log_powers: NDArray[np.float64],
     right_max: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Exact influences of ``X_i`` on every quilt over the given offsets.
+    """Exact influences of ``X_i`` on every quilt over the given offsets,
+    for one node or for a block of nodes.
 
-    ``log_m`` is ``log P(X_i)``. Row ``r`` of ``log_past`` and
+    ``log_m`` is ``log P(X_i)``, of shape ``(k,)`` for one node or
+    ``(n, k)`` for ``n`` nodes that share their live values. Row ``r`` of
+    ``log_past`` (``(na, k)``, or ``(n, na, k)`` for a block) and of
     ``log_powers`` holds ``log P(X_{i-a})`` and ``log P^a`` for the
     ``r``-th backward offset ``a``; row ``s`` of ``right_max`` holds
     :func:`_log_ratio_max` of ``log P^b`` for the ``s``-th forward offset
     ``b``. Returns the influences of the left-only ``(na,)``, right-only
-    ``(nb,)`` and two-sided ``(na, nb)`` quilts.
+    ``(nb,)`` and two-sided ``(na, nb)`` quilts, each with the node axis in
+    front for a block.
 
     Per live ordered value pair, the backward part is a log-ratio maximum
     of the joint law of ``(X_{i-a}, X_i)`` plus the marginal ratio that
     Bayes inversion contributes, and the forward part is read from
     ``right_max``. Both orders of every pair are maximized over, so no
     influence comes out negative, even after rounding. With fewer than two
-    live values there is no secret pair and every influence is 0.
+    live values there is no secret pair and every influence is 0. Each
+    node's influences are the same floating-point expressions whatever
+    block it is scored in.
     """
-    na, nb = log_past.shape[0], right_max.shape[0]
-    uu, vv = _pair_indices(log_m > -np.inf)
-    if uu.size == 0:
-        return np.zeros(na), np.zeros(nb), np.zeros((na, nb))
-    pairs = uu.size
-    c_left = np.empty((na, pairs))
-    block = max(1, _BLOCK_FLOATS // (log_m.size * pairs))
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, na, block):
-            hi = min(na, lo + block)
-            # log of joint(x, u) = m_past[x] * P^a[x, u], columns compared.
-            log_joint = log_past[lo:hi, :, None] + log_powers[lo:hi]
-            c_left[lo:hi] = np.nanmax(
-                log_joint[:, :, uu] - log_joint[:, :, vv], axis=1
-            )
-    c_left += log_m[vv] - log_m[uu]
-    c_right = right_max[:, uu, vv]
-    e_two = np.empty((na, nb))
-    block = max(1, _BLOCK_FLOATS // max(1, nb * pairs))
-    for lo in range(0, na, block):
-        hi = min(na, lo + block)
-        e_two[lo:hi] = (c_left[lo:hi, None, :] + c_right[None, :, :]).max(axis=2)
-    return c_left.max(axis=1), c_right.max(axis=1), e_two
+    block = log_m.ndim == 2
+    if not block:
+        log_m, log_past = log_m[None], log_past[None]
+    n, na, k = log_past.shape
+    nb = right_max.shape[0]
+    uu, vv = _pair_indices(log_m[0] > -np.inf)
+    e_left, e_two = np.zeros((n, na)), np.zeros((n, na, nb))
+    e_right = np.zeros(nb)
+    if uu.size:
+        c_left = np.empty((n, na, uu.size))
+        c_right = right_max[:, uu, vv]
+        e_right = c_right.max(axis=1)
+        rows = max(1, _BLOCK_FLOATS // (n * _row_floats(k, uu.size, nb)))
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, na, rows):
+                hi = min(na, lo + rows)
+                # log of joint(x, u) = m_past[x] * P^a[x, u], columns compared.
+                log_joint = log_past[:, lo:hi, :, None] + log_powers[lo:hi]
+                gap = np.fmax.reduce(log_joint[..., None] - log_joint[..., None, :], axis=2)
+                c_left[:, lo:hi] = gap[..., uu, vv] + (log_m[:, vv] - log_m[:, uu])[:, None]
+                e_two[:, lo:hi] = (c_left[:, lo:hi, None, :] + c_right).max(axis=3)
+        e_left = c_left.max(axis=2)
+    if not block:
+        return e_left[0], e_right, e_two[0]
+    return e_left, np.broadcast_to(e_right, (n, nb)), e_two
 
 
 def exact_max_influence(model: ChainModel, shape: QuiltShape) -> float:

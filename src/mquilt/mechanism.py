@@ -20,6 +20,16 @@ candidate that scored ``s`` is kept and now clears the test, so no node
 takes more than two steps. The test does not depend on how the caps were
 chosen, so neither does the result.
 
+The search goes in steps rather than node by node. Every node still open
+is scored in the same step, whatever its cap, in blocks of nodes whose
+temporaries stay within ``_BLOCK_FLOATS`` floats: one exact kernel call
+per block, and one vectorised choice of each node's winner.
+A node's scores are the same floating-point expressions in any block, so
+the result is the node-by-node search's, bit for bit. Boundary nodes are
+padded to the largest offsets of their block, and the padded cells never
+win. Nodes whose kernel calls share one list of value pairs share one
+block; they are grouped by the states their marginal law gives mass to.
+
 Nodes with identical inputs at one cap share them. Node ``i`` feeds the
 exact kernel only its offset counts ``na = min(i - 1, c)`` and
 ``nb = min(L - i, c)`` and the log marginals of nodes ``i - na .. i``. The
@@ -35,23 +45,27 @@ shared two-sided minimum below ``(c + 1) / epsilon`` therefore wins
 strictly at every interior node that shares it, and is taken without
 scoring the rest. Otherwise it sizes the node's next cap, and only an
 interior node with no finite two-sided quilt, or a boundary node, whose
-inputs are its own, is scored in full. Per distinct input the search
-keeps the one-sided influences and the two-sided winner, never the exact
-two-sided table, whose size would be quadratic in ``c``.
+inputs are its own, is scored in full. Only the first interior node with
+a new input is scored in a block. Per distinct input the search keeps the
+one-sided influences and the two-sided winner, never the exact two-sided
+table, whose size would be quadratic in ``c``. The exact two-sided
+winner of a block's node is the first cell of its own table that is
+least by score, then by nearby count, in ``(a, b)`` order: the tie order.
 
-The approx search runs the same node loop. Its influences depend on the
+The approx search runs the same steps. Its influences depend on the
 offsets alone (``2 t(a) + t(b)`` for the quilt at offsets ``a`` and
 ``b``), so it scores one table of two-sided quilts, grown geometrically
 to cover the largest offset any node has needed so far, and ranks them in
 the tie order (score, nearby count, ``a``, ``b``). After prefix minima of
 the ranks along both axes, the entry at ``(na - 1, nb - 1)`` ranks node
-``i``'s winner. Each entry is the same floating-point expression as in a
-table of the node's own offsets, so this is that table's lexicographic
-minimum, bit for bit. Spectral terms ``log((pi_min + d) / (pi_min - d))``
-are never negative, so the interior shortcut holds, and all interior
-nodes at one cap share one input. Neither variant builds a two-sided
-table of more than ``_TABLE_LIMIT`` entries; a search that would is
-refused with :class:`~mquilt.errors.TooLarge`.
+``i``'s winner, and one lookup reads it for every node of a block. Each
+entry is the same floating-point expression as in a table of the node's
+own offsets, so this is that table's lexicographic minimum, bit for bit.
+Spectral terms ``log((pi_min + d) / (pi_min - d))`` are never negative,
+so the interior shortcut holds, and all interior nodes at one cap share
+one input. Neither variant builds a two-sided table of more than
+``_TABLE_LIMIT`` entries; a search that would is refused with
+:class:`~mquilt.errors.TooLarge`.
 
 Scores depend only on the framework, the budget, and the variant, never on
 the observed data, so records can be replayed and audited.
@@ -80,9 +94,11 @@ from .errors import (
 from .influence import (
     QuiltShape,
     Variant,
+    _BLOCK_FLOATS,
     _exact_influences,
     _log_ratio_max,
     _opt_int,
+    _row_floats,
     _spectral_term,
 )
 
@@ -353,10 +369,10 @@ _TABLE_LIMIT = 2**24
 about 40 bytes per entry, so this is about 0.7 GB, and full searches of up
 to 4097 nodes still run."""
 
-_Candidate = tuple[float, int, int, int, int]
-"""A scored quilt: score, nearby count, kind rank (two-sided 0, one-sided
-1, empty 2), left offset, right offset (0 where the side is absent). Tuple
-order is the tie order, so the best candidate is the smallest."""
+_Winners = tuple[NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]]
+"""Scores and left and right offsets of one scored quilt per node; an
+absent side has offset 0, and a node with no quilt of the kind scores
+``inf``."""
 
 
 def _scores(
@@ -367,13 +383,21 @@ def _scores(
     return s
 
 
+def _first_min(s: NDArray[np.float64], nearby: NDArray) -> NDArray[np.int64]:
+    """Index along the last axis of the least score, of the fewest nearby
+    nodes among equal scores, and of the first position among equal both."""
+    least = s.min(axis=-1, keepdims=True)
+    return np.argmin(np.where(s == least, nearby, np.inf), axis=-1)
+
+
 def _two_sided_winners(
     epsilon: float, e_two: NDArray[np.float64]
-) -> Callable[[int, int], _Candidate | None]:
-    """A lookup of the best two-sided quilt with offsets ``a <= na`` and
-    ``b <= nb`` (``None`` if there is none), given ``e_two[a-1, b-1]``, the
-    influence of the quilt at offsets ``a`` and ``b``. It does not depend on
-    the node's position in the window (see the module docstring)."""
+) -> Callable[[NDArray[np.int64], NDArray[np.int64]], _Winners]:
+    """A lookup of the best two-sided quilts with offsets ``a <= na`` and
+    ``b <= nb``, one per entry of the arrays ``na`` and ``nb``, given
+    ``e_two[a-1, b-1]``, the influence of the quilt at offsets ``a`` and
+    ``b``. It does not depend on the node's position in the window (see the
+    module docstring)."""
     ma, mb = e_two.shape
     aa = np.arange(1, ma + 1)
     bb = np.arange(1, mb + 1)
@@ -389,42 +413,91 @@ def _two_sided_winners(
     np.minimum.accumulate(rank, axis=0, out=rank)
     np.minimum.accumulate(rank, axis=1, out=rank)
 
-    def winner(na: int, nb: int) -> _Candidate | None:
-        if not (na and nb):
-            return None
-        ai, bi = divmod(int(order[rank[na - 1, nb - 1]]), mb)
-        return (float(s2[ai, bi]), ai + bi + 1, 0, ai + 1, bi + 1)
+    def winner(na: NDArray[np.int64], nb: NDArray[np.int64]) -> _Winners:
+        some = (na > 0) & (nb > 0)
+        ai, bi = np.divmod(order[rank[na[some] - 1, nb[some] - 1]], mb)
+        s, a, b = np.full(some.shape, np.inf), np.zeros_like(na), np.zeros_like(nb)
+        s[some], a[some], b[some] = s2[ai, bi], ai + 1, bi + 1
+        return s, a, b
 
     return winner
 
 
-def _best_quilt(
-    i: int,
+def _block_winners(
+    epsilon: float,
+    e_two: NDArray[np.float64],
+    na: NDArray[np.int64],
+    nb: NDArray[np.int64],
+) -> _Winners:
+    """The best two-sided quilt of each node of a kernel block, given
+    ``e_two[j, a-1, b-1]``, of which node ``j`` owns offsets ``a <= na[j]``
+    and ``b <= nb[j]``. The first minimum of (score, nearby count) in
+    ``(a, b)`` order is the tie order's winner. Padded cells score ``inf``,
+    so they never win: where every owned cell scores ``inf`` too, the
+    owned cell ``(1, 1)`` has the fewest nearby nodes."""
+    n, ma, mb = e_two.shape
+    if not (ma and mb):
+        return np.full(n, np.inf), np.zeros_like(na), np.zeros_like(nb)
+    aa = np.arange(1, ma + 1)[:, None]
+    bb = np.arange(1, mb + 1)
+    nearby2 = (aa + bb - 1).astype(float)
+    owned = (aa <= na[:, None, None]) & (bb <= nb[:, None, None])
+    s2 = np.where(owned, _scores(e_two, nearby2, epsilon), np.inf).reshape(n, -1)
+    flat = _first_min(s2, nearby2.ravel())
+    some = (na > 0) & (nb > 0)
+    ai, bi = np.divmod(flat, mb)
+    return (
+        np.where(some, s2[np.arange(n), flat], np.inf),
+        np.where(some, ai + 1, 0),
+        np.where(some, bi + 1, 0),
+    )
+
+
+def _one_sided(
+    e: NDArray[np.float64], base: NDArray[np.int64], count: NDArray[np.int64], epsilon: float
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """Per row, the best score and its offset among the first ``count``
+    offsets, given influences ``e`` at offsets 1, 2, ... and nearby counts
+    ``base + offset``; nearby count and offset grow together, so the first
+    minimum wins ties. Rows with ``count`` 0 score ``inf``."""
+    if not e.shape[1]:
+        return np.full(count.shape, np.inf), np.zeros_like(count)
+    off = np.arange(1, e.shape[1] + 1)
+    s = np.where(off <= count[:, None], _scores(e, base[:, None] + off, epsilon), np.inf)
+    return s.min(axis=1), s.argmin(axis=1) + 1
+
+
+def _best_quilts(
+    i: NDArray[np.int64],
+    na: NDArray[np.int64],
+    nb: NDArray[np.int64],
     L: int,
     epsilon: float,
     e_left: NDArray[np.float64],
     e_right: NDArray[np.float64],
-    two: _Candidate | None,
-) -> _Candidate:
-    """The winning candidate at local node ``i``.
+    two: _Winners,
+) -> _Winners:
+    """The winning quilts at local nodes ``i``.
 
-    ``e_left[a-1]`` and ``e_right[b-1]`` bound the influence of the
-    one-sided quilts at offsets ``a`` and ``b``; ``two`` is the best
-    two-sided quilt (:func:`_two_sided_winners`). The one-sided and empty
-    candidates are scored here, since their nearby counts depend on ``i``.
+    Row ``j`` of ``e_left`` and ``e_right`` bounds the influence of node
+    ``i[j]``'s one-sided quilts at offsets 1, 2, ..., of which the first
+    ``na[j]`` and ``nb[j]`` are its own; ``two`` holds the nodes' best
+    two-sided quilts. The one-sided and empty candidates are scored here,
+    since their nearby counts depend on ``i``. Candidates tie in the order
+    score, nearby count, kind (two-sided, one-sided, empty), ``a``, ``b``:
+    within one kind, the right-only quilt (``a = 0``) comes first.
     """
-    cands: list[_Candidate] = [] if two is None else [two]
-    # Nearby count and offset grow with the index: the first minimum wins ties.
-    if e_left.size:
-        sl = _scores(e_left, L - i + np.arange(1.0, e_left.size + 1), epsilon)
-        a = int(np.argmin(sl)) + 1
-        cands.append((float(sl[a - 1]), L - i + a, 1, a, 0))
-    if e_right.size:
-        sr = _scores(e_right, i - 1 + np.arange(1.0, e_right.size + 1), epsilon)
-        b = int(np.argmin(sr)) + 1
-        cands.append((float(sr[b - 1]), i + b - 1, 1, 0, b))
-    cands.append((L / epsilon, L, 2, 0, 0))
-    return min(cands)
+    s_left, a = _one_sided(e_left, L - i, na, epsilon)
+    s_right, b = _one_sided(e_right, i - 1, nb, epsilon)
+    s_two, a_two, b_two = two
+    s = np.stack([s_two, s_right, s_left, np.full(i.shape, L / epsilon)], axis=1)
+    nearby = np.stack([a_two + b_two - 1, i + b - 1, L - i + a, np.full_like(i, L)], axis=1)
+    pick = _first_min(s, nearby)
+    return (
+        s[np.arange(i.size), pick],
+        np.choose(pick, [a_two, 0, a, 0]),
+        np.choose(pick, [b_two, b, 0, 0]),
+    )
 
 
 def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
@@ -479,107 +552,193 @@ def _check_table(i: int, L: int, variant: str, rows: int, cols: int) -> None:
         )
 
 
+def _blocks(
+    na: list[int], nb: list[int], size: Callable[[int, int], int]
+) -> Iterator[NDArray[np.int64]]:
+    """Consecutive runs of nodes, as index arrays, each as long as it can be
+    while ``count * size(max na, max nb)`` stays within ``_BLOCK_FLOATS``;
+    a node too large for that is a block of its own."""
+    lo = 0
+    while lo < len(na):
+        ma, mb, hi = na[lo], nb[lo], lo + 1
+        while hi < len(na):
+            ma2, mb2 = max(ma, na[hi]), max(mb, nb[hi])
+            if (hi - lo + 1) * size(ma2, mb2) > _BLOCK_FLOATS:
+                break
+            ma, mb, hi = ma2, mb2, hi + 1
+        yield np.arange(lo, hi)
+        lo = hi
+
+
 def _search_model(
     model: ChainModel,
     log_margs: NDArray[np.float64] | None,
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
-) -> tuple[list[list], dict[int, int], int, int, int]:
+) -> tuple[list[list], dict[int, int], int, int, int, int]:
     """Best quilt of every local node over all offsets, as runs
     ``[first, last, left, right, score]`` of consecutive local nodes with
-    one shape and score, built while the nodes are walked.
+    one shape and score.
 
     Influences are exact when ``log_margs`` (the log marginals of the
     searched nodes) is given and spectral bounds from ``info`` otherwise;
-    the variants differ only in where a step's one-sided influences and
-    two-sided winner come from. Each node grows its own offset cap until
+    the variants differ only in where a block's one-sided influences and
+    two-sided winners come from. Each node grows its own offset cap until
     its winner is certified (see the module docstring); cap ``L`` stands
-    for a node's full reach. Also returns the node steps taken at each
-    cap, the most steps a node took, the number of exact-kernel calls and
-    the number of steps served from another node's table entry.
+    for a node's full reach. The search goes in steps: every node still
+    open is scored in the same step, whatever its cap, in blocks.
+    Also returns the node steps taken at each cap, the most steps a node
+    took, the number of exact-kernel blocks, and the numbers of steps
+    scored from their own inputs and served from another node's table
+    entry.
     """
-    runs: list[list] = []
-    last = None  # the last run's (left, right, score), 0 for an absent side
+    exact = log_margs is not None
     first = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
-    first_bound = (first + 1) / epsilon
-    caps, most, calls, shared = {first: L}, 1, 0, 0
+    caps, most, blocks, distinct, shared = {first: L}, 1, 0, 0, 0
+    node_cap = np.full(L, first)
+    open_nodes = np.arange(1, L + 1)
+    win_s, win_a, win_b = np.empty(L), np.zeros(L, np.int64), np.zeros(L, np.int64)
     # Only interior steps (na = nb = cap) can have the same inputs as
     # another node's. Their inputs are keyed by the ids of their cap + 1
     # log-marginal rows, equal ids for bitwise-equal rows (one id for all in
-    # the approx search), so a key's length names its cap. The table keeps
-    # e_left, e_right and the two-sided winner per key.
-    if log_margs is None:
-        row_ids = np.zeros(L, dtype=np.intp)
-    else:
+    # the approx search), so a key's length names its cap. ``index`` numbers
+    # the keys; ``entries`` keeps e_left, e_right and the two-sided winner's
+    # score and offsets per key.
+    if exact:
         rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
-        row_ids = np.unique(rows[:, 0], return_inverse=True)[1]
-    table: dict[bytes, tuple[NDArray[np.float64], NDArray[np.float64], _Candidate]] = {}
+        _, first_row, row_ids = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+        # Nodes with the same live values share one list of value pairs.
+        live = np.ascontiguousarray(log_margs[first_row] > -np.inf)
+        _, first_live, pattern = np.unique(
+            live.view(np.dtype((np.void, model.k)))[:, 0], return_index=True, return_inverse=True
+        )
+        pattern = pattern[row_ids]
+        pairs = [n * (n - 1) for n in live[first_live].sum(axis=1).tolist()]
+    else:
+        row_ids = np.zeros(L, dtype=np.intp)
+    index: dict[bytes, int] = {}
+    entries: list[tuple] = []
     # The log powers, or the spectral terms and their two-sided table, up to
     # offset ``top``; they grow geometrically, and a smaller cap reads their
     # leading block.
     top = -1
     log_powers = right_max = terms = winner = None
 
-    def inputs(i: int, na: int, nb: int):
-        """Node ``i``'s one-sided influences and best two-sided quilt."""
-        nonlocal top, log_powers, right_max, terms, winner, calls
-        if max(na, nb) > top:
-            top = max(na, nb, 2 * top)
+    def node_blocks(i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64]):
+        """Blocks ``(rows, e_left, e_right, two)`` that score the nodes
+        ``i[rows]`` at offsets up to ``na[rows]`` and ``nb[rows]``."""
+        nonlocal blocks
+        if not exact:
+            for rows in _blocks(na.tolist(), nb.tolist(), lambda ma, mb: ma + mb):
+                ma, mb = int(na[rows].max()), int(nb[rows].max())
+                yield (rows, np.broadcast_to(2.0 * terms[:ma], (rows.size, ma)),
+                       np.broadcast_to(terms[:mb], (rows.size, mb)), winner(na[rows], nb[rows]))
+            return
+        kind = pattern[i - 1]
+        for p in np.unique(kind).tolist():
+            group = np.flatnonzero(kind == p)
+            for rows in _blocks(na[group].tolist(), nb[group].tolist(),
+                                lambda ma, mb: max(1, ma) * _row_floats(model.k, pairs[p], mb)):
+                rows = group[rows]
+                j = i[rows]
+                ma, mb = int(na[rows].max()), int(nb[rows].max())
+                past = log_margs[np.maximum(j[:, None] - 2 - np.arange(ma), 0)]  # nearest first
+                e_left, e_right, e_two = _exact_influences(
+                    log_margs[j - 1], past, log_powers[1 : ma + 1], right_max[1 : mb + 1]
+                )
+                blocks += 1
+                yield rows, e_left, e_right, _block_winners(epsilon, e_two, na[rows], nb[rows])
+
+    def settle(i, s, a, b, done, c) -> NDArray[np.int64]:
+        """Record the certified nodes' winners, give the others their next
+        cap from their cap ``c`` and score, and return them."""
+        k, rest = i[done] - 1, ~done
+        win_s[k], win_a[k], win_b[k] = s[done], a[done], b[done]
+        grown = np.maximum(2 * c[rest], np.floor(s[rest] * epsilon).astype(np.int64) + 1)
+        node_cap[i[rest] - 1] = np.where(2 * grown < L, grown, L)
+        return i[rest]
+
+    while open_nodes.size:
+        cap = node_cap[open_nodes - 1]
+        na, nb = np.minimum(open_nodes - 1, cap), np.minimum(L - open_nodes, cap)
+        big = np.flatnonzero(na * nb > _TABLE_LIMIT)
+        if exact and big.size:
+            _check_table(int(open_nodes[big[0]]), L, "exact", int(na[big[0]]), int(nb[big[0]]))
+        reach = np.maximum(na, nb)
+        if reach.max() > top:
+            j = int(open_nodes[np.argmax(reach > top)])  # the first node past top
+            top = max(int(reach.max()), 2 * top)
             top = top if 2 * top < L else L - 1
-            if log_margs is None:
-                _check_table(i, L, "approx", top, top)
+            if exact:
+                log_powers, right_max = _log_powers(model.transition, top)
+            else:
+                _check_table(j, L, "approx", top, top)
                 terms = np.array([_spectral_term(info, x) for x in range(1, top + 1)])
                 winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
-            else:
-                log_powers, right_max = _log_powers(model.transition, top)
-        if log_margs is None:
-            return 2.0 * terms[:na], terms[:nb], winner(na, nb)
-        _check_table(i, L, "exact", na, nb)
-        e_left, e_right, e_two = _exact_influences(
-            log_margs[i - 1],
-            log_margs[i - 1 - na : i - 1][::-1],  # nearest node first
-            log_powers[1 : na + 1],
-            right_max[1 : nb + 1],
+        bound = (cap + 1) / epsilon
+        inner = (na == cap) & (nb == cap)
+        known = len(index)
+        ids = np.fromiter(
+            (index.setdefault(row_ids[j - 1 - c : j].tobytes(), len(index))
+             for j, c in zip(open_nodes[inner].tolist(), cap[inner].tolist())),
+            dtype=np.intp, count=int(inner.sum()),
         )
-        calls += 1
-        return e_left, e_right, _two_sided_winners(epsilon, e_two)(na, nb)
-
-    for i in range(1, L + 1):
-        cap, bound, n = first, first_bound, 1
-        while True:
-            na, nb = min(i - 1, cap), min(L - i, cap)
-            if na == nb == cap:
-                key = row_ids[i - 1 - cap : i].tobytes()
-                entry = table.get(key)
-                if entry is None:
-                    entry = table[key] = inputs(i, na, nb)
-                else:
-                    shared += 1
-                best = entry[2]
-                if best[0] < bound:
-                    break
-                # No one-sided or empty quilt can clear an interior cap, so
-                # the shared two-sided score sizes the next one if finite.
-                s = best[0] if best[0] < math.inf else _best_quilt(i, L, epsilon, *entry)[0]
-            else:
-                best = _best_quilt(i, L, epsilon, *inputs(i, na, nb))
-                if best[0] < bound or na + nb == L - 1:
-                    break
-                s = best[0]
-            cap = max(2 * cap, math.floor(s * epsilon) + 1)
-            cap = cap if 2 * cap < L else L
-            bound = (cap + 1) / epsilon
-            caps[cap] = caps.get(cap, 0) + 1
-            n += 1
-            most = max(most, n)
-        s, _, _, a, b = best
-        if (a, b, s) == last:
-            runs[-1][1] = i
-        else:
-            last = (a, b, s)
-            runs.append([i, i, a or None, b or None, s])
-    return runs, caps, most, calls, shared
+        keys, first_at, key_of = np.unique(ids, return_index=True, return_inverse=True)
+        # Nodes scored from their own inputs: the boundary nodes, and the
+        # first interior node of each new key, whose entry they fill.
+        own = ~inner
+        own[np.flatnonzero(inner)[first_at[keys >= known]]] = True
+        entry_of = np.full(open_nodes.size, -1)
+        entry_of[inner & own] = np.arange(known, len(index))
+        entries.extend([None] * (len(index) - known))
+        distinct += int(own.sum())
+        shared += ids.size - (len(index) - known)
+        own = np.flatnonzero(own)
+        still_open = []
+        for rows, e_left, e_right, two in node_blocks(open_nodes[own], na[own], nb[own]):
+            for r in np.flatnonzero(entry_of[own[rows]] >= 0).tolist():
+                entries[entry_of[own[rows[r]]]] = (
+                    e_left[r].copy(), e_right[r].copy(), *(x[r] for x in two)
+                )
+            edge = entry_of[own[rows]] < 0
+            if edge.any():
+                at = own[rows[edge]]
+                j, na_j, nb_j = open_nodes[at], na[at], nb[at]
+                s, a, b = _best_quilts(j, na_j, nb_j, L, epsilon, e_left[edge], e_right[edge],
+                                       tuple(x[edge] for x in two))
+                done = (s < bound[at]) | (na_j + nb_j == L - 1)
+                still_open.append(settle(j, s, a, b, done, cap[at]))
+        if ids.size:
+            s, a, b = (np.array([entries[k][f] for k in keys.tolist()])[key_of] for f in (2, 3, 4))
+            done = s < bound[inner]
+            # No one-sided or empty quilt can clear an interior cap, so the
+            # shared two-sided score sizes the next one if finite.
+            lost = np.flatnonzero(s == np.inf)
+            if lost.size:
+                j, full = open_nodes[inner][lost], cap[inner][lost]
+                e_left = np.stack([entries[ids[x]][0] for x in lost.tolist()])
+                e_right = np.stack([entries[ids[x]][1] for x in lost.tolist()])
+                s[lost] = _best_quilts(
+                    j, full, full, L, epsilon, e_left, e_right, (s[lost], a[lost], b[lost])
+                )[0]
+            still_open.append(settle(open_nodes[inner], s, a, b, done, cap[inner]))
+        open_nodes = np.sort(np.concatenate(still_open))
+        if open_nodes.size:
+            most += 1
+            for c, n in zip(*(x.tolist() for x in np.unique(node_cap[open_nodes - 1],
+                                                             return_counts=True))):
+                caps[c] = caps.get(c, 0) + n
+    # Runs start where a node's winner differs from the one before it.
+    new = (win_s[1:] != win_s[:-1]) | (win_a[1:] != win_a[:-1]) | (win_b[1:] != win_b[:-1])
+    firsts = np.concatenate([[0], np.flatnonzero(new) + 1])
+    lasts = np.concatenate([firsts[1:], [L]])
+    runs = [
+        [f + 1, l, a or None, b or None, s]
+        for f, l, a, b, s in zip(firsts.tolist(), lasts.tolist(), win_a[firsts].tolist(),
+                                 win_b[firsts].tolist(), win_s[firsts].tolist())
+    ]
+    return runs, caps, most, blocks, distinct, shared
 
 
 def quilt_scores(
@@ -606,8 +765,10 @@ def quilt_scores(
     Each model's search logs one DEBUG record on this module's logger: the
     nodes searched, the node steps taken at each cap (cap ``L`` is a
     node's full reach) and the most taken by one node, the exact-kernel
-    calls (none in the approx variant), the nodes served from another
-    node's table entry, and the number of quilt runs. A search that would
+    blocks (none in the approx variant), each scoring many nodes at once,
+    the node steps scored from their own inputs and those served from
+    another node's table entry, which add up to the node steps, and the
+    number of quilt runs. A search that would
     build a two-sided influence table of more than ``2**24`` entries raises
     :class:`~mquilt.errors.TooLarge`.
     """
@@ -636,11 +797,15 @@ def quilt_scores(
                 log_margs, info = np.log(_marginals(model, L)), None
         else:
             log_margs, info = None, spectral(model)
-        runs, caps, most, calls, shared = _search_model(model, log_margs, info, L, epsilon)
+        runs, caps, most, blocks, distinct, shared = _search_model(
+            model, log_margs, info, L, epsilon
+        )
         _log.debug(
             "model %d (%s): %d nodes, node steps at caps %s, at most %d per node, "
-            "%d kernel calls, %d nodes served from the shared table, %d quilt runs",
-            idx, variant.value, L, dict(sorted(caps.items())), most, calls, shared, len(runs),
+            "%d kernel blocks, %d distinct node inputs, %d nodes served from the shared "
+            "table, %d quilt runs",
+            idx, variant.value, L, dict(sorted(caps.items())), most, blocks, distinct, shared,
+            len(runs),
         )
         active[idx] = QuiltRuns(
             (first + offset, last + offset, left, right, s)

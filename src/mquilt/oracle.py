@@ -451,16 +451,14 @@ def check_joint_remote_bound(
     k, L = framework.k, framework.window.length
     offset = framework.window.start - 1
     seqs = enumerate_sequences(k, L)
+    values = np.asarray(query.evaluate(seqs), dtype=float) / query.lipschitz_constant
+    centers, code = np.unique(values, return_inverse=True)
+    grid = _grid_points(centers)
+    fac = _factor_rows(centers, sigma_max, grid)
     worst = -math.inf
     witness: dict = {}
     for mdx, base in enumerate(framework.models):
         probs = sequence_probs(framework.window_model(base), seqs)
-        values = (
-            np.asarray(query.evaluate(seqs), dtype=float) / query.lipschitz_constant
-        )
-        centers, code = np.unique(values, return_inverse=True)
-        grid = _grid_points(centers)
-        fac = _factor_rows(centers, sigma_max, grid)
         for aq in active[mdx]:
             i, shape = aq.node - offset, aq.shape
             lo = i - shape.left + 1 if shape.left is not None else 1

@@ -32,6 +32,7 @@ from mquilt.influence import (
 )
 from mquilt.chains import spectral
 from mquilt.mechanism import (
+    _scores,
     Framework,
     ReleaseRecord,
     Window,
@@ -305,13 +306,13 @@ def test_fast_chain_accepts_every_node_at_the_first_cap():
 @pytest.mark.parametrize("L", [1, 2, 12, 2 * mechanism._FIRST_CAP])
 def test_short_window_searches_every_node_once_at_full_reach(L, variant):
     scored = []
-    inner = mechanism._best_quilt
+    inner = mechanism._best_quilts
 
-    def recording(i, L, epsilon, e_left, e_right, two):
-        scored.append((i, e_left.size, e_right.size))
-        return inner(i, L, epsilon, e_left, e_right, two)
+    def recording(i, na, nb, *args):
+        scored.extend(zip(i.tolist(), na.tolist(), nb.tolist()))
+        return inner(i, na, nb, *args)
 
-    with _node_steps() as work, mock.patch.object(mechanism, "_best_quilt", recording):
+    with _node_steps() as work, mock.patch.object(mechanism, "_best_quilts", recording):
         quilt_scores(_full(_chain(5, 3, 0.97), L), 1.0, variant)
     assert work == [({L: L}, 1)]
     assert scored == [(i, i - 1, L - i) for i in range(1, L + 1)]
@@ -413,6 +414,43 @@ def _per_node_search(L, epsilon, step):
     return _as_runs(winners), caps, most, sum(caps.values())
 
 
+_Candidate = tuple[float, int, int, int, int]
+"""A scored quilt: score, nearby count, kind rank (two-sided 0, one-sided
+1, empty 2), left offset, right offset (0 where the side is absent). Tuple
+order is the tie order, so the best candidate is the smallest."""
+
+
+def _best_quilt(
+    i: int,
+    L: int,
+    epsilon: float,
+    e_left: np.ndarray,
+    e_right: np.ndarray,
+    two: _Candidate | None,
+) -> _Candidate:
+    """The winning candidate at local node ``i``.
+
+    ``e_left[a-1]`` and ``e_right[b-1]`` bound the influence of the
+    one-sided quilts at offsets ``a`` and ``b``; ``two`` is the best
+    two-sided quilt (:func:`_two_sided_best`). The one-sided and empty
+    candidates are scored here, since their nearby counts depend on ``i``.
+    This is the per-node rule that ``mechanism._best_quilts`` applies to a
+    block of nodes at once.
+    """
+    cands: list[_Candidate] = [] if two is None else [two]
+    # Nearby count and offset grow with the index: the first minimum wins ties.
+    if e_left.size:
+        sl = _scores(e_left, L - i + np.arange(1.0, e_left.size + 1), epsilon)
+        a = int(np.argmin(sl)) + 1
+        cands.append((float(sl[a - 1]), L - i + a, 1, a, 0))
+    if e_right.size:
+        sr = _scores(e_right, i - 1 + np.arange(1.0, e_right.size + 1), epsilon)
+        b = int(np.argmin(sr)) + 1
+        cands.append((float(sr[b - 1]), i + b - 1, 1, 0, b))
+    cands.append((L / epsilon, L, 2, 0, 0))
+    return min(cands)
+
+
 def _unshared_search_model(model, log_margs, info, L, epsilon):
     """One kernel call and one full scoring at every step of every node."""
     log_powers, right_max = mechanism._log_powers(model.transition, L - 1)
@@ -425,10 +463,10 @@ def _unshared_search_model(model, log_margs, info, L, epsilon):
             right_max[1 : nb + 1],
         )
         two = _two_sided_best(epsilon, e_two)
-        return mechanism._best_quilt(i, L, epsilon, e_left, e_right, two)
+        return _best_quilt(i, L, epsilon, e_left, e_right, two)
 
     runs, caps, most, steps = _per_node_search(L, epsilon, step)
-    return runs, caps, most, steps, 0
+    return runs, caps, most, steps, steps, 0
 
 
 def _unshared(fw, eps, scope="window"):
@@ -487,6 +525,14 @@ def _exact_instances(draw):
 # One-sided quilts win at interior nodes that are not accepted at the first cap.
 @example((_full(ChainModel.from_arrays([0.33, 0.67], [[0.9987, 0.0013], [0.5734, 0.4266]]),
                 36), 4.7, "window"))
+# Nodes of one step with different live values, scored in different kernel
+# blocks: a periodic chain with one live state per node, alternating ...
+@example((_full(ChainModel.from_arrays([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]), 40), 1.0, "window"))
+# ... a chain whose support grows over its first nodes ...
+@example((Framework(70, Window(1, 60), (ChainModel.from_arrays(
+    [1.0, 0.0, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.3, 0.3, 0.4]]),)), 1.0, "chain"))
+# ... and a chain with a single state.
+@example((_full(ChainModel.from_arrays([1.0], [[1.0]]), 30), 1.0, "window"))
 def test_shared_exact_search_equals_unshared_search(inst):
     fw, eps, scope = inst
     assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
@@ -498,10 +544,10 @@ def _per_node_approx_search_model(model, log_margs, info, L, epsilon):
 
     def step(i, na, nb):
         two = _two_sided_best(epsilon, 2.0 * terms[:na, None] + terms[None, :nb])
-        return mechanism._best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two)
+        return _best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two)
 
-    runs, caps, most, _ = _per_node_search(L, epsilon, step)
-    return runs, caps, most, 0, 0
+    runs, caps, most, steps = _per_node_search(L, epsilon, step)
+    return runs, caps, most, 0, steps, 0
 
 
 def _per_node_approx(fw, eps, scope="window"):
@@ -549,6 +595,21 @@ def test_one_table_approx_search_equals_per_node_search(inst):
     assert quilt_scores(fw, eps, Variant.APPROX, scope=scope) == _per_node_approx(fw, eps, scope)
 
 
+def _per_node(lookup):
+    """One node's view of a winner lookup over arrays of caps: the best
+    two-sided candidate at caps ``na`` and ``nb``, or None where the lookup
+    reports no two-sided quilt (offsets 0, score inf)."""
+
+    def winner(na, nb):
+        s, a, b = (x[0] for x in lookup(np.array([na]), np.array([nb])))
+        if a == 0:
+            assert b == 0 and s == np.inf
+            return None
+        return (float(s), int(a + b - 1), 0, int(a), int(b))
+
+    return winner
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
        st.floats(0.05, 6.0))
@@ -556,10 +617,53 @@ def test_block_winners_equal_a_sort_of_each_block(seed, ma, mb, eps):
     # Influences from a few levels, so scores and nearby counts tie often
     # and the tie order decides.
     e_two = np.random.default_rng(seed).choice([0.0, 0.25 * eps, 0.5 * eps, np.inf], (ma, mb))
-    winner = mechanism._two_sided_winners(eps, e_two)
+    winner = _per_node(mechanism._two_sided_winners(eps, e_two))
     for na in range(ma + 1):
         for nb in range(mb + 1):
             assert winner(na, nb) == _two_sided_best(eps, e_two[:na, :nb])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 9), st.integers(0, 9),
+       st.floats(0.05, 6.0))
+def test_padded_block_winners_equal_a_sort_of_each_node(seed, n, ma, mb, eps):
+    # Each node owns a corner of the block's table; the cells past it hold
+    # influences that would win, and must not. Some nodes own only cells
+    # that score inf, or no cell at all.
+    rng = np.random.default_rng(seed)
+    e_two = rng.choice([0.0, 0.25 * eps, 0.5 * eps, np.inf], (n, ma, mb))
+    na, nb = rng.integers(0, ma + 1, n), rng.integers(0, mb + 1, n)
+    for j in range(n):
+        e_two[j, na[j]:, :] = e_two[j, :, nb[j]:] = 0.0
+        if rng.random() < 0.3:
+            e_two[j, : na[j], : nb[j]] = np.inf
+    got = _per_node(lambda row, col: mechanism._block_winners(eps, e_two[row], na[row], nb[row]))
+    for j in range(n):
+        assert got(j, j) == _two_sided_best(eps, e_two[j, : na[j], : nb[j]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6), st.integers(0, 8),
+       st.integers(0, 8))
+def test_kernel_block_equals_one_call_per_node(seed, k, n, na, nb):
+    # Blocked or not, each node's influences are the same floats.
+    model = _rough_chain(seed, k, 0.3, True)
+    with np.errstate(divide="ignore"):
+        log_margs = np.log(mechanism._marginals(model, na + n + 1))
+    log_powers, right_max = mechanism._log_powers(model.transition, max(na, nb, 1))
+    nodes = np.arange(na + 1, na + n + 1)
+    live = log_margs[nodes - 1] > -np.inf
+    nodes = nodes[(live == live[0]).all(axis=1)]  # one block shares its live values
+    past = log_margs[nodes[:, None] - 2 - np.arange(na)]
+    block = mechanism._exact_influences(
+        log_margs[nodes - 1], past, log_powers[1 : na + 1], right_max[1 : nb + 1]
+    )
+    for j, i in enumerate(nodes):
+        one = mechanism._exact_influences(
+            log_margs[i - 1], past[j], log_powers[1 : na + 1], right_max[1 : nb + 1]
+        )
+        for got, want in zip(block, one):
+            assert got[j].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fw, eps", [
@@ -613,19 +717,33 @@ def test_kernel_calls_do_not_grow_with_the_window():
     assert quilt_scores(fw, 1.0, Variant.EXACT) == _unshared(fw, 1.0)
 
 
+def test_exact_search_memory_stays_small_on_a_long_window():
+    # Kernel blocks are bounded by _BLOCK_FLOATS, so batching nodes adds
+    # little to the search's peak allocation.
+    fw = _full(random_model(10, np.random.default_rng(3)), 20000)
+    tracemalloc.start()
+    try:
+        quilt_scores(fw, 1.0, Variant.EXACT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
 def test_best_quilt_calls_do_not_grow_with_the_window():
     # Interior nodes that do not clear the first cap size their next one
     # from the shared two-sided score, without scoring themselves in full.
+    # Counted per node scored in full, whatever block it is scored in.
     counts = []
     for L in (4096, 20000):
         calls = []
-        inner = mechanism._best_quilt
+        inner = mechanism._best_quilts
 
-        def counting(*args):
-            calls.append(1)
-            return inner(*args)
+        def counting(i, *args):
+            calls.extend([1] * i.size)
+            return inner(i, *args)
 
-        with mock.patch.object(mechanism, "_best_quilt", counting), _node_steps() as work:
+        with mock.patch.object(mechanism, "_best_quilts", counting), _node_steps() as work:
             quilt_scores(_full(LAZY, L), 1.0, Variant.EXACT)  # the README's chain
         assert work[0][1] == 2  # interior nodes do take a second step
         counts.append(len(calls))
@@ -651,13 +769,13 @@ def _logged_runs(records):
 
 
 def _logged_work(message):
-    """The node steps at each cap, kernel calls and shared nodes of one
-    DEBUG record of the search."""
-    steps, n_calls, n_shared = re.search(
-        r"node steps at caps (\{[^}]*\}), at most \d+ per node, (\d+) kernel calls, "
-        r"(\d+) nodes served from the shared table", message
+    """The node steps at each cap, kernel blocks, distinct node inputs and
+    shared nodes of one DEBUG record of the search."""
+    steps, n_blocks, n_distinct, n_shared = re.search(
+        r"node steps at caps (\{[^}]*\}), at most \d+ per node, (\d+) kernel blocks, "
+        r"(\d+) distinct node inputs, (\d+) nodes served from the shared table", message
     ).groups()
-    return ast.literal_eval(steps), int(n_calls), int(n_shared)
+    return ast.literal_eval(steps), int(n_blocks), int(n_distinct), int(n_shared)
 
 
 def test_search_logs_its_work_per_model(caplog):
@@ -671,12 +789,14 @@ def test_search_logs_its_work_per_model(caplog):
     assert first.startswith("model 0 (exact): 400 nodes, node steps at caps {8: 400}, "
                             "at most 1 per node")
     logged = [_logged_work(r.getMessage()) for r in records]
-    assert [steps for steps, _, _ in logged] == [caps for caps, _ in work]
-    assert sum(n_calls for _, n_calls, _ in logged) == len(calls)
-    # Every node step either calls the kernel or is served from the table.
-    for steps, n_calls, n_shared in logged:
-        assert n_calls + n_shared == sum(steps.values())
-    assert logged[0][2] > 0 and sum(logged[1][0].values()) > 400
+    assert [steps for steps, _, _, _ in logged] == [caps for caps, _ in work]
+    assert sum(n_blocks for _, n_blocks, _, _ in logged) == len(calls)
+    # Every node step is either scored from its own inputs, in one of the
+    # kernel blocks, or served from the table.
+    for steps, n_blocks, n_distinct, n_shared in logged:
+        assert n_distinct + n_shared == sum(steps.values())
+        assert 0 < n_blocks <= n_distinct
+    assert logged[0][3] > 0 and sum(logged[1][0].values()) > 400
     assert _logged_runs(records) == [len(active[idx].runs) for idx in (0, 1)]
 
     # The approx search calls no kernel. Its interior nodes but the first
@@ -689,8 +809,8 @@ def test_search_logs_its_work_per_model(caplog):
     assert len(records) == 2 and records[0].startswith("model 0 (approx): 400 nodes")
     interior = 400 - 2 * mechanism._FIRST_CAP
     assert calls == []
-    for steps, n_calls, n_shared in map(_logged_work, records):
-        assert n_calls == 0
+    for steps, n_blocks, n_distinct, n_shared in map(_logged_work, records):
+        assert n_blocks == 0 and n_distinct + n_shared == sum(steps.values())
         assert interior - 1 <= n_shared <= sum(steps.values()) - 2 * mechanism._FIRST_CAP - 1
 
 
