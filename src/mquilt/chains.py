@@ -14,6 +14,7 @@ Time indices are 1-based: ``X_1`` is the first node of a trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -281,8 +282,9 @@ class SpectralInfo:
     eigenvalues: NDArray[np.float64]
     gap: float
 
-    @property
+    @cached_property
     def pi_min(self) -> float:
+        """The least stationary probability, computed once per summary."""
         return float(self.stationary.min())
 
 

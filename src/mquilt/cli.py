@@ -315,7 +315,7 @@ def _cmd_verify_soundness(args) -> int:
         rec = release(data, q, args.epsilon, fw, variant, int(rng.integers(2**32)))
         seqs = enumerate_sequences(model.k, T)
         vals, sigma = release_values(rec, q, seqs)
-        emp = empirical_epsilon(fw, [(vals, sigma)])
+        emp = empirical_epsilon(fw, [(vals, sigma)], seqs=seqs)
         ok = emp.value <= args.epsilon + 1e-9
         failures += 0 if ok else 1
         results.append(

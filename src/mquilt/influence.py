@@ -256,10 +256,13 @@ def approx_offset_threshold(info: SpectralInfo) -> float:
 
 
 def _spectral_term(info: SpectralInfo, offset: int) -> float:
+    """``log((pi_min + d) / (pi_min - d))`` with ``d = exp(-gap * offset / 2)``,
+    or ``inf`` while ``pi_min <= d``; it never grows with the offset."""
+    pi_min = info.pi_min
     decay = math.exp(-info.gap * offset / 2.0)
-    if info.pi_min - decay <= 0.0:
+    if pi_min - decay <= 0.0:
         return math.inf
-    return math.log((info.pi_min + decay) / (info.pi_min - decay))
+    return math.log((pi_min + decay) / (pi_min - decay))
 
 
 def approx_max_influence(info: SpectralInfo, shape: QuiltShape) -> float:

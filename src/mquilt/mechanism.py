@@ -61,9 +61,18 @@ the ranks along both axes, the entry at ``(na - 1, nb - 1)`` ranks node
 ``i``'s winner, and one lookup reads it for every node of a block. Each
 entry is the same floating-point expression as in a table of the node's
 own offsets, so this is that table's lexicographic minimum, bit for bit.
-Spectral terms ``log((pi_min + d) / (pi_min - d))`` are never negative,
-so the interior shortcut holds, and all interior nodes at one cap share
-one input. Neither variant builds a two-sided table of more than
+Spectral terms ``t(x) = log((pi_min + d) / (pi_min - d))`` are never
+negative, so the interior shortcut holds, and all interior nodes at one
+cap share one input. Each term is evaluated once per search, and the
+table grows by extending them. The terms never grow with the offset, so
+a quilt within cap ``c`` is charged at least ``t(c)``. When no term within
+``_FIRST_CAP`` is below the budget, every capped quilt scores ``inf``,
+every node's capped best is the empty quilt, and its growth
+``floor(L / epsilon * epsilon) + 1`` sends every node to its full reach.
+The approx search then starts there, which is the capped search without
+its decided first step. The exact variant always takes the first step,
+since its influences are known only after the kernel runs.
+Neither variant builds a two-sided table of more than
 ``_TABLE_LIMIT`` entries; a search that would is refused with
 :class:`~mquilt.errors.TooLarge`.
 
@@ -96,7 +105,6 @@ from .influence import (
     Variant,
     _BLOCK_FLOATS,
     _exact_influences,
-    _log_ratio_max,
     _opt_int,
     _row_floats,
     _spectral_term,
@@ -362,7 +370,9 @@ def unit_laplace(rng: np.random.Generator) -> float:
 _FIRST_CAP = 8
 """Offset cap at which every node's search starts. In windows of at most
 twice the cap every node starts at its full reach, which costs it about as
-much as a capped step."""
+much as a capped step. So does every node of an approx search in which
+no spectral term up to this offset is below the budget: the capped step
+would send every node on to its full reach."""
 
 _TABLE_LIMIT = 2**24
 """The most entries a two-sided influence table may hold: ranking one takes
@@ -529,18 +539,24 @@ def _log_powers(
     """Logs of ``P^0 .. P^cap`` and the forward log-ratio maxima.
 
     ``right_max[j, u, v] = max_x log(P^j[u, x] / P^j[v, x])``, skipping
-    slots where both entries vanish.
+    slots where both entries vanish, as :func:`_log_ratio_max` does; it is
+    taken over chunks of offsets whose differences stay within
+    ``_BLOCK_FLOATS`` floats.
     """
     k = P.shape[0]
-    log_powers = np.empty((cap + 1, k, k))
+    powers = np.empty((cap + 1, k, k))
     right_max = np.zeros((cap + 1, k, k))
-    power = np.eye(k)
-    with np.errstate(divide="ignore"):
-        log_powers[0] = np.log(power)
-        for j in range(1, cap + 1):
-            power = np.clip(power @ P, 0.0, 1.0)
-            log_powers[j] = np.log(power)
-            right_max[j] = _log_ratio_max(log_powers[j])
+    power = powers[0] = np.eye(k)
+    for j in range(1, cap + 1):
+        power = powers[j] = np.clip(power @ P, 0.0, 1.0)
+    chunk = max(1, _BLOCK_FLOATS // k**3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_powers = np.log(powers)
+        for lo in range(1, cap + 1, chunk):
+            rows = log_powers[lo : lo + chunk]
+            right_max[lo : lo + chunk] = np.fmax.reduce(
+                rows[:, :, None, :] - rows[:, None, :, :], axis=3
+            )
     return log_powers, right_max
 
 
@@ -595,6 +611,25 @@ def _search_model(
     """
     exact = log_margs is not None
     first = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
+    # The log powers, or the spectral terms and their two-sided table, up to
+    # offset ``top``; they grow geometrically, and a smaller cap reads their
+    # leading block. Each spectral term is evaluated once.
+    top = -1
+    log_powers = right_max = winner = None
+    terms = np.empty(0)
+
+    def extend_terms(to: int) -> NDArray[np.float64]:
+        new = [_spectral_term(info, x) for x in range(terms.size + 1, to + 1)]
+        return np.concatenate([terms, new]) if new else terms
+
+    if not exact and first < L:
+        # Every quilt within the first cap is charged at least the term of
+        # one of its offsets. If none is below the budget, every capped quilt
+        # scores inf and every node's capped best is the empty quilt, which
+        # sends the node to its full reach; so start there.
+        terms = extend_terms(_FIRST_CAP)
+        if terms.min() >= epsilon:
+            first = L
     caps, most, blocks, distinct, shared = {first: L}, 1, 0, 0, 0
     node_cap = np.full(L, first)
     open_nodes = np.arange(1, L + 1)
@@ -610,20 +645,18 @@ def _search_model(
         _, first_row, row_ids = np.unique(rows[:, 0], return_index=True, return_inverse=True)
         # Nodes with the same live values share one list of value pairs.
         live = np.ascontiguousarray(log_margs[first_row] > -np.inf)
-        _, first_live, pattern = np.unique(
-            live.view(np.dtype((np.void, model.k)))[:, 0], return_index=True, return_inverse=True
-        )
-        pattern = pattern[row_ids]
+        pattern, first_live = None, [0]  # None: one pattern, no grouping
+        if not (live == live[0]).all():
+            _, first_live, pattern = np.unique(
+                live.view(np.dtype((np.void, model.k)))[:, 0],
+                return_index=True, return_inverse=True,
+            )
+            pattern = pattern[row_ids]
         pairs = [n * (n - 1) for n in live[first_live].sum(axis=1).tolist()]
     else:
         row_ids = np.zeros(L, dtype=np.intp)
     index: dict[bytes, int] = {}
     entries: list[tuple] = []
-    # The log powers, or the spectral terms and their two-sided table, up to
-    # offset ``top``; they grow geometrically, and a smaller cap reads their
-    # leading block.
-    top = -1
-    log_powers = right_max = terms = winner = None
 
     def node_blocks(i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64]):
         """Blocks ``(rows, e_left, e_right, two)`` that score the nodes
@@ -635,9 +668,12 @@ def _search_model(
                 yield (rows, np.broadcast_to(2.0 * terms[:ma], (rows.size, ma)),
                        np.broadcast_to(terms[:mb], (rows.size, mb)), winner(na[rows], nb[rows]))
             return
-        kind = pattern[i - 1]
-        for p in np.unique(kind).tolist():
-            group = np.flatnonzero(kind == p)
+        if pattern is None:
+            groups = [(0, np.arange(i.size))]
+        else:
+            kind = pattern[i - 1]
+            groups = [(p, np.flatnonzero(kind == p)) for p in np.unique(kind).tolist()]
+        for p, group in groups:
             for rows in _blocks(na[group].tolist(), nb[group].tolist(),
                                 lambda ma, mb: max(1, ma) * _row_floats(model.k, pairs[p], mb)):
                 rows = group[rows]
@@ -674,42 +710,47 @@ def _search_model(
                 log_powers, right_max = _log_powers(model.transition, top)
             else:
                 _check_table(j, L, "approx", top, top)
-                terms = np.array([_spectral_term(info, x) for x in range(1, top + 1)])
+                terms = extend_terms(top)
                 winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
         bound = (cap + 1) / epsilon
         inner = (na == cap) & (nb == cap)
-        known = len(index)
-        ids = np.fromiter(
-            (index.setdefault(row_ids[j - 1 - c : j].tobytes(), len(index))
-             for j, c in zip(open_nodes[inner].tolist(), cap[inner].tolist())),
-            dtype=np.intp, count=int(inner.sum()),
-        )
-        keys, first_at, key_of = np.unique(ids, return_index=True, return_inverse=True)
-        # Nodes scored from their own inputs: the boundary nodes, and the
-        # first interior node of each new key, whose entry they fill.
-        own = ~inner
-        own[np.flatnonzero(inner)[first_at[keys >= known]]] = True
-        entry_of = np.full(open_nodes.size, -1)
-        entry_of[inner & own] = np.arange(known, len(index))
-        entries.extend([None] * (len(index) - known))
-        distinct += int(own.sum())
-        shared += ids.size - (len(index) - known)
-        own = np.flatnonzero(own)
+        has_inner = bool(inner.any())
+        if has_inner:
+            known = len(index)
+            ids = np.fromiter(
+                (index.setdefault(row_ids[j - 1 - c : j].tobytes(), len(index))
+                 for j, c in zip(open_nodes[inner].tolist(), cap[inner].tolist())),
+                dtype=np.intp, count=int(inner.sum()),
+            )
+            keys, first_at, key_of = np.unique(ids, return_index=True, return_inverse=True)
+            # Nodes scored from their own inputs: the boundary nodes, and the
+            # first interior node of each new key, whose entry they fill.
+            own = ~inner
+            own[np.flatnonzero(inner)[first_at[keys >= known]]] = True
+            entry_of = np.full(open_nodes.size, -1)
+            entry_of[inner & own] = np.arange(known, len(index))
+            entries.extend([None] * (len(index) - known))
+            shared += ids.size - (len(index) - known)
+            own = np.flatnonzero(own)
+        else:
+            own = np.arange(open_nodes.size)
+        distinct += own.size
         still_open = []
         for rows, e_left, e_right, two in node_blocks(open_nodes[own], na[own], nb[own]):
-            for r in np.flatnonzero(entry_of[own[rows]] >= 0).tolist():
-                entries[entry_of[own[rows[r]]]] = (
-                    e_left[r].copy(), e_right[r].copy(), *(x[r] for x in two)
-                )
-            edge = entry_of[own[rows]] < 0
-            if edge.any():
-                at = own[rows[edge]]
+            at = own[rows]
+            if has_inner:
+                entry = entry_of[at]
+                for r in np.flatnonzero(entry >= 0).tolist():
+                    entries[entry[r]] = (e_left[r].copy(), e_right[r].copy(), *(x[r] for x in two))
+                edge = entry < 0
+                at, e_left, e_right = at[edge], e_left[edge], e_right[edge]
+                two = tuple(x[edge] for x in two)
+            if at.size:
                 j, na_j, nb_j = open_nodes[at], na[at], nb[at]
-                s, a, b = _best_quilts(j, na_j, nb_j, L, epsilon, e_left[edge], e_right[edge],
-                                       tuple(x[edge] for x in two))
+                s, a, b = _best_quilts(j, na_j, nb_j, L, epsilon, e_left, e_right, two)
                 done = (s < bound[at]) | (na_j + nb_j == L - 1)
                 still_open.append(settle(j, s, a, b, done, cap[at]))
-        if ids.size:
+        if has_inner:
             s, a, b = (np.array([entries[k][f] for k in keys.tolist()])[key_of] for f in (2, 3, 4))
             done = s < bound[inner]
             # No one-sided or empty quilt can clear an interior cap, so the
@@ -761,6 +802,9 @@ def quilt_scores(
     Each node's search admits offsets up to a cap that it grows until no
     quilt outside the cap can win at the node, in at most two steps, so
     the result is the full search's bit for bit (see the module docstring).
+    An approx search in which no spectral term within the first cap is
+    below ``epsilon`` starts every node at its full reach, since its first
+    step would score every capped quilt ``inf`` and send every node there.
 
     Each model's search logs one DEBUG record on this module's logger: the
     nodes searched, the node steps taken at each cap (cap ``L`` is a

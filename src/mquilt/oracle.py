@@ -90,11 +90,14 @@ def enumerate_sequences(k: int, T: int) -> NDArray[np.int64]:
 
 
 def sequence_probs(model: ChainModel, seqs: NDArray[np.int64]) -> NDArray[np.float64]:
-    """Probability of each enumerated trajectory under the model."""
+    """Probability of each enumerated trajectory under the model, its
+    factors multiplied from the first step to the last. Each step's
+    transition factors are one gather from the flattened matrix."""
     model = validate(model)
-    probs = model.initial[seqs[:, 0]].copy()
+    k, flat = model.k, model.transition.ravel()
+    probs = model.initial[seqs[:, 0]]
     for t in range(1, seqs.shape[1]):
-        probs *= model.transition[seqs[:, t - 1], seqs[:, t]]
+        probs *= flat.take(seqs[:, t - 1] * k + seqs[:, t])
     return probs
 
 
@@ -293,22 +296,33 @@ def empirical_epsilon(
     framework: Framework,
     releases: Sequence[tuple[NDArray[np.float64], float]],
     secret_nodes: Sequence[int] | None = None,
+    *,
+    seqs: NDArray[np.int64] | None = None,
 ) -> EmpiricalEpsilon:
     """Exact worst-case log ratio of the (joint) output law over secrets.
 
     ``releases`` pairs per-trajectory scaled values (in enumeration order
     over the full horizon) with noise scales. Secrets default to every
     node of the framework window, under every model; values whose
-    conditioning probability is zero are skipped. Raises ``InvalidTime``
-    for a secret node outside ``1..horizon`` and ``LengthMismatch`` for a
-    value array that is not one value per trajectory.
+    conditioning probability is zero are skipped. ``seqs`` is the table of
+    :func:`enumerate_sequences` over the framework's states and horizon,
+    for a caller that already built it to evaluate its releases; it is
+    enumerated here when absent. Raises ``InvalidTime`` for a secret node
+    outside ``1..horizon``, and ``LengthMismatch`` for a table of another
+    shape or a value array that is not one value per trajectory.
 
     For each model and node, trajectory probability is binned by the
     state at the node and the combination of distinct release values,
     then contracted with each release's factor matrix over its distinct
     centers and normalised by the binned state mass.
     """
-    seqs = enumerate_sequences(framework.k, framework.horizon)
+    if seqs is None:
+        seqs = enumerate_sequences(framework.k, framework.horizon)
+    elif seqs.shape != (framework.k**framework.horizon, framework.horizon):
+        raise LengthMismatch(
+            f"trajectory table of shape {seqs.shape}, expected "
+            f"({framework.k}^{framework.horizon}, {framework.horizon})"
+        )
     nodes = (
         list(secret_nodes)
         if secret_nodes is not None

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mquilt import cli, mechanism, storage
+from mquilt import cli, mechanism, oracle, storage
 from mquilt.chains import ChainModel, StateSequence, random_model, sample
 from mquilt.cli import main
 from mquilt.composition import compose_auto, compose_sequential_mqm
@@ -1093,6 +1093,21 @@ def test_cli_verify_soundness_json_reports_each_trial(capsys):
         f"trial {n}: empirical {res['empirical_epsilon']:.6f} vs budget 0.800000 -> PASS"
         for n, res in enumerate(results)
     ]
+
+
+def test_cli_verify_soundness_enumerates_each_trial_once(capsys):
+    tables = []
+    inner = oracle.enumerate_sequences
+
+    def counting(k, T):
+        tables.append((k, T))
+        return inner(k, T)
+
+    with mock.patch.object(cli, "enumerate_sequences", counting), \
+            mock.patch.object(oracle, "enumerate_sequences", counting):
+        assert main(["verify", "soundness", "--T", "4", "--seeds", "3"]) == 0
+    assert tables == [(2, 4)] * 3
+    assert "3/3 trials passed" in capsys.readouterr().out
 
 
 def test_cli_verify_soundness_single_state_chain(capsys):

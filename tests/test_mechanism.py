@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import json
 import logging
 import math
@@ -27,6 +28,7 @@ from mquilt.errors import (
 from mquilt.influence import (
     QuiltShape,
     Variant,
+    _log_ratio_max,
     approx_max_influence,
     exact_max_influence,
 )
@@ -286,13 +288,18 @@ def test_pruned_approx_search_matches_brute_force(seed, k, L, eps, stay):
 
 
 def test_sticky_chain_nodes_take_at_most_two_steps():
+    # The approx search knows from its spectral terms that no quilt within
+    # the first cap is below the budget, so it starts at the full reach.
     for variant, eps in ((Variant.EXACT, 0.5), (Variant.APPROX, 4.0)):
         fw = _full(_chain(5, 3, 0.97), 150)
         with _node_steps() as work:
             got = quilt_scores(fw, eps, variant)
         [(caps, most)] = work
-        assert most == 2 and caps[mechanism._FIRST_CAP] == 150
-        assert sum(caps.values()) > 150
+        if variant is Variant.EXACT:
+            assert most == 2 and caps[mechanism._FIRST_CAP] == 150
+            assert sum(caps.values()) > 150
+        else:
+            assert most == 1 and caps == {150: 150}
         assert got == _unpruned(fw, eps, variant)
 
 
@@ -666,11 +673,10 @@ def test_kernel_block_equals_one_call_per_node(seed, k, n, na, nb):
             assert got[j].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("fw, eps", [
-    (_full(random_model(10, np.random.default_rng(3)), 1024), 2.0),
-    (_full(_chain(5, 3, 0.97), 150), 4.0),
-], ids=["random", "sticky"])
-def test_approx_search_builds_one_two_sided_table_per_growth(fw, eps):
+@contextlib.contextmanager
+def _two_sided_tables():
+    """Record the shape of every approx two-sided table built inside the
+    block."""
     tables = []
     inner = mechanism._two_sided_winners
 
@@ -678,17 +684,123 @@ def test_approx_search_builds_one_two_sided_table_per_growth(fw, eps):
         tables.append(e_two.shape)
         return inner(epsilon, e_two)
 
-    with mock.patch.object(mechanism, "_two_sided_winners", counting), \
-            _node_steps() as work:
+    with mock.patch.object(mechanism, "_two_sided_winners", counting):
+        yield tables
+
+
+@pytest.mark.parametrize("fw, eps, skipped", [
+    (_full(random_model(10, np.random.default_rng(3)), 1024), 2.0, False),
+    (_full(_chain(5, 3, 0.97), 150), 4.0, True),
+], ids=["random", "sticky"])
+def test_approx_search_builds_one_two_sided_table_per_growth(fw, eps, skipped):
+    with _two_sided_tables() as tables, _node_steps() as work:
         quilt_scores(fw, eps, Variant.APPROX)
     [(caps, _)] = work
     L = fw.horizon
     sides = [a for a, _ in tables]
-    assert tables == [(a, a) for a in sides] and sides[0] == mechanism._FIRST_CAP
+    assert tables == [(a, a) for a in sides]
+    if skipped:
+        # No quilt within the first cap is below the budget: the search
+        # starts at the full reach, with one table that spans the window.
+        assert caps == {L: L} and sides == [L - 1]
+        return
+    assert sides[0] == mechanism._FIRST_CAP
     # Each table at least doubles the last, or spans the window, and the
     # last one covers every cap a node reached.
     assert all(new >= 2 * old or new == L - 1 > old for old, new in zip(sides, sides[1:]))
     assert len(sides) > 1 and sides[-1] >= min(max(caps), L - 1)
+
+
+@st.composite
+def _sticky_approx_instances(draw):
+    k = draw(st.integers(2, 5))
+    stay = draw(st.sampled_from([0.3, 0.5, 0.8, 0.9, 0.97]))
+    model = _chain(draw(st.integers(0, 2**32 - 1)), k, stay)
+    L = draw(st.integers(17, 300))
+    start = draw(st.integers(1, 40))
+    tail = draw(st.integers(0, 20))
+    fw = Framework(start + L - 1 + tail, Window(start, start + L - 1), (model,))
+    return fw, draw(st.floats(0.05, 2.0)), draw(st.sampled_from(["window", "chain"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_sticky_approx_instances())
+@example((Framework(320, Window(21, 300), (_chain(4, 3, 0.9),)), 0.3, "window"))
+@example((Framework(420, Window(21, 400), (_chain(3, 3),)), 0.5, "chain"))
+def test_approx_search_skips_a_first_step_its_spectral_terms_decide(inst):
+    fw, eps, scope = inst
+    L = fw.window.length if scope == "window" else fw.horizon
+    terms = [mechanism._spectral_term(spectral(fw.models[0]), x)
+             for x in range(1, mechanism._FIRST_CAP + 1)]
+    # Terms never grow with the offset, so t(_FIRST_CAP) is the least
+    # influence of any quilt within the first cap.
+    assert all(a >= b for a, b in zip(terms, terms[1:]))
+    with _two_sided_tables() as tables, _node_steps() as work:
+        got = quilt_scores(fw, eps, Variant.APPROX, scope=scope)
+    [(caps, most)] = work
+    if terms[-1] >= eps:
+        # Every capped quilt would score inf and send every node on to its
+        # full reach: the search starts there, with one table.
+        assert caps == {L: L} and most == 1 and tables == [(L - 1, L - 1)]
+        with mock.patch.object(mechanism, "_FIRST_CAP", fw.horizon):
+            assert got == quilt_scores(fw, eps, Variant.APPROX, scope=scope)
+        assert got == _per_node_approx(fw, eps, scope)
+    else:
+        assert tables[0] == (mechanism._FIRST_CAP, mechanism._FIRST_CAP)
+        assert caps[mechanism._FIRST_CAP] == L
+
+
+@pytest.mark.parametrize("fw, eps", [
+    (_full(random_model(10, np.random.default_rng(3)), 300), 2.0),
+    (_full(_chain(5, 3, 0.97), 150), 4.0),
+    (_full(_chain(3, 3), 400), 0.5),
+], ids=["growing", "skipped", "first-cap"])
+def test_approx_search_evaluates_each_spectral_term_once(fw, eps):
+    offsets = []
+    inner = mechanism._spectral_term
+
+    def counting(info, offset):
+        offsets.append(offset)
+        return inner(info, offset)
+
+    with mock.patch.object(mechanism, "_spectral_term", counting):
+        quilt_scores(fw, eps, Variant.APPROX)
+    assert offsets == list(range(1, max(offsets) + 1))
+
+
+def test_spectral_info_takes_its_stationary_minimum_once():
+    mins = []
+
+    class Counting(np.ndarray):
+        def min(self, *args, **kwargs):
+            mins.append(1)
+            return np.asarray(self).min(*args, **kwargs)
+
+    model = _chain(3, 3)
+    info = spectral(model)
+    counted = dataclasses.replace(info, stationary=info.stationary.view(Counting))
+    with mock.patch.object(mechanism, "spectral", lambda m: counted):
+        got = quilt_scores(_full(model, 400), 0.5, Variant.APPROX)
+    assert len(mins) == 1 and counted.pi_min == info.pi_min
+    assert got == quilt_scores(_full(model, 400), 0.5, Variant.APPROX)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 40),
+       st.sampled_from([0.0, 0.9]), st.booleans())
+def test_log_powers_equal_one_ratio_maximum_per_offset(seed, k, cap, stay, holes):
+    # Chunks of offsets, zero entries and all: the same floats as stepping
+    # the powers and taking each offset's ratio maximum on its own.
+    P = _rough_chain(seed, k, stay, holes).transition
+    log_powers, right_max = mechanism._log_powers(P, cap)
+    power = np.eye(k)
+    with np.errstate(divide="ignore"):
+        for j in range(cap + 1):
+            if j:
+                power = np.clip(power @ P, 0.0, 1.0)
+            assert log_powers[j].tobytes() == np.log(power).tobytes()
+            want = _log_ratio_max(np.log(power)) if j else np.zeros((k, k))
+            assert right_max[j].tobytes() == want.tobytes()
 
 
 @contextlib.contextmanager
@@ -799,8 +911,11 @@ def test_search_logs_its_work_per_model(caplog):
     assert logged[0][3] > 0 and sum(logged[1][0].values()) > 400
     assert _logged_runs(records) == [len(active[idx].runs) for idx in (0, 1)]
 
-    # The approx search calls no kernel. Its interior nodes but the first
-    # share one entry at the first cap, and its boundary nodes none.
+    # The approx search calls no kernel. On the first chain, its interior
+    # nodes but the first share one entry at the first cap, and its
+    # boundary nodes none. The sticky chain has no quilt below the budget
+    # within the first cap, so its nodes start at their full reach, where
+    # no node is interior and none shares an entry.
     caplog.clear()
     with _kernel_calls() as calls, caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
         _, active = quilt_scores(fw, 0.5, Variant.APPROX)
@@ -809,9 +924,12 @@ def test_search_logs_its_work_per_model(caplog):
     assert len(records) == 2 and records[0].startswith("model 0 (approx): 400 nodes")
     interior = 400 - 2 * mechanism._FIRST_CAP
     assert calls == []
-    for steps, n_blocks, n_distinct, n_shared in map(_logged_work, records):
+    logged = [_logged_work(r) for r in records]
+    for steps, n_blocks, n_distinct, n_shared in logged:
         assert n_blocks == 0 and n_distinct + n_shared == sum(steps.values())
-        assert interior - 1 <= n_shared <= sum(steps.values()) - 2 * mechanism._FIRST_CAP - 1
+    steps, _, _, n_shared = logged[0]
+    assert interior - 1 <= n_shared <= sum(steps.values()) - 2 * mechanism._FIRST_CAP - 1
+    assert logged[1] == ({400: 400}, 0, 400, 0)
 
 
 def test_search_builds_no_quilt_shape_per_node():

@@ -249,6 +249,29 @@ def test_empirical_epsilon_refuses_values_not_one_per_trajectory():
             empirical_epsilon(fw, [(np.zeros(8), 1.0), (values, 1.0)])
 
 
+def test_empirical_epsilon_reads_a_precomputed_table():
+    fw = _full(LAZY, 3)
+    values = np.arange(8, dtype=float)
+    seqs = enumerate_sequences(2, 3)
+    assert empirical_epsilon(fw, [(values, 1.0)], seqs=seqs) == empirical_epsilon(
+        fw, [(values, 1.0)]
+    )
+    for wrong in (enumerate_sequences(2, 2), enumerate_sequences(2, 4), seqs[:, :2], seqs[1:]):
+        with pytest.raises(LengthMismatch, match="trajectory table of shape"):
+            empirical_epsilon(fw, [(values, 1.0)], seqs=wrong)
+
+
+def test_sequence_probs_multiply_each_step_in_order():
+    # Zero entries, and products whose rounding depends on the order.
+    model = ChainModel.from_arrays([0.3, 0.7, 0.0], [[0.1, 0.0, 0.9], [0.37, 0.33, 0.3],
+                                                     [0.0, 0.5, 0.5]])
+    seqs = enumerate_sequences(3, 6)
+    want = model.initial[seqs[:, 0]].copy()
+    for t in range(1, 6):
+        want *= model.transition[seqs[:, t - 1], seqs[:, t]]
+    assert sequence_probs(model, seqs).tobytes() == want.tobytes()
+
+
 def _counting(query):
     """The query, plus the list of shapes its ``evaluate`` was called on."""
     calls = []
