@@ -33,9 +33,13 @@ block; they are grouped by the states their marginal law gives mass to.
 Nodes with identical inputs at one cap share them. Node ``i`` feeds the
 exact kernel only its offset counts ``na = min(i - 1, c)`` and
 ``nb = min(L - i, c)`` and the log marginals of nodes ``i - na .. i``. The
-marginal recursion reaches a bitwise fixed point or 2-cycle, on random
-chains within a few dozen steps, and past that point every interior node
-(``na = nb = c``) repeats one of at most two inputs per cap. The best
+marginal recursion ends at its first repeated row, in a bitwise cycle of
+any period: random chains repeat a row within a few dozen steps, and 18
+of 40 random 10-state chains cycle with a period of 3 or more. Past that
+point every interior node (``na = nb = c``) repeats one of at most
+``period`` inputs per cap. Each step numbers its interior nodes' inputs by
+array passes per cap, keying each distinct input once per chunk of nodes,
+so its Python work grows with the distinct inputs, not with ``L``. The best
 two-sided quilt depends only on those inputs. The one-sided and empty
 candidates do not: their nearby counts ``L - i + a`` and ``i + b - 1``
 depend on ``i``. At an interior node each of them has at least ``c + 1``
@@ -513,22 +517,25 @@ def _best_quilts(
 def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
     """Marginal laws of the first ``L`` nodes, one row per node.
 
-    The recursion is a function of the previous row's bits, so once a row
-    repeats the row one or two steps before it bit for bit, the rest of
-    the table repeats that period; it is filled in without stepping.
+    The recursion is a function of the previous row's bits, so once row
+    ``t`` repeats an earlier row ``s`` bit for bit, the rest of the table
+    repeats rows ``s .. t - 1``; it is filled in without stepping. The
+    period may be any length: of ``random_model(k, default_rng(s))`` for
+    ``s < 40``, 6, 12, 18 and 18 chains at k = 3, 5, 10 and 30 cycle with a
+    period of 3 or more (up to 4, 7, 12 and 25 rows), and every one of them
+    repeats a row by step 51.
     """
     margs = np.empty((L, model.k))
     margs[0] = model.initial
+    seen = {margs[0].tobytes(): 0}
     for t in range(1, L):
         nxt = np.clip(margs[t - 1] @ model.transition, 0.0, None)
         margs[t] = nxt / nxt.sum()
-        row = margs[t].tobytes()
-        if row == margs[t - 1].tobytes():
-            margs[t + 1 :] = margs[t]
-            break
-        if t >= 2 and row == margs[t - 2].tobytes():
-            margs[t + 1 :: 2] = margs[t - 1]
-            margs[t + 2 :: 2] = margs[t]
+        s = seen.setdefault(margs[t].tobytes(), t)
+        if s < t:
+            q, r = divmod(L - t, t - s)
+            margs[t : L - r].reshape(q, t - s, model.k)[:] = margs[s:t]
+            margs[L - r :] = margs[s : s + r]
             break
     return margs
 
@@ -586,6 +593,42 @@ def _blocks(
         lo = hi
 
 
+def _window_ids(
+    index: dict[bytes, int], row_ids: NDArray[np.int32], j: NDArray[np.int64], c: NDArray[np.int64]
+) -> NDArray[np.intp]:
+    """The number in ``index`` of each window ``row_ids[j - 1 - c : j]``,
+    for the nodes ``j`` in node order at caps ``c``; a new window gets the
+    next number, in node order of first appearance.
+
+    The windows of one cap are told apart by one sort per chunk of nodes,
+    whose windows stay within ``_BLOCK_FLOATS`` entries, so each window's
+    bytes are keyed once per chunk it occurs in, not once per node. A key's
+    length names its cap."""
+    local = np.empty(j.size, np.intp)  # chunk-local window classes
+    first_of = np.full(j.size, -1)  # each class numbered at its first node
+    n = 0
+    for cap in np.unique(c).tolist():
+        at = np.flatnonzero(c == cap)
+        windows = np.lib.stride_tricks.sliding_window_view(row_ids, cap + 1)
+        rows = np.dtype((np.void, row_ids.itemsize * (cap + 1)))
+        chunk = max(1, _BLOCK_FLOATS // (cap + 1))
+        for lo in range(0, at.size, chunk):
+            part = at[lo : lo + chunk]
+            _, first, inverse = np.unique(
+                windows[j[part] - 1 - cap].view(rows)[:, 0], return_index=True, return_inverse=True
+            )
+            local[part] = inverse + n
+            first_of[part[first]] = np.arange(n, n + first.size)
+            n += first.size
+    x = np.flatnonzero(first_of >= 0)
+    number = np.empty(n, np.intp)
+    number[first_of[x]] = [
+        index.setdefault(row_ids[lo:hi].tobytes(), len(index))
+        for lo, hi in zip((j[x] - 1 - c[x]).tolist(), j[x].tolist())
+    ]
+    return number[local]
+
+
 def _search_model(
     model: ChainModel,
     log_margs: NDArray[np.float64] | None,
@@ -637,12 +680,13 @@ def _search_model(
     # Only interior steps (na = nb = cap) can have the same inputs as
     # another node's. Their inputs are keyed by the ids of their cap + 1
     # log-marginal rows, equal ids for bitwise-equal rows (one id for all in
-    # the approx search), so a key's length names its cap. ``index`` numbers
-    # the keys; ``entries`` keeps e_left, e_right and the two-sided winner's
-    # score and offsets per key.
+    # the approx search); see _window_ids. ``index`` numbers the keys;
+    # ``entries`` keeps e_left, e_right and the two-sided winner's score and
+    # offsets per key.
     if exact:
         rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
         _, first_row, row_ids = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+        row_ids = row_ids.astype(np.int32)
         # Nodes with the same live values share one list of value pairs.
         live = np.ascontiguousarray(log_margs[first_row] > -np.inf)
         pattern, first_live = None, [0]  # None: one pattern, no grouping
@@ -654,7 +698,7 @@ def _search_model(
             pattern = pattern[row_ids]
         pairs = [n * (n - 1) for n in live[first_live].sum(axis=1).tolist()]
     else:
-        row_ids = np.zeros(L, dtype=np.intp)
+        row_ids = np.zeros(L, dtype=np.int32)
     index: dict[bytes, int] = {}
     entries: list[tuple] = []
 
@@ -717,11 +761,7 @@ def _search_model(
         has_inner = bool(inner.any())
         if has_inner:
             known = len(index)
-            ids = np.fromiter(
-                (index.setdefault(row_ids[j - 1 - c : j].tobytes(), len(index))
-                 for j, c in zip(open_nodes[inner].tolist(), cap[inner].tolist())),
-                dtype=np.intp, count=int(inner.sum()),
-            )
+            ids = _window_ids(index, row_ids, open_nodes[inner], cap[inner])
             keys, first_at, key_of = np.unique(ids, return_index=True, return_inverse=True)
             # Nodes scored from their own inputs: the boundary nodes, and the
             # first interior node of each new key, whose entry they fill.
@@ -758,8 +798,9 @@ def _search_model(
             lost = np.flatnonzero(s == np.inf)
             if lost.size:
                 j, full = open_nodes[inner][lost], cap[inner][lost]
-                e_left = np.stack([entries[ids[x]][0] for x in lost.tolist()])
-                e_right = np.stack([entries[ids[x]][1] for x in lost.tolist()])
+                lost_keys, lost_of = np.unique(ids[lost], return_inverse=True)
+                e_left, e_right = (np.stack([entries[k][f] for k in lost_keys.tolist()])[lost_of]
+                                   for f in (0, 1))
                 s[lost] = _best_quilts(
                     j, full, full, L, epsilon, e_left, e_right, (s[lost], a[lost], b[lost])
                 )[0]

@@ -363,6 +363,52 @@ def test_marginals_stop_at_their_period(model, L, period):
     assert mechanism._marginals(model, L).tobytes() == stepped.tobytes()
 
 
+def _first_repeat(margs):
+    """The first row ``t`` that repeats an earlier row bit for bit, and that
+    row's index ``s``; their difference is the period, of any length."""
+    seen = {}
+    for t, row in enumerate(margs):
+        s = seen.setdefault(row.tobytes(), t)
+        if s < t:
+            return s, t
+    return None
+
+
+_CYCLING = [
+    (random_model(10, np.random.default_rng(0)), 6),  # first repeat at row 27
+    (random_model(10, np.random.default_rng(7)), 6),  # at row 35
+    (random_model(3, np.random.default_rng(39)), 4),  # at row 40
+    (random_model(5, np.random.default_rng(5)), 7),  # at row 40
+]
+
+
+@pytest.mark.parametrize("model, period", _CYCLING)
+@pytest.mark.parametrize("L", [1, 2, 30, 41, 47, 5000])
+def test_marginals_stop_at_a_repeated_row_of_any_period(model, period, L):
+    stepped = _stepped_marginals(model, 5000)
+    s, t = _first_repeat(stepped)
+    assert t - s == period
+    assert mechanism._marginals(model, L).tobytes() == stepped[:L].tobytes()
+
+
+@pytest.mark.parametrize("model", [model for model, _ in _CYCLING])
+def test_marginals_step_no_further_than_the_first_repeated_row(model):
+    steps = []
+
+    class Counting(np.ndarray):
+        def __rmatmul__(self, other):
+            steps.append(1)
+            return other @ np.asarray(self)
+
+    L = 5000
+    counted = mock.Mock(k=model.k, initial=model.initial,
+                        transition=model.transition.view(Counting))
+    got = mechanism._marginals(counted, L)
+    _, t = _first_repeat(_stepped_marginals(model, L))
+    assert 0 < len(steps) <= t
+    assert got.tobytes() == _stepped_marginals(model, L).tobytes()
+
+
 def _two_sided_best(epsilon, e_two):
     """The best two-sided quilt of a whole table by one sort in the tie
     order, as the per-node searches scored it."""
@@ -507,6 +553,11 @@ def _rough_chain(seed, k, stay, holes):
     return ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
 
 
+_STICKY_2 = ChainModel.from_arrays([1.0, 0.0], [[0.97, 0.03], [0.05, 0.95]])
+"""A sticky chain whose marginals settle slowly: the interior nodes of its
+second step at L=300, epsilon=4 have caps 46 and 47."""
+
+
 @st.composite
 def _exact_instances(draw):
     k = draw(st.integers(2, 5))
@@ -540,9 +591,100 @@ def _exact_instances(draw):
     [1.0, 0.0, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.3, 0.3, 0.4]]),)), 1.0, "chain"))
 # ... and a chain with a single state.
 @example((_full(ChainModel.from_arrays([1.0], [[1.0]]), 30), 1.0, "window"))
+# Marginals that cycle with period 6 from node 28 ...
+@example((_full(random_model(10, np.random.default_rng(0)), 240), 1.0, "window"))
+# ... and from node 36, searched over a longer chain than the window.
+@example((Framework(260, Window(31, 250), (random_model(10, np.random.default_rng(7)),)), 0.5,
+          "chain"))
+# Interior nodes of one step at caps 46 and 47.
+@example((_full(_STICKY_2, 300), 4.0, "window"))
 def test_shared_exact_search_equals_unshared_search(inst):
     fw, eps, scope = inst
     assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
+
+
+def _tobytes_ids(index, row_ids, j, c):
+    """The numbering that ``mechanism._window_ids`` makes by array passes,
+    made node by node: one bytes key per node, in node order."""
+    return [index.setdefault(row_ids[x - 1 - y : x].tobytes(), len(index))
+            for x, y in zip(j.tolist(), c.tolist())]
+
+
+@st.composite
+def _window_steps(draw):
+    """Row ids of a window (all zero as in the approx search, a few values,
+    or a cycle after a lead-in), and search steps of distinct interior
+    nodes in node order, whose caps may differ within a step."""
+    L = draw(st.integers(3, 80))
+    kind = draw(st.sampled_from(["zeros", "few", "cycle"]))
+    if kind == "zeros":
+        row_ids = np.zeros(L, np.int32)
+    elif kind == "few":
+        row_ids = np.array(draw(st.lists(st.integers(0, 2), min_size=L, max_size=L)), np.int32)
+    else:
+        lead, period = draw(st.integers(0, 20)), draw(st.integers(1, 12))
+        t = np.arange(L)
+        row_ids = np.where(t < lead, t, lead + (t - lead) % period).astype(np.int32)
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        caps = draw(st.lists(st.integers(1, (L - 1) // 2), min_size=1, max_size=3))
+        at = {}
+        for _ in range(draw(st.integers(1, 40))):
+            c = draw(st.sampled_from(caps))
+            at.setdefault(draw(st.integers(c + 1, L - c)), c)
+        j = np.array(sorted(at))
+        steps.append((j, np.array([at[x] for x in j.tolist()])))
+    return row_ids, steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_window_steps(), st.sampled_from([1, 2, 5, 2**15]))
+def test_window_ids_number_windows_as_one_bytes_key_per_node(inst, block):
+    # Chunks of one node, of a few nodes, and of every node of a cap.
+    row_ids, steps = inst
+    index, want = {}, {}
+    with mock.patch.object(mechanism, "_BLOCK_FLOATS", block):
+        for j, c in steps:
+            assert mechanism._window_ids(index, row_ids, j, c).tolist() == \
+                _tobytes_ids(want, row_ids, j, c)
+            assert len(index) == len(want)
+
+
+@pytest.mark.parametrize("fw, eps, variant, caps", [
+    (_full(_STICKY_2, 300), 4.0, Variant.EXACT, [[8], [46, 47]]),
+    (_full(random_model(10, np.random.default_rng(0)), 400), 1.0, Variant.EXACT, [[8]]),
+    (_full(_chain(3, 3), 400), 0.5, Variant.APPROX, [[8]]),
+], ids=["sticky-mixed-caps", "period-6", "approx"])
+def test_search_numbers_windows_as_one_bytes_key_per_node(fw, eps, variant, caps):
+    inner = mechanism._window_ids
+    want, seen = {}, []
+
+    def checking(index, row_ids, j, c):
+        got = inner(index, row_ids, j, c)
+        assert got.tolist() == _tobytes_ids(want, row_ids, j, c) and len(index) == len(want)
+        seen.append(np.unique(c).tolist())
+        return got
+
+    with mock.patch.object(mechanism, "_window_ids", checking):
+        quilt_scores(fw, eps, variant)
+    assert seen == caps
+
+
+@pytest.mark.parametrize("seed, L", [(0, 150), (2, 200)])
+def test_interior_nodes_without_a_two_sided_quilt_grow_caps_from_their_own_scores(seed, L):
+    # On these sticky chains an interior node that the first cap does not
+    # certify either has no two-sided quilt below the budget, and is scored
+    # in full from its own key's one-sided influences, or its best quilt is
+    # two-sided. Either way its next cap is the per-node search's.
+    inner = mechanism._search_model
+
+    def both(*args):
+        got = inner(*args)
+        assert got[1:3] == _unshared_search_model(*args)[1:3]
+        return got
+
+    with mock.patch.object(mechanism, "_search_model", both):
+        quilt_scores(_full(_chain(seed, 5, 0.9), L), 4.0, Variant.EXACT)
 
 
 def _per_node_approx_search_model(model, log_margs, info, L, epsilon):
@@ -833,6 +975,19 @@ def test_exact_search_memory_stays_small_on_a_long_window():
     # Kernel blocks are bounded by _BLOCK_FLOATS, so batching nodes adds
     # little to the search's peak allocation.
     fw = _full(random_model(10, np.random.default_rng(3)), 20000)
+    tracemalloc.start()
+    try:
+        quilt_scores(fw, 1.0, Variant.EXACT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
+def test_exact_search_memory_stays_small_on_cycling_marginals():
+    # Marginals of period 6 give six inputs per cap, numbered by array
+    # passes whose temporaries stay within _BLOCK_FLOATS entries.
+    fw = _full(random_model(10, np.random.default_rng(0)), 20000)
     tracemalloc.start()
     try:
         quilt_scores(fw, 1.0, Variant.EXACT)
