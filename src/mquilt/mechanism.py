@@ -13,17 +13,18 @@ with ``n`` nearby nodes scores at least ``n / epsilon``. Each node
 certifies its own winner: capped at offset ``c``, its search leaves out
 only quilts with at least ``c + 1`` nearby nodes, so once its capped
 minimum ``s`` is below ``(c + 1) / epsilon`` the capped winner is the full
-search's, ties included, and by monotone rounding bit for bit. Otherwise
-its cap grows to ``max(2c, floor(s * epsilon) + 1)``, or to its full reach
-(``na = i - 1``, ``nb = L - i``) once twice that reaches ``L``; the
-candidate that scored ``s`` is kept and now clears the test, so no node
-takes more than two steps. The test does not depend on how the caps were
-chosen, so neither does the result.
+search's, ties included, and by monotone rounding bit for bit. A node at
+its full reach (``na = i - 1``, ``nb = L - i``) is certified too.
 
-The search goes in steps rather than node by node. Every node still open
-is scored in the same step, whatever its cap, in blocks of nodes whose
-temporaries stay within ``_BLOCK_FLOATS`` floats: one exact kernel call
-per block, and one vectorised choice of each node's winner.
+The search goes in steps rather than node by node, and every node still
+open shares one cap per step: ``_FIRST_CAP``, doubled at each step until
+four times the cap reaches ``L``, then ``L``, every node's full reach. No
+cap is visited twice, and no node takes more than
+``ceil(log2(L / _FIRST_CAP)) + 1`` steps. The test does not depend on how
+the caps were chosen, so neither does the result. A step scores its nodes
+in blocks whose temporaries stay within ``_BLOCK_FLOATS`` floats: one
+exact kernel call per block, and one vectorised choice of each node's
+winner.
 A node's scores are the same floating-point expressions in any block, so
 the result is the node-by-node search's, bit for bit. Boundary nodes are
 padded to the largest offsets of their block, and the padded cells never
@@ -38,8 +39,8 @@ any period: random chains repeat a row within a few dozen steps, and 18
 of 40 random 10-state chains cycle with a period of 3 or more. Past that
 point every interior node (``na = nb = c``) repeats one of at most
 ``period`` inputs per cap. Each step numbers its interior nodes' inputs by
-array passes per cap, keying each distinct input once per chunk of nodes,
-so its Python work grows with the distinct inputs, not with ``L``. The best
+array passes, keying each distinct input once per chunk of nodes, so its
+Python work grows with the distinct inputs, not with ``L``. The best
 two-sided quilt depends only on those inputs. The one-sided and empty
 candidates do not: their nearby counts ``L - i + a`` and ``i + b - 1``
 depend on ``i``. At an interior node each of them has at least ``c + 1``
@@ -47,34 +48,35 @@ nearby nodes, so it scores at least ``(c + 1) / epsilon``, in floating
 point too, because ``epsilon - e <= epsilon`` and rounding is monotone. A
 shared two-sided minimum below ``(c + 1) / epsilon`` therefore wins
 strictly at every interior node that shares it, and is taken without
-scoring the rest. Otherwise it sizes the node's next cap, and only an
-interior node with no finite two-sided quilt, or a boundary node, whose
-inputs are its own, is scored in full. Only the first interior node with
-a new input is scored in a block. Per distinct input the search keeps the
-one-sided influences and the two-sided winner, never the exact two-sided
-table, whose size would be quadratic in ``c``. The exact two-sided
-winner of a block's node is the first cell of its own table that is
-least by score, then by nearby count, in ``(a, b)`` order: the tie order.
+scoring the rest. Otherwise no quilt within the cap can win there, and
+the node takes the next step. So only boundary nodes, whose inputs are
+their own, are scored in full, and of the interior nodes only the first
+with each input is scored in a block, for its two-sided winner. An
+interior node at its full reach (``2c = L - 1``) is not certified by it,
+since its one-sided and empty quilts were not scored; it takes the next
+step too. Per distinct input the search keeps the two-sided winner, never
+the exact two-sided table, whose size would be quadratic in ``c``. The
+exact two-sided winner of a block's node is the first cell of its own
+table that is least by score, then by nearby count, in ``(a, b)`` order:
+the tie order.
 
 The approx search runs the same steps. Its influences depend on the
 offsets alone (``2 t(a) + t(b)`` for the quilt at offsets ``a`` and
-``b``), so it scores one table of two-sided quilts, grown geometrically
-to cover the largest offset any node has needed so far, and ranks them in
-the tie order (score, nearby count, ``a``, ``b``). After prefix minima of
-the ranks along both axes, the entry at ``(na - 1, nb - 1)`` ranks node
-``i``'s winner, and one lookup reads it for every node of a block. Each
-entry is the same floating-point expression as in a table of the node's
-own offsets, so this is that table's lexicographic minimum, bit for bit.
+``b``), so each step scores one table of two-sided quilts, out to the
+step's cap, and ranks them in the tie order (score, nearby count, ``a``,
+``b``). After prefix minima of the ranks along both axes, the entry at
+``(na - 1, nb - 1)`` ranks node ``i``'s winner, and one lookup reads it
+for every node of a block. Each entry is the same floating-point
+expression as in a table of the node's own offsets, so this is that
+table's lexicographic minimum, bit for bit.
 Spectral terms ``t(x) = log((pi_min + d) / (pi_min - d))`` are never
 negative, so the interior shortcut holds, and all interior nodes at one
-cap share one input. Each term is evaluated once per search, and the
-table grows by extending them. The terms never grow with the offset, so
-a quilt within cap ``c`` is charged at least ``t(c)``. When no term within
-``_FIRST_CAP`` is below the budget, every capped quilt scores ``inf``,
-every node's capped best is the empty quilt, and its growth
-``floor(L / epsilon * epsilon) + 1`` sends every node to its full reach.
-The approx search then starts there, which is the capped search without
-its decided first step. The exact variant always takes the first step,
+cap share one input. Each term is evaluated once per search, and each
+step's table extends them. The terms never grow with the offset, so a
+quilt within cap ``c`` is charged at least ``t(c)``. When no term within
+``_FIRST_CAP`` is below the budget, every capped quilt scores ``inf`` and
+the first step can certify no node, so the approx search skips it and
+starts at the full reach. The exact variant always takes the first step,
 since its influences are known only after the kernel runs.
 Neither variant builds a two-sided table of more than
 ``_TABLE_LIMIT`` entries; a search that would is refused with
@@ -372,11 +374,11 @@ def unit_laplace(rng: np.random.Generator) -> float:
 # --------------------------------------------------------------- quilt search
 
 _FIRST_CAP = 8
-"""Offset cap at which every node's search starts. In windows of at most
-twice the cap every node starts at its full reach, which costs it about as
-much as a capped step. So does every node of an approx search in which
-no spectral term up to this offset is below the budget: the capped step
-would send every node on to its full reach."""
+"""Offset cap of the search's first step; each later step doubles it. In
+windows of at most twice the cap the search starts at the full reach,
+which costs about as much as a capped step. So does an approx search in
+which no spectral term up to this offset is below the budget: its capped
+step could certify no node."""
 
 _TABLE_LIMIT = 2**24
 """The most entries a two-sided influence table may hold: ranking one takes
@@ -593,38 +595,32 @@ def _blocks(
         lo = hi
 
 
-def _window_ids(
-    index: dict[bytes, int], row_ids: NDArray[np.int32], j: NDArray[np.int64], c: NDArray[np.int64]
-) -> NDArray[np.intp]:
-    """The number in ``index`` of each window ``row_ids[j - 1 - c : j]``,
-    for the nodes ``j`` in node order at caps ``c``; a new window gets the
-    next number, in node order of first appearance.
+def _window_ids(row_ids: NDArray[np.int32], j: NDArray[np.int64], cap: int) -> NDArray[np.intp]:
+    """The number of each window ``row_ids[j - 1 - cap : j]``, for the nodes
+    ``j`` in node order, numbered from 0 in node order of first appearance.
 
-    The windows of one cap are told apart by one sort per chunk of nodes,
-    whose windows stay within ``_BLOCK_FLOATS`` entries, so each window's
-    bytes are keyed once per chunk it occurs in, not once per node. A key's
-    length names its cap."""
+    The windows are told apart by one sort per chunk of nodes, whose windows
+    stay within ``_BLOCK_FLOATS`` entries, so each window's bytes are keyed
+    once per chunk it occurs in, not once per node."""
+    windows = np.lib.stride_tricks.sliding_window_view(row_ids, cap + 1)
+    rows = np.dtype((np.void, row_ids.itemsize * (cap + 1)))
+    chunk = max(1, _BLOCK_FLOATS // (cap + 1))
     local = np.empty(j.size, np.intp)  # chunk-local window classes
     first_of = np.full(j.size, -1)  # each class numbered at its first node
     n = 0
-    for cap in np.unique(c).tolist():
-        at = np.flatnonzero(c == cap)
-        windows = np.lib.stride_tricks.sliding_window_view(row_ids, cap + 1)
-        rows = np.dtype((np.void, row_ids.itemsize * (cap + 1)))
-        chunk = max(1, _BLOCK_FLOATS // (cap + 1))
-        for lo in range(0, at.size, chunk):
-            part = at[lo : lo + chunk]
-            _, first, inverse = np.unique(
-                windows[j[part] - 1 - cap].view(rows)[:, 0], return_index=True, return_inverse=True
-            )
-            local[part] = inverse + n
-            first_of[part[first]] = np.arange(n, n + first.size)
-            n += first.size
+    for lo in range(0, j.size, chunk):
+        _, first, inverse = np.unique(
+            windows[j[lo : lo + chunk] - 1 - cap].view(rows)[:, 0],
+            return_index=True, return_inverse=True,
+        )
+        local[lo : lo + chunk] = inverse + n
+        first_of[lo + first] = np.arange(n, n + first.size)
+        n += first.size
     x = np.flatnonzero(first_of >= 0)
+    index: dict[bytes, int] = {}
     number = np.empty(n, np.intp)
     number[first_of[x]] = [
-        index.setdefault(row_ids[lo:hi].tobytes(), len(index))
-        for lo, hi in zip((j[x] - 1 - c[x]).tolist(), j[x].tolist())
+        index.setdefault(row_ids[y - 1 - cap : y].tobytes(), len(index)) for y in j[x].tolist()
     ]
     return number[local]
 
@@ -643,21 +639,16 @@ def _search_model(
     Influences are exact when ``log_margs`` (the log marginals of the
     searched nodes) is given and spectral bounds from ``info`` otherwise;
     the variants differ only in where a block's one-sided influences and
-    two-sided winners come from. Each node grows its own offset cap until
-    its winner is certified (see the module docstring); cap ``L`` stands
-    for a node's full reach. The search goes in steps: every node still
-    open is scored in the same step, whatever its cap, in blocks.
-    Also returns the node steps taken at each cap, the most steps a node
-    took, the number of exact-kernel blocks, and the numbers of steps
-    scored from their own inputs and served from another node's table
-    entry.
+    two-sided winners come from. Every node still open shares one offset
+    cap per step, which doubles until the node's winner is certified (see
+    the module docstring); cap ``L`` stands for every node's full reach.
+    Also returns the node steps taken at each cap, the number of steps,
+    the number of exact-kernel blocks, and the numbers of node steps
+    scored from their own inputs and served from another node's two-sided
+    winner.
     """
     exact = log_margs is not None
-    first = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
-    # The log powers, or the spectral terms and their two-sided table, up to
-    # offset ``top``; they grow geometrically, and a smaller cap reads their
-    # leading block. Each spectral term is evaluated once.
-    top = -1
+    cap = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
     log_powers = right_max = winner = None
     terms = np.empty(0)
 
@@ -665,24 +656,21 @@ def _search_model(
         new = [_spectral_term(info, x) for x in range(terms.size + 1, to + 1)]
         return np.concatenate([terms, new]) if new else terms
 
-    if not exact and first < L:
+    if not exact and cap < L:
         # Every quilt within the first cap is charged at least the term of
         # one of its offsets. If none is below the budget, every capped quilt
-        # scores inf and every node's capped best is the empty quilt, which
-        # sends the node to its full reach; so start there.
+        # scores inf, so the first step can certify no node; skip it.
         terms = extend_terms(_FIRST_CAP)
         if terms.min() >= epsilon:
-            first = L
-    caps, most, blocks, distinct, shared = {first: L}, 1, 0, 0, 0
-    node_cap = np.full(L, first)
+            cap = L
+    caps: dict[int, int] = {}
+    blocks, distinct, shared = 0, 0, 0
     open_nodes = np.arange(1, L + 1)
     win_s, win_a, win_b = np.empty(L), np.zeros(L, np.int64), np.zeros(L, np.int64)
-    # Only interior steps (na = nb = cap) can have the same inputs as
+    # Only interior nodes (na = nb = cap) can have the same inputs as
     # another node's. Their inputs are keyed by the ids of their cap + 1
     # log-marginal rows, equal ids for bitwise-equal rows (one id for all in
-    # the approx search); see _window_ids. ``index`` numbers the keys;
-    # ``entries`` keeps e_left, e_right and the two-sided winner's score and
-    # offsets per key.
+    # the approx search); see _window_ids.
     if exact:
         rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
         _, first_row, row_ids = np.unique(rows[:, 0], return_index=True, return_inverse=True)
@@ -699,8 +687,6 @@ def _search_model(
         pairs = [n * (n - 1) for n in live[first_live].sum(axis=1).tolist()]
     else:
         row_ids = np.zeros(L, dtype=np.int32)
-    index: dict[bytes, int] = {}
-    entries: list[tuple] = []
 
     def node_blocks(i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64]):
         """Blocks ``(rows, e_left, e_right, two)`` that score the nodes
@@ -730,87 +716,50 @@ def _search_model(
                 blocks += 1
                 yield rows, e_left, e_right, _block_winners(epsilon, e_two, na[rows], nb[rows])
 
-    def settle(i, s, a, b, done, c) -> NDArray[np.int64]:
-        """Record the certified nodes' winners, give the others their next
-        cap from their cap ``c`` and score, and return them."""
-        k, rest = i[done] - 1, ~done
-        win_s[k], win_a[k], win_b[k] = s[done], a[done], b[done]
-        grown = np.maximum(2 * c[rest], np.floor(s[rest] * epsilon).astype(np.int64) + 1)
-        node_cap[i[rest] - 1] = np.where(2 * grown < L, grown, L)
-        return i[rest]
-
     while open_nodes.size:
-        cap = node_cap[open_nodes - 1]
+        caps[cap] = open_nodes.size
         na, nb = np.minimum(open_nodes - 1, cap), np.minimum(L - open_nodes, cap)
-        big = np.flatnonzero(na * nb > _TABLE_LIMIT)
-        if exact and big.size:
-            _check_table(int(open_nodes[big[0]]), L, "exact", int(na[big[0]]), int(nb[big[0]]))
-        reach = np.maximum(na, nb)
-        if reach.max() > top:
-            j = int(open_nodes[np.argmax(reach > top)])  # the first node past top
-            top = max(int(reach.max()), 2 * top)
-            top = top if 2 * top < L else L - 1
-            if exact:
-                log_powers, right_max = _log_powers(model.transition, top)
-            else:
-                _check_table(j, L, "approx", top, top)
-                terms = extend_terms(top)
-                winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
-        bound = (cap + 1) / epsilon
-        inner = (na == cap) & (nb == cap)
-        has_inner = bool(inner.any())
-        if has_inner:
-            known = len(index)
-            ids = _window_ids(index, row_ids, open_nodes[inner], cap[inner])
-            keys, first_at, key_of = np.unique(ids, return_index=True, return_inverse=True)
-            # Nodes scored from their own inputs: the boundary nodes, and the
-            # first interior node of each new key, whose entry they fill.
-            own = ~inner
-            own[np.flatnonzero(inner)[first_at[keys >= known]]] = True
-            entry_of = np.full(open_nodes.size, -1)
-            entry_of[inner & own] = np.arange(known, len(index))
-            entries.extend([None] * (len(index) - known))
-            shared += ids.size - (len(index) - known)
-            own = np.flatnonzero(own)
+        top = min(cap, L - 1)
+        if exact:
+            big = np.flatnonzero(na * nb > _TABLE_LIMIT)
+            if big.size:
+                _check_table(int(open_nodes[big[0]]), L, "exact", int(na[big[0]]), int(nb[big[0]]))
+            log_powers, right_max = _log_powers(model.transition, top)
         else:
-            own = np.arange(open_nodes.size)
+            _check_table(int(open_nodes[0]), L, "approx", top, top)
+            terms = extend_terms(top)
+            winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
+        inner = (na == cap) & (nb == cap)
+        own = np.arange(open_nodes.size)
+        if inner.any():
+            # The boundary nodes are scored from their own inputs, and so is
+            # the first interior node of each key, for its two-sided winner.
+            ids = _window_ids(row_ids, open_nodes[inner], cap)
+            first = np.flatnonzero(inner)[np.unique(ids, return_index=True)[1]]
+            own = np.sort(np.concatenate([own[~inner], first]))
+            shared += ids.size - first.size
         distinct += own.size
-        still_open = []
+        s, a, b = np.empty(open_nodes.size), np.zeros_like(open_nodes), np.zeros_like(open_nodes)
         for rows, e_left, e_right, two in node_blocks(open_nodes[own], na[own], nb[own]):
             at = own[rows]
-            if has_inner:
-                entry = entry_of[at]
-                for r in np.flatnonzero(entry >= 0).tolist():
-                    entries[entry[r]] = (e_left[r].copy(), e_right[r].copy(), *(x[r] for x in two))
-                edge = entry < 0
-                at, e_left, e_right = at[edge], e_left[edge], e_right[edge]
-                two = tuple(x[edge] for x in two)
-            if at.size:
-                j, na_j, nb_j = open_nodes[at], na[at], nb[at]
-                s, a, b = _best_quilts(j, na_j, nb_j, L, epsilon, e_left, e_right, two)
-                done = (s < bound[at]) | (na_j + nb_j == L - 1)
-                still_open.append(settle(j, s, a, b, done, cap[at]))
-        if has_inner:
-            s, a, b = (np.array([entries[k][f] for k in keys.tolist()])[key_of] for f in (2, 3, 4))
-            done = s < bound[inner]
-            # No one-sided or empty quilt can clear an interior cap, so the
-            # shared two-sided score sizes the next one if finite.
-            lost = np.flatnonzero(s == np.inf)
-            if lost.size:
-                j, full = open_nodes[inner][lost], cap[inner][lost]
-                lost_keys, lost_of = np.unique(ids[lost], return_inverse=True)
-                e_left, e_right = (np.stack([entries[k][f] for k in lost_keys.tolist()])[lost_of]
-                                   for f in (0, 1))
-                s[lost] = _best_quilts(
-                    j, full, full, L, epsilon, e_left, e_right, (s[lost], a[lost], b[lost])
-                )[0]
-            still_open.append(settle(open_nodes[inner], s, a, b, done, cap[inner]))
-        open_nodes = np.sort(np.concatenate(still_open))
-        if open_nodes.size:
-            most += 1
-            for c, n in zip(*(x.tolist() for x in np.unique(node_cap[open_nodes - 1],
-                                                             return_counts=True))):
-                caps[c] = caps.get(c, 0) + n
+            s[at], a[at], b[at] = two
+            edge = ~inner[at]
+            at = at[edge]
+            s[at], a[at], b[at] = _best_quilts(
+                open_nodes[at], na[at], nb[at], L, epsilon, e_left[edge], e_right[edge],
+                tuple(x[edge] for x in two),
+            )
+        if inner.any():
+            # No one-sided or empty quilt can clear an interior node's bound,
+            # so its key's two-sided winner is its winner if any quilt is.
+            s[inner], a[inner], b[inner] = s[first][ids], a[first][ids], b[first][ids]
+        # An interior node at its full reach (2 cap = L - 1) is not certified
+        # by it: its one-sided and empty quilts were not scored.
+        done = (s < (cap + 1) / epsilon) | (~inner & (na + nb == L - 1))
+        k = open_nodes[done] - 1
+        win_s[k], win_a[k], win_b[k] = s[done], a[done], b[done]
+        open_nodes = open_nodes[~done]
+        cap = L if 4 * cap >= L else 2 * cap
     # Runs start where a node's winner differs from the one before it.
     new = (win_s[1:] != win_s[:-1]) | (win_a[1:] != win_a[:-1]) | (win_b[1:] != win_b[:-1])
     firsts = np.concatenate([[0], np.flatnonzero(new) + 1])
@@ -820,7 +769,7 @@ def _search_model(
         for f, l, a, b, s in zip(firsts.tolist(), lasts.tolist(), win_a[firsts].tolist(),
                                  win_b[firsts].tolist(), win_s[firsts].tolist())
     ]
-    return runs, caps, most, blocks, distinct, shared
+    return runs, caps, len(caps), blocks, distinct, shared
 
 
 def quilt_scores(
@@ -840,16 +789,16 @@ def quilt_scores(
     ``"chain"`` searches every node of the full horizon, which can only
     raise the noise scale.
 
-    Each node's search admits offsets up to a cap that it grows until no
-    quilt outside the cap can win at the node, in at most two steps, so
-    the result is the full search's bit for bit (see the module docstring).
-    An approx search in which no spectral term within the first cap is
-    below ``epsilon`` starts every node at its full reach, since its first
-    step would score every capped quilt ``inf`` and send every node there.
+    Each step admits offsets up to one cap, shared by every node still
+    open, and doubles it for the next; a node stops once no quilt outside
+    the cap can win at it, so the result is the full search's bit for bit
+    (see the module docstring). An approx search in which no spectral term within the first
+    cap is below ``epsilon`` starts at the full reach, since its first step
+    would score every capped quilt ``inf`` and certify no node.
 
     Each model's search logs one DEBUG record on this module's logger: the
-    nodes searched, the node steps taken at each cap (cap ``L`` is a
-    node's full reach) and the most taken by one node, the exact-kernel
+    nodes searched, the node steps taken at each cap (cap ``L`` is every
+    node's full reach) and the number of steps, the exact-kernel
     blocks (none in the approx variant), each scoring many nodes at once,
     the node steps scored from their own inputs and those served from
     another node's table entry, which add up to the node steps, and the

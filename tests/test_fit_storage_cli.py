@@ -654,21 +654,35 @@ def test_main_builds_its_parser_once(tmp_path, capsys):
     assert build() is not build()
 
 
-def test_cli_approx_count_over_the_table_limit_exits_2(tmp_path, capsys):
-    # Nodes of this 10**5-node window step to ever larger caps until the
-    # approx search's two-sided table would pass its limit; it is refused
-    # before it is built, with no traceback.
+def _long_approx_count(tmp_path, epsilon):
+    """A release argv: the approx count of one state over a 10**5-node walk
+    of a fast-mixing 10-state chain."""
     model = random_model(10, np.random.default_rng(3))
     model_path, data_path = tmp_path / "model.json", tmp_path / "walk.csv"
     save_model(model, model_path)
     save_sequence(sample(model, 100_000, 1), data_path)
-    argv = ["release", "--model", str(model_path), "--data", str(data_path),
-            "--query", f"count:{model.states[0]}", "--epsilon", "1", "--variant", "approx",
-            "--seed", "1"]
-    assert main(argv) == 2
+    return ["release", "--model", str(model_path), "--data", str(data_path),
+            "--query", f"count:{model.states[0]}", "--epsilon", str(epsilon),
+            "--variant", "approx", "--seed", "1"]
+
+
+def test_cli_approx_count_over_the_table_limit_exits_2(tmp_path, capsys):
+    # At this budget no spectral term within the first cap is below it, so
+    # the search starts at the full reach, whose 99999 x 99999 two-sided
+    # table is refused before it is built, with no traceback.
+    assert main(_long_approx_count(tmp_path, 0.01)) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith("error: the approx search of node ") and "limit is 16777216" in err
+
+
+def test_cli_approx_count_over_a_long_window_runs(tmp_path, capsys):
+    # At budget 1 the nodes step through doubling caps and the two-sided
+    # tables stay small.
+    assert main(_long_approx_count(tmp_path, 1.0) + ["--json"]) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])["record"]
+    assert round(record["sigma_max"] * record["epsilon"], 6) == 30.777758
+    assert len(record["active_quilts"]["0"]) == 32
 
 
 def test_cli_missing_files_exit_2(tmp_path, capsys):

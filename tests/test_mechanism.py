@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -287,20 +288,51 @@ def test_pruned_approx_search_matches_brute_force(seed, k, L, eps, stay):
     _brute_force_check(_full(_chain(seed, k, stay), L), eps, Variant.APPROX)
 
 
-def test_sticky_chain_nodes_take_at_most_two_steps():
-    # The approx search knows from its spectral terms that no quilt within
-    # the first cap is below the budget, so it starts at the full reach.
+def test_sticky_chain_nodes_step_through_doubling_caps():
+    # Every open node shares one cap per step: the first cap, doubled until
+    # four times the cap reaches L, then the full reach L. The approx search
+    # knows from its spectral terms that no quilt within the first cap is
+    # below the budget, so it starts at the full reach.
+    L = 150
+    schedule = [mechanism._FIRST_CAP]
+    while 4 * schedule[-1] < L:
+        schedule.append(2 * schedule[-1])
+    schedule.append(L)
     for variant, eps in ((Variant.EXACT, 0.5), (Variant.APPROX, 4.0)):
-        fw = _full(_chain(5, 3, 0.97), 150)
+        fw = _full(_chain(5, 3, 0.97), L)
         with _node_steps() as work:
             got = quilt_scores(fw, eps, variant)
         [(caps, most)] = work
+        assert most == len(caps) <= math.ceil(math.log2(L / mechanism._FIRST_CAP)) + 1
         if variant is Variant.EXACT:
-            assert most == 2 and caps[mechanism._FIRST_CAP] == 150
-            assert sum(caps.values()) > 150
+            assert list(caps) == schedule and caps[mechanism._FIRST_CAP] == L
         else:
-            assert most == 1 and caps == {150: 150}
+            assert caps == {L: L}
         assert got == _unpruned(fw, eps, variant)
+
+
+def _sticky(k, stay):
+    """A chain whose rows are ``stay * I + (1 - stay) * Dirichlet(1)`` (rng seed
+    0), started uniform."""
+    P = stay * np.eye(k) + (1 - stay) * np.random.default_rng(0).dirichlet(np.ones(k), size=k)
+    return ChainModel.from_arrays(np.full(k, 1 / k), P)
+
+
+def test_sticky_exact_search_over_a_thousand_nodes():
+    # Literals recorded with the per-node cap rule that _per_node_search
+    # keeps; runs are compared through a digest of their JSON, which writes
+    # floats exactly.
+    L = 1000
+    with _node_steps() as work:
+        sigma, active = quilt_scores(_full(_sticky(5, 0.9), L), 1.0, Variant.EXACT)
+    runs = [list(r) for r in active[0].runs]
+    assert sigma == 132.32301339174992 and len(runs) == 522
+    assert runs[0] == [1, 1, None, 46, 58.69813972593875]
+    assert runs[-1] == [L, L, 48, None, 61.77483331681601]
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == \
+        "98c35653dc66656afd0b515621b0422ea67ca5ef123a048b6cc5a7fe2a8a1528"
+    [(caps, most)] = work
+    assert most == len(caps) <= math.ceil(math.log2(L / mechanism._FIRST_CAP)) + 1
 
 
 def test_fast_chain_accepts_every_node_at_the_first_cap():
@@ -446,8 +478,11 @@ def _as_runs(winners):
 def _per_node_search(L, epsilon, step):
     """Every node's search under the per-node cap rule, scoring each step in
     full with ``step(i, na, nb)``. Its caps grow from the node's own best
-    score, never from a shared two-sided one. Returns the runs, the steps
-    at each cap, the most steps of one node and the number of steps."""
+    score, never from a shared two-sided one. This is not the search's
+    schedule, whose open nodes share one doubling cap per step, and is kept
+    so on purpose: the gates compare runs, not caps, and the result does not
+    depend on the schedule. Returns the runs, the steps at each cap, the
+    most steps of one node and the number of steps."""
     first = L if 2 * mechanism._FIRST_CAP >= L else mechanism._FIRST_CAP
     winners, caps, most = [], {}, 0
     for i in range(1, L + 1):
@@ -554,8 +589,8 @@ def _rough_chain(seed, k, stay, holes):
 
 
 _STICKY_2 = ChainModel.from_arrays([1.0, 0.0], [[0.97, 0.03], [0.05, 0.95]])
-"""A sticky chain whose marginals settle slowly: the interior nodes of its
-second step at L=300, epsilon=4 have caps 46 and 47."""
+"""A sticky chain whose marginals settle slowly: at L=300, epsilon=4 its
+interior nodes step through caps 8 to 64."""
 
 
 @st.composite
@@ -596,25 +631,26 @@ def _exact_instances(draw):
 # ... and from node 36, searched over a longer chain than the window.
 @example((Framework(260, Window(31, 250), (random_model(10, np.random.default_rng(7)),)), 0.5,
           "chain"))
-# Interior nodes of one step at caps 46 and 47.
+# Interior nodes that step through caps 8 to 64.
 @example((_full(_STICKY_2, 300), 4.0, "window"))
 def test_shared_exact_search_equals_unshared_search(inst):
     fw, eps, scope = inst
     assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
 
 
-def _tobytes_ids(index, row_ids, j, c):
+def _tobytes_ids(row_ids, j, cap):
     """The numbering that ``mechanism._window_ids`` makes by array passes,
     made node by node: one bytes key per node, in node order."""
-    return [index.setdefault(row_ids[x - 1 - y : x].tobytes(), len(index))
-            for x, y in zip(j.tolist(), c.tolist())]
+    index = {}
+    return [index.setdefault(row_ids[x - 1 - cap : x].tobytes(), len(index))
+            for x in j.tolist()]
 
 
 @st.composite
 def _window_steps(draw):
     """Row ids of a window (all zero as in the approx search, a few values,
     or a cycle after a lead-in), and search steps of distinct interior
-    nodes in node order, whose caps may differ within a step."""
+    nodes in node order, each at one cap."""
     L = draw(st.integers(3, 80))
     kind = draw(st.sampled_from(["zeros", "few", "cycle"]))
     if kind == "zeros":
@@ -627,42 +663,35 @@ def _window_steps(draw):
         row_ids = np.where(t < lead, t, lead + (t - lead) % period).astype(np.int32)
     steps = []
     for _ in range(draw(st.integers(1, 3))):
-        caps = draw(st.lists(st.integers(1, (L - 1) // 2), min_size=1, max_size=3))
-        at = {}
-        for _ in range(draw(st.integers(1, 40))):
-            c = draw(st.sampled_from(caps))
-            at.setdefault(draw(st.integers(c + 1, L - c)), c)
-        j = np.array(sorted(at))
-        steps.append((j, np.array([at[x] for x in j.tolist()])))
+        cap = draw(st.integers(1, (L - 1) // 2))
+        j = sorted(set(draw(st.lists(st.integers(cap + 1, L - cap), min_size=1, max_size=40))))
+        steps.append((np.array(j), cap))
     return row_ids, steps
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_window_steps(), st.sampled_from([1, 2, 5, 2**15]))
 def test_window_ids_number_windows_as_one_bytes_key_per_node(inst, block):
-    # Chunks of one node, of a few nodes, and of every node of a cap.
+    # Chunks of one node, of a few nodes, and of every node of a step.
     row_ids, steps = inst
-    index, want = {}, {}
     with mock.patch.object(mechanism, "_BLOCK_FLOATS", block):
-        for j, c in steps:
-            assert mechanism._window_ids(index, row_ids, j, c).tolist() == \
-                _tobytes_ids(want, row_ids, j, c)
-            assert len(index) == len(want)
+        for j, cap in steps:
+            assert mechanism._window_ids(row_ids, j, cap).tolist() == _tobytes_ids(row_ids, j, cap)
 
 
 @pytest.mark.parametrize("fw, eps, variant, caps", [
-    (_full(_STICKY_2, 300), 4.0, Variant.EXACT, [[8], [46, 47]]),
-    (_full(random_model(10, np.random.default_rng(0)), 400), 1.0, Variant.EXACT, [[8]]),
-    (_full(_chain(3, 3), 400), 0.5, Variant.APPROX, [[8]]),
-], ids=["sticky-mixed-caps", "period-6", "approx"])
+    (_full(_STICKY_2, 300), 4.0, Variant.EXACT, [8, 16, 32, 64]),
+    (_full(random_model(10, np.random.default_rng(0)), 400), 1.0, Variant.EXACT, [8]),
+    (_full(_chain(3, 3), 400), 0.5, Variant.APPROX, [8, 16, 32]),
+], ids=["sticky", "period-6", "approx"])
 def test_search_numbers_windows_as_one_bytes_key_per_node(fw, eps, variant, caps):
     inner = mechanism._window_ids
-    want, seen = {}, []
+    seen = []
 
-    def checking(index, row_ids, j, c):
-        got = inner(index, row_ids, j, c)
-        assert got.tolist() == _tobytes_ids(want, row_ids, j, c) and len(index) == len(want)
-        seen.append(np.unique(c).tolist())
+    def checking(row_ids, j, cap):
+        got = inner(row_ids, j, cap)
+        assert got.tolist() == _tobytes_ids(row_ids, j, cap)
+        seen.append(cap)
         return got
 
     with mock.patch.object(mechanism, "_window_ids", checking):
@@ -670,21 +699,45 @@ def test_search_numbers_windows_as_one_bytes_key_per_node(fw, eps, variant, caps
     assert seen == caps
 
 
-@pytest.mark.parametrize("seed, L", [(0, 150), (2, 200)])
-def test_interior_nodes_without_a_two_sided_quilt_grow_caps_from_their_own_scores(seed, L):
-    # On these sticky chains an interior node that the first cap does not
-    # certify either has no two-sided quilt below the budget, and is scored
-    # in full from its own key's one-sided influences, or its best quilt is
-    # two-sided. Either way its next cap is the per-node search's.
-    inner = mechanism._search_model
+@pytest.mark.parametrize("fw, eps, variant", [
+    (_full(LAZY, 400), 1.0, Variant.EXACT),
+    (_full(_STICKY_2, 300), 4.0, Variant.EXACT),
+    (_full(_chain(3, 3), 400), 0.5, Variant.APPROX),
+    # The interior node 9 of 17 is at its full reach at the first cap.
+    (_full(_chain(5, 3, 0.97), 17), 0.5, Variant.EXACT),
+], ids=["lazy", "sticky", "approx", "full-reach"])
+def test_interior_nodes_never_reach_best_quilts(fw, eps, variant):
+    # An interior node takes its key's two-sided winner, or the next step;
+    # only boundary nodes have their one-sided and empty quilts scored. Each
+    # step builds its log powers, or its two-sided table, once.
+    steps = []  # per step: the interior nodes and the nodes scored in full
 
-    def both(*args):
-        got = inner(*args)
-        assert got[1:3] == _unshared_search_model(*args)[1:3]
-        return got
+    def stepping(build):
+        def new_step(*args):
+            steps.append((set(), set()))
+            return build(*args)
+        return new_step
 
-    with mock.patch.object(mechanism, "_search_model", both):
-        quilt_scores(_full(_chain(seed, 5, 0.9), L), 4.0, Variant.EXACT)
+    def keying(row_ids, j, cap):
+        steps[-1][0].update(j.tolist())
+        return window_ids(row_ids, j, cap)
+
+    def scoring(i, *args):
+        steps[-1][1].update(i.tolist())
+        return best_quilts(i, *args)
+
+    window_ids, best_quilts = mechanism._window_ids, mechanism._best_quilts
+    with mock.patch.object(mechanism, "_log_powers", stepping(mechanism._log_powers)), \
+            mock.patch.object(mechanism, "_two_sided_winners",
+                              stepping(mechanism._two_sided_winners)), \
+            mock.patch.object(mechanism, "_window_ids", keying), \
+            mock.patch.object(mechanism, "_best_quilts", scoring):
+        got = quilt_scores(fw, eps, variant)
+    assert all(not interior & scored for interior, scored in steps)
+    # Some interior node is not certified at its step and takes the next.
+    later = [set().union(*(a | b for a, b in steps[n + 1:])) for n in range(len(steps))]
+    assert any(interior & rest for (interior, _), rest in zip(steps, later))
+    assert got == _unpruned(fw, eps, variant)
 
 
 def _per_node_approx_search_model(model, log_margs, info, L, epsilon):
@@ -733,7 +786,7 @@ def _approx_instances(draw):
 @given(_approx_instances())
 # Most nodes step to their full reach, the first ones to caps of their own.
 @example((_full(random_model(10, np.random.default_rng(3)), 300), 2.0, "window"))
-# A sticky chain whose nodes take their second step at their full reach.
+# A sticky chain whose search starts at the full reach.
 @example((_full(_chain(5, 3, 0.97), 150), 4.0, "window"))
 # Two models, scope "chain", window off node 1.
 @example((Framework(320, Window(21, 300), (_chain(3, 3), _chain(4, 3, 0.9))), 3.0, "chain"))
@@ -998,7 +1051,7 @@ def test_exact_search_memory_stays_small_on_cycling_marginals():
 
 
 def test_best_quilt_calls_do_not_grow_with_the_window():
-    # Interior nodes that do not clear the first cap size their next one
+    # Interior nodes that do not clear the first cap take the next step
     # from the shared two-sided score, without scoring themselves in full.
     # Counted per node scored in full, whatever block it is scored in.
     counts = []
