@@ -124,9 +124,10 @@ def nearby_size(shape: QuiltShape, T: int) -> int:
 
 
 _BLOCK_FLOATS = 2**15
-"""Size bound of the blocked temporaries of :func:`_exact_influences`, and
-so of the node blocks the quilt search hands it. Small blocks stay in
-cache; a larger bound only adds page faults on fresh temporaries."""
+"""Size bound of the temporaries of one chunk of :func:`_exact_influences`,
+and of the winner tables of one node block of the quilt search. Small
+chunks stay in cache; a larger bound only adds page faults on fresh
+temporaries."""
 
 
 def _log_ratio_max(log_rows: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -147,13 +148,6 @@ def _pair_indices(live: NDArray[np.bool_]) -> tuple[NDArray[np.int64], NDArray[n
     uu, vv = np.repeat(idx, idx.size), np.tile(idx, idx.size)
     keep = uu != vv
     return uu[keep], vv[keep]
-
-
-def _row_floats(k: int, pairs: int, nb: int) -> int:
-    """Floats of kernel temporaries per node and backward offset: the
-    ``(x, u, v)`` differences of the backward part, or the ``(b, pair)``
-    sums of the two-sided part over ``nb`` forward offsets."""
-    return max(k**3, nb * pairs)
 
 
 def _exact_influences(
@@ -183,6 +177,12 @@ def _exact_influences(
     live values there is no secret pair and every influence is 0. Each
     node's influences are the same floating-point expressions whatever
     block it is scored in.
+
+    The kernel takes a block in chunks of nodes and backward offsets whose
+    temporaries stay within ``_BLOCK_FLOATS`` floats, or of one node and
+    offset where those alone are more, so a block of any size may be
+    passed; a block that fits is one chunk. Value pairs are the first axis
+    of both halves, so each maximum over pairs reduces whole slabs.
     """
     block = log_m.ndim == 2
     if not block:
@@ -190,22 +190,33 @@ def _exact_influences(
     n, na, k = log_past.shape
     nb = right_max.shape[0]
     uu, vv = _pair_indices(log_m[0] > -np.inf)
-    e_left, e_two = np.zeros((n, na)), np.zeros((n, na, nb))
-    e_right = np.zeros(nb)
-    if uu.size:
-        c_left = np.empty((n, na, uu.size))
-        c_right = right_max[:, uu, vv]
-        e_right = c_right.max(axis=1)
-        rows = max(1, _BLOCK_FLOATS // (n * _row_floats(k, uu.size, nb)))
+    if not uu.size:
+        e_left, e_right, e_two = np.zeros((n, na)), np.zeros(nb), np.zeros((n, na, nb))
+    else:
+        e_left, e_two = np.empty((n, na)), np.empty((n, na, nb))
+        c_right = right_max.transpose(1, 2, 0)[uu, vv]  # (pair, b)
+        e_right = c_right.max(axis=0)
+        # Floats of temporaries per node and backward offset: the (x, u, v)
+        # differences of the backward part, or the (pair, b) two-sided sums.
+        row = max(k**3, uu.size * nb)
+        rows = max(1, min(na, _BLOCK_FLOATS // row))
+        nodes = max(1, _BLOCK_FLOATS // (rows * row))
         with np.errstate(invalid="ignore"):
-            for lo in range(0, na, rows):
-                hi = min(na, lo + rows)
-                # log of joint(x, u) = m_past[x] * P^a[x, u], columns compared.
-                log_joint = log_past[:, lo:hi, :, None] + log_powers[lo:hi]
-                gap = np.fmax.reduce(log_joint[..., None] - log_joint[..., None, :], axis=2)
-                c_left[:, lo:hi] = gap[..., uu, vv] + (log_m[:, vv] - log_m[:, uu])[:, None]
-                e_two[:, lo:hi] = (c_left[:, lo:hi, None, :] + c_right).max(axis=3)
-        e_left = c_left.max(axis=2)
+            for n0 in range(0, n, nodes):
+                node = slice(n0, n0 + nodes)
+                for lo in range(0, na, rows):
+                    off = slice(lo, lo + rows)
+                    # log of joint(x, u) = m_past[x] * P^a[x, u], laid out
+                    # (x, u, node, a), columns compared.
+                    log_joint = (log_past[node, off].transpose(2, 0, 1)[:, None]
+                                 + log_powers[off].transpose(1, 2, 0)[:, :, None])
+                    gap = np.fmax.reduce(log_joint[:, :, None] - log_joint[:, None], axis=0)
+                    c_left = gap[uu, vv] + (log_m[node, vv] - log_m[node, uu]).T[:, :, None]
+                    c_left.max(axis=0, out=e_left[node, off])
+                    # The two-sided sums, laid out (pair, node, a, b).
+                    (c_left[..., None] + c_right[:, None, None]).max(
+                        axis=0, out=e_two[node, off]
+                    )
     if not block:
         return e_left[0], e_right, e_two[0]
     return e_left, np.broadcast_to(e_right, (n, nb)), e_two

@@ -22,9 +22,10 @@ four times the cap reaches ``L``, then ``L``, every node's full reach. No
 cap is visited twice, and no node takes more than
 ``ceil(log2(L / _FIRST_CAP)) + 1`` steps. The test does not depend on how
 the caps were chosen, so neither does the result. A step scores its nodes
-in blocks whose temporaries stay within ``_BLOCK_FLOATS`` floats: one
-exact kernel call per block, and one vectorised choice of each node's
-winner.
+in blocks whose winner tables, ``max(1, na) * max(1, nb)`` floats per
+node, stay within ``_BLOCK_FLOATS`` floats: one exact kernel call per
+block, which takes its own temporaries in chunks, and one vectorised
+choice of each node's winner.
 A node's scores are the same floating-point expressions in any block, so
 the result is the node-by-node search's, bit for bit. Boundary nodes are
 padded to the largest offsets of their block, and the padded cells never
@@ -112,7 +113,6 @@ from .influence import (
     _BLOCK_FLOATS,
     _exact_influences,
     _opt_int,
-    _row_floats,
     _spectral_term,
 )
 
@@ -677,14 +677,11 @@ def _search_model(
         row_ids = row_ids.astype(np.int32)
         # Nodes with the same live values share one list of value pairs.
         live = np.ascontiguousarray(log_margs[first_row] > -np.inf)
-        pattern, first_live = None, [0]  # None: one pattern, no grouping
+        pattern = None  # one pattern, no grouping
         if not (live == live[0]).all():
-            _, first_live, pattern = np.unique(
-                live.view(np.dtype((np.void, model.k)))[:, 0],
-                return_index=True, return_inverse=True,
-            )
-            pattern = pattern[row_ids]
-        pairs = [n * (n - 1) for n in live[first_live].sum(axis=1).tolist()]
+            pattern = np.unique(
+                live.view(np.dtype((np.void, model.k)))[:, 0], return_inverse=True
+            )[1][row_ids]
     else:
         row_ids = np.zeros(L, dtype=np.int32)
 
@@ -699,13 +696,13 @@ def _search_model(
                        np.broadcast_to(terms[:mb], (rows.size, mb)), winner(na[rows], nb[rows]))
             return
         if pattern is None:
-            groups = [(0, np.arange(i.size))]
+            groups = [np.arange(i.size)]
         else:
             kind = pattern[i - 1]
-            groups = [(p, np.flatnonzero(kind == p)) for p in np.unique(kind).tolist()]
-        for p, group in groups:
+            groups = [np.flatnonzero(kind == p) for p in np.unique(kind).tolist()]
+        for group in groups:
             for rows in _blocks(na[group].tolist(), nb[group].tolist(),
-                                lambda ma, mb: max(1, ma) * _row_floats(model.k, pairs[p], mb)):
+                                lambda ma, mb: max(1, ma) * max(1, mb)):
                 rows = group[rows]
                 j = i[rows]
                 ma, mb = int(na[rows].max()), int(nb[rows].max())

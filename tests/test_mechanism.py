@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mquilt import mechanism
+from mquilt import influence, mechanism
 from mquilt.chains import ChainModel, StateSequence, marginal, random_model
 from mquilt.errors import (
     BadShape,
@@ -633,6 +633,8 @@ def _exact_instances(draw):
           "chain"))
 # Interior nodes that step through caps 8 to 64.
 @example((_full(_STICKY_2, 300), 4.0, "window"))
+# k**3 above _BLOCK_FLOATS: the kernel takes one node and one offset at a time.
+@example((_full(random_model(40, np.random.default_rng(1)), 60), 1.0, "window"))
 def test_shared_exact_search_equals_unshared_search(inst):
     fw, eps, scope = inst
     assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
@@ -844,28 +846,53 @@ def test_padded_block_winners_equal_a_sort_of_each_node(seed, n, ma, mb, eps):
         assert got(j, j) == _two_sided_best(eps, e_two[j, : na[j], : nb[j]])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6), st.integers(0, 8),
+@st.composite
+def _kernel_chains(draw):
+    """Chains with zero entries, with absorbing rows, with one state, and
+    with near-equal rows, whose backward and forward halves of an
+    influence can round below zero."""
+    kind = draw(st.sampled_from(["rough", "absorbing", "single", "near-equal"]))
+    seed, k = draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(seed)
+    if kind == "rough":
+        return _rough_chain(seed, k, 0.3, True)
+    if kind == "absorbing":
+        model = _rough_chain(seed, k, 0.0, draw(st.booleans()))
+        P = model.transition.copy()
+        stuck = rng.random(k) < 0.5
+        P[stuck] = np.eye(k)[stuck]
+        return ChainModel.from_arrays(model.initial, P)
+    if kind == "single":
+        return ChainModel.from_arrays([1.0], [[1.0]])
+    P = rng.random(k) + 0.05 + 1e-13 * rng.random((k, k))
+    q = rng.random(k) + 0.05
+    return ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_kernel_chains(), st.integers(1, 6), st.integers(1, 10), st.integers(0, 8),
        st.integers(0, 8))
-def test_kernel_block_equals_one_call_per_node(seed, k, n, na, nb):
-    # Blocked or not, each node's influences are the same floats.
-    model = _rough_chain(seed, k, 0.3, True)
+def test_kernel_block_equals_one_call_per_node(model, n, first, na, nb):
+    # Blocked or not, in chunks of one node and offset, of a few, or of the
+    # whole block, each node's influences are the same floats. Past rows
+    # are padded as the search pads them, so node 1 may sit in a block; na
+    # = 0 is node 1's own reach and nb = 0 the last node's.
     with np.errstate(divide="ignore"):
-        log_margs = np.log(mechanism._marginals(model, na + n + 1))
+        log_margs = np.log(mechanism._marginals(model, first + n))
     log_powers, right_max = mechanism._log_powers(model.transition, max(na, nb, 1))
-    nodes = np.arange(na + 1, na + n + 1)
+    nodes = np.arange(first, first + n)
     live = log_margs[nodes - 1] > -np.inf
     nodes = nodes[(live == live[0]).all(axis=1)]  # one block shares its live values
-    past = log_margs[nodes[:, None] - 2 - np.arange(na)]
-    block = mechanism._exact_influences(
-        log_margs[nodes - 1], past, log_powers[1 : na + 1], right_max[1 : nb + 1]
-    )
-    for j, i in enumerate(nodes):
-        one = mechanism._exact_influences(
-            log_margs[i - 1], past[j], log_powers[1 : na + 1], right_max[1 : nb + 1]
-        )
-        for got, want in zip(block, one):
-            assert got[j].tobytes() == want.tobytes()
+    past = log_margs[np.maximum(nodes[:, None] - 2 - np.arange(na), 0)]
+    offsets = (log_powers[1 : na + 1], right_max[1 : nb + 1])
+    ones = [mechanism._exact_influences(log_margs[i - 1], past[j], *offsets)
+            for j, i in enumerate(nodes)]
+    for block in (1, 64, 2**15):
+        with mock.patch.object(influence, "_BLOCK_FLOATS", block):
+            got = mechanism._exact_influences(log_margs[nodes - 1], past, *offsets)
+        for j, one in enumerate(ones):
+            for g, want in zip(got, one):
+                assert g[j].tobytes() == want.tobytes()
 
 
 @contextlib.contextmanager
@@ -1022,6 +1049,17 @@ def test_kernel_calls_do_not_grow_with_the_window():
     assert counts[0] == counts[1] < 100
     fw = _full(model, 2048)
     assert quilt_scores(fw, 1.0, Variant.EXACT) == _unshared(fw, 1.0)
+
+
+def test_exact_cap_step_is_one_kernel_block(caplog):
+    # The shape of release-exact's k=10 cell. Every node clears the first
+    # cap, and each holds an 8 x 8 winner table, so the step's own nodes
+    # make one block; every state is live at every node, one pattern.
+    with caplog.at_level(logging.DEBUG, logger="mquilt.mechanism"):
+        quilt_scores(_full(random_model(10, np.random.default_rng(3)), 1024), 1.0, Variant.EXACT)
+    (record,) = [r.getMessage() for r in caplog.records if r.name == "mquilt.mechanism"]
+    steps, n_blocks, _, _ = _logged_work(record)
+    assert steps == {8: 1024} and n_blocks == 1
 
 
 def test_exact_search_memory_stays_small_on_a_long_window():
