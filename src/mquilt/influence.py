@@ -8,13 +8,16 @@ plain floats:
 ``exact``
     One batched kernel, :func:`_exact_influences`. Given ``X_i``, the
     quilt nodes before and after it are independent, so the maximization
-    separates into a backward part and a forward part per ordered value
-    pair. The backward part at offset ``a`` compares columns of the log
+    separates into a backward half and a forward half per ordered value
+    pair. The backward half at offset ``a`` compares columns of the log
     joint law of ``(X_{i-a}, X_i)``, built from the marginal at ``i - a``
-    and ``P^a``; the forward part at offset ``b`` compares rows of
-    ``P^b``. The kernel takes these per offset, as stacks: the quilt
-    search passes every offset up to its cap at once, for a block of
-    nodes that share their live values, and
+    and ``P^a``, one value at a time; the forward half at offset ``b``
+    compares rows of ``P^b``. A two-sided influence is the largest sum of
+    the halves over the pairs. The kernel takes these per offset, as
+    stacks: the quilt search passes every offset up to its cap at once,
+    for a block of nodes that share their live values, and has the pairs
+    summed only in the two-sided cells whose bounds, from the halves'
+    largest and least values over the pairs, leave them a chance to win;
     :func:`exact_max_influence` passes the one row of a single shape,
     built directly with :func:`~mquilt.chains.transition_power`, so a
     far-away offset costs no table up to it.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -123,6 +126,10 @@ def nearby_size(shape: QuiltShape, T: int) -> int:
     return T
 
 
+_Cells = tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64], NDArray[np.float64]]
+"""Two-sided cells ``(node, a, b, e_two)`` of a kernel block, one entry per
+cell, with offsets from 1."""
+
 _BLOCK_FLOATS = 2**15
 """Size bound of the temporaries of one chunk of :func:`_exact_influences`,
 and of the winner tables of one node block of the quilt search. Small
@@ -155,7 +162,8 @@ def _exact_influences(
     log_past: NDArray[np.float64],
     log_powers: NDArray[np.float64],
     right_max: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    keep: Callable[..., tuple[NDArray[np.int64], ...]] | None = None,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64] | _Cells]:
     """Exact influences of ``X_i`` on every quilt over the given offsets,
     for one node or for a block of nodes.
 
@@ -169,20 +177,34 @@ def _exact_influences(
     ``(nb,)`` and two-sided ``(na, nb)`` quilts, each with the node axis in
     front for a block.
 
-    Per live ordered value pair, the backward part is a log-ratio maximum
-    of the joint law of ``(X_{i-a}, X_i)`` plus the marginal ratio that
-    Bayes inversion contributes, and the forward part is read from
-    ``right_max``. Both orders of every pair are maximized over, so no
-    influence comes out negative, even after rounding. With fewer than two
-    live values there is no secret pair and every influence is 0. Each
-    node's influences are the same floating-point expressions whatever
-    block it is scored in.
+    Per live ordered value pair, the backward half at offset ``a`` is a
+    log-ratio maximum of the joint law of ``(X_{i-a}, X_i)`` plus the
+    marginal ratio that Bayes inversion contributes, and the forward half at
+    offset ``b`` is read from ``right_max``. A one-sided influence is the
+    largest half over the pairs, a two-sided one the largest sum of the
+    halves. Both orders of every pair are maximized over, so no influence
+    comes out negative in exact arithmetic. With fewer than two live
+    values there is no secret pair and every influence is 0. Each node's
+    influences are the same floating-point expressions whatever block it is
+    scored in.
 
-    The kernel takes a block in chunks of nodes and backward offsets whose
-    temporaries stay within ``_BLOCK_FLOATS`` floats, or of one node and
-    offset where those alone are more, so a block of any size may be
-    passed; a block that fits is one chunk. Value pairs are the first axis
-    of both halves, so each maximum over pairs reduces whole slabs.
+    With ``keep``, the two-sided sums are taken only in the cells it picks.
+    For each chunk, ``keep(nodes, offsets, e_left, m_left, e_right,
+    m_right)`` gets the chunk's slices of the block's nodes and backward
+    offsets, the largest and least backward half of each of their rows over
+    the pairs, ``(nodes, offsets)``, and the forward half's, ``(nb,)``; it
+    returns the chunk's cells to sum as index arrays ``(node, a, b)``, from
+    0, in node, then ``(a, b)`` order. The third result is then those cells
+    as ``(node, a, b, e_two)``, with offsets from 1.
+
+    The backward half compares the columns of each offset's joint law one
+    value ``u`` at a time, over contiguous ``(x, u, node * offset)``
+    columns, and the two-sided sums are taken over gathered cells; both in
+    chunks whose temporaries stay within ``_BLOCK_FLOATS`` floats, or of
+    one node and offset where those alone are more. So a block of any size
+    may be passed, and a block that fits is one chunk. Value pairs are the
+    first axis of both halves, so each maximum over pairs reduces whole
+    slabs.
     """
     block = log_m.ndim == 2
     if not block:
@@ -190,36 +212,82 @@ def _exact_influences(
     n, na, k = log_past.shape
     nb = right_max.shape[0]
     uu, vv = _pair_indices(log_m[0] > -np.inf)
-    if not uu.size:
-        e_left, e_right, e_two = np.zeros((n, na)), np.zeros(nb), np.zeros((n, na, nb))
-    else:
-        e_left, e_two = np.empty((n, na)), np.empty((n, na, nb))
-        c_right = right_max.transpose(1, 2, 0)[uu, vv]  # (pair, b)
-        e_right = c_right.max(axis=0)
-        # Floats of temporaries per node and backward offset: the (x, u, v)
-        # differences of the backward part, or the (pair, b) two-sided sums.
-        row = max(k**3, uu.size * nb)
-        rows = max(1, min(na, _BLOCK_FLOATS // row))
-        nodes = max(1, _BLOCK_FLOATS // (rows * row))
-        with np.errstate(invalid="ignore"):
-            for n0 in range(0, n, nodes):
-                node = slice(n0, n0 + nodes)
-                for lo in range(0, na, rows):
-                    off = slice(lo, lo + rows)
-                    # log of joint(x, u) = m_past[x] * P^a[x, u], laid out
-                    # (x, u, node, a), columns compared.
-                    log_joint = (log_past[node, off].transpose(2, 0, 1)[:, None]
-                                 + log_powers[off].transpose(1, 2, 0)[:, :, None])
-                    gap = np.fmax.reduce(log_joint[:, :, None] - log_joint[:, None], axis=0)
-                    c_left = gap[uu, vv] + (log_m[node, vv] - log_m[node, uu]).T[:, :, None]
-                    c_left.max(axis=0, out=e_left[node, off])
-                    # The two-sided sums, laid out (pair, node, a, b).
-                    (c_left[..., None] + c_right[:, None, None]).max(
-                        axis=0, out=e_two[node, off]
-                    )
+    # With no secret pair, one pair of zero halves gives every influence 0.
+    c_right = right_max.transpose(1, 2, 0)[uu, vv] if uu.size else np.zeros((1, nb))
+    e_right, m_right = c_right.max(axis=0), c_right.min(axis=0)
+    e_left = np.empty((n, na))
+    cells: list[tuple[NDArray, ...]] = []
+    # Floats of temporaries per node and backward offset: the (x, v)
+    # differences of one value u, or the cells of the offset's row.
+    row = max(k * k, nb, 1)
+    rows = max(1, min(na, _BLOCK_FLOATS // row))
+    nodes = max(1, _BLOCK_FLOATS // (rows * row))
+    with np.errstate(invalid="ignore"):
+        for n0 in range(0, n, nodes):
+            node = slice(n0, n0 + nodes)
+            for a0 in range(0, na, rows):
+                off = slice(a0, a0 + rows)
+                c_left = _backward_half(log_m[node], log_past[node, off], log_powers[off], uu, vv)
+                e_l = c_left.max(axis=0, out=e_left[node, off])
+                if keep is None:
+                    j, a, b = np.nonzero(np.ones(e_l.shape + (nb,), bool))
+                else:
+                    j, a, b = keep(node, off, e_l, c_left.min(axis=0), e_right, m_right)
+                col = j * e_l.shape[1] + a  # the cell's (node, a) column
+                cells.append((j + n0, a + a0, b, _two_sided(c_left.reshape(len(c_left), -1),
+                                                            c_right, col, b)))
+    j, a, b, e = (np.concatenate(x) for x in zip(*cells)) if cells else (
+        np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+    if keep is not None:
+        return e_left, np.broadcast_to(e_right, (n, nb)), (j, a + 1, b + 1, e)
+    e_two = np.empty((n, na, nb))
+    e_two[j, a, b] = e
     if not block:
         return e_left[0], e_right, e_two[0]
     return e_left, np.broadcast_to(e_right, (n, nb)), e_two
+
+
+def _backward_half(
+    log_m: NDArray[np.float64],
+    log_past: NDArray[np.float64],
+    log_powers: NDArray[np.float64],
+    uu: NDArray[np.int64],
+    vv: NDArray[np.int64],
+) -> NDArray[np.float64]:
+    """The backward halves ``(pair, node, a)`` of a chunk of nodes and
+    backward offsets: per pair ``(u, v)``, the largest ``log P(X_{i-a} = x,
+    X_i = u) - log P(X_{i-a} = x, X_i = v)`` over ``x``, plus
+    ``log P(X_i = v) - log P(X_i = u)``. One pair of zeros without pairs."""
+    n, na, k = log_past.shape
+    if not uu.size:
+        return np.zeros((1, n, na))
+    # log of joint(x, u) = m_past[x] * P^a[x, u], laid out (x, u, node, a).
+    log_joint = np.empty((k, k, n, na))
+    np.add(log_past.transpose(2, 0, 1)[:, None], log_powers.transpose(1, 2, 0)[:, :, None],
+           out=log_joint)
+    log_joint = log_joint.reshape(k, k, -1)
+    gap, diff = np.empty_like(log_joint), np.empty_like(log_joint)
+    for u in dict.fromkeys(uu.tolist()):  # each live value once
+        np.subtract(log_joint[:, u, None], log_joint, out=diff)
+        np.fmax.reduce(diff, axis=0, out=gap[u])
+    return gap[uu, vv].reshape(-1, n, na) + (log_m[:, vv] - log_m[:, uu]).T[:, :, None]
+
+
+def _two_sided(
+    c_left: NDArray[np.float64],
+    c_right: NDArray[np.float64],
+    col: NDArray[np.int64],
+    b: NDArray[np.int64],
+) -> NDArray[np.float64]:
+    """Two-sided influences of the cells ``(col, b)``: the largest sum of
+    the halves ``c_left[:, col] + c_right[:, b]`` over the pairs, taken in
+    batches of cells whose sums stay within ``_BLOCK_FLOATS`` floats."""
+    e = np.empty(col.size)
+    step = max(1, _BLOCK_FLOATS // len(c_left))
+    for lo in range(0, col.size, step):
+        cell = slice(lo, lo + step)
+        np.max(c_left[:, col[cell]] + c_right[:, b[cell]], axis=0, out=e[cell])
+    return e
 
 
 def exact_max_influence(model: ChainModel, shape: QuiltShape) -> float:

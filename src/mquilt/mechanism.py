@@ -24,13 +24,27 @@ cap is visited twice, and no node takes more than
 the caps were chosen, so neither does the result. A step scores its nodes
 in blocks whose winner tables, ``max(1, na) * max(1, nb)`` floats per
 node, stay within ``_BLOCK_FLOATS`` floats: one exact kernel call per
-block, which takes its own temporaries in chunks, and one vectorised
-choice of each node's winner.
-A node's scores are the same floating-point expressions in any block, so
-the result is the node-by-node search's, bit for bit. Boundary nodes are
-padded to the largest offsets of their block, and the padded cells never
-win. Nodes whose kernel calls share one list of value pairs share one
-block; they are grouped by the states their marginal law gives mass to.
+block, which takes its own temporaries in chunks, and one scoring pass,
+:func:`_best_quilts`, that lays out each node's two-sided, right-only,
+left-only and empty candidates in the tie order and takes the first least
+score, then nearby count. A node's scores are the same floating-point
+expressions in any block, so the result is the node-by-node search's, bit
+for bit. Boundary nodes are padded to the largest offsets of their block,
+and the padded cells never win. Nodes whose kernel calls share one list of
+value pairs share one block; they are grouped by the states their
+marginal law gives mass to.
+
+The exact kernel sums its two halves over the value pairs only in the
+two-sided cells that can still win. Per cell it bounds the influence by
+the halves' largest and least values over the pairs (see
+:func:`~mquilt.influence._exact_influences`), and :func:`_cut` scores the
+bounds: a node's best cell scores at most the best upper-bound score of
+its cells, so a cell whose lower bound scores more cannot win, ties
+included. The node's exact one-sided and empty scores lower that bound
+further, and so does ``(c + 1) / epsilon`` unless the step is the node's
+last: a winner at or past it is not kept. Scores grow with the influence
+in floating point too, so the surviving cells hold the node's winner, and
+their sums are the kernel's own expression, bit for bit.
 
 Nodes with identical inputs at one cap share them. Node ``i`` feeds the
 exact kernel only its offset counts ``na = min(i - 1, c)`` and
@@ -47,27 +61,26 @@ candidates do not: their nearby counts ``L - i + a`` and ``i + b - 1``
 depend on ``i``. At an interior node each of them has at least ``c + 1``
 nearby nodes, so it scores at least ``(c + 1) / epsilon``, in floating
 point too, because ``epsilon - e <= epsilon`` and rounding is monotone. A
-shared two-sided minimum below ``(c + 1) / epsilon`` therefore wins
-strictly at every interior node that shares it, and is taken without
-scoring the rest. Otherwise no quilt within the cap can win there, and
-the node takes the next step. So only boundary nodes, whose inputs are
-their own, are scored in full, and of the interior nodes only the first
-with each input is scored in a block, for its two-sided winner. An
-interior node at its full reach (``2c = L - 1``) is not certified by it,
-since its one-sided and empty quilts were not scored; it takes the next
-step too. Per distinct input the search keeps the two-sided winner, never
-the exact two-sided table, whose size would be quadratic in ``c``. The
-exact two-sided winner of a block's node is the first cell of its own
-table that is least by score, then by nearby count, in ``(a, b)`` order:
-the tie order.
+winner below ``(c + 1) / epsilon`` at the first interior node with some
+input is therefore two-sided, and wins strictly at every interior node
+that shares the input; they take it without being scored. Otherwise no
+quilt within the cap can win there, and the nodes take the next step. So
+only boundary nodes, whose inputs are their own, and the first interior
+node with each input are scored. Unlike a boundary node, an interior
+node at its full reach (``2c = L - 1``) keeps a winner only below
+``(c + 1) / epsilon`` too, since the one-sided and empty quilts it was
+chosen among are another node's; otherwise it takes the next step. Per
+distinct input the search keeps one winner, never the exact
+two-sided table, whose size would be quadratic in ``c``.
 
 The approx search runs the same steps. Its influences depend on the
 offsets alone (``2 t(a) + t(b)`` for the quilt at offsets ``a`` and
 ``b``), so each step scores one table of two-sided quilts, out to the
 step's cap, and ranks them in the tie order (score, nearby count, ``a``,
 ``b``). After prefix minima of the ranks along both axes, the entry at
-``(na - 1, nb - 1)`` ranks node ``i``'s winner, and one lookup reads it
-for every node of a block. Each entry is the same floating-point
+``(na - 1, nb - 1)`` ranks node ``i``'s two-sided winner, and one lookup
+reads it for every node of a block, to be scored with the node's other
+candidates. Each entry is the same floating-point
 expression as in a table of the node's own offsets, so this is that
 table's lexicographic minimum, bit for bit.
 Spectral terms ``t(x) = log((pi_min + d) / (pi_min - d))`` are never
@@ -92,7 +105,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -112,6 +125,7 @@ from .influence import (
     Variant,
     _BLOCK_FLOATS,
     _exact_influences,
+    _Cells,
     _opt_int,
     _spectral_term,
 )
@@ -242,6 +256,59 @@ class ActiveQuilt:
     score: float
 
 
+_Run = tuple[int, int, int | None, int | None, float]
+
+_ARRAY_RUNS = 64
+"""Tables of at least this many runs are merged by array passes, which cost
+about 40 us whatever the size; shorter ones run by run, at about 2 us a
+run. Either gives the same runs."""
+
+
+def _merged_runs(runs: Sequence) -> tuple[_Run, ...]:
+    """Canonical runs, made run by run: fields converted as ``int`` and
+    ``float`` convert them, adjacent runs with one shape and score merged,
+    and a run that does not start right after the one before refused."""
+    merged: list[list] = []
+    for first, last, left, right, score in runs:
+        first, last = int(first), int(last)
+        key = [_opt_int(left), _opt_int(right), float(score)]
+        prev = merged[-1][1] if merged else first - 1
+        if not prev + 1 == first <= last:
+            raise ValueError(f"quilt run from node {first} to node {last} after node {prev}")
+        if merged and merged[-1][2:] == key:
+            merged[-1][1] = last
+        else:
+            merged.append([first, last, *key])
+    return tuple(map(tuple, merged))
+
+
+def _merged_run_arrays(runs: Sequence) -> tuple[_Run, ...]:
+    """:func:`_merged_runs` by array passes over the fields."""
+    if not runs:
+        return ()
+    # One object per field, converted by column as int() and float() do.
+    cols = np.array(runs, dtype=object)
+    if cols.shape != (len(runs), 5):
+        raise ValueError("a quilt run has five fields: first, last, left, right, score")
+    absent = cols == None  # noqa: E711 (elementwise)
+    if absent[:, 4].any():
+        raise TypeError("a quilt run's score is None")
+    cols[absent] = 0
+    ints, score = cols[:, :4].astype(np.int64), cols[:, 4].astype(float)
+    first, last = ints[:, 0], ints[:, 1]
+    prev = np.append(first[0] - 1, last[:-1])
+    bad = np.flatnonzero((prev + 1 != first) | (first > last))
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"quilt run from node {first[t]} to node {last[t]} after node {prev[t]}")
+    # A run is kept where its shape or score differs from the run before.
+    key = np.column_stack([ints[:, 2:], absent[:, 2:4], score])
+    heads = np.flatnonzero(np.append(True, (key[1:] != key[:-1]).any(axis=1)))
+    ends = np.append(heads[1:], len(runs)) - 1
+    sides = np.where(absent[heads, 2:4], None, ints[heads, 2:4]).T.tolist()
+    return tuple(zip(first[heads].tolist(), last[ends].tolist(), *sides, score[heads].tolist()))
+
+
 @dataclass(frozen=True)
 class QuiltRuns:
     """One model's winning quilts as runs ``(first_node, last_node, left,
@@ -251,21 +318,21 @@ class QuiltRuns:
     Iterating yields each node's :class:`ActiveQuilt` in node order and
     ``len`` is the node count, yet nothing per node is kept."""
 
-    runs: tuple[tuple[int, int, int | None, int | None, float], ...]
+    runs: tuple[_Run, ...]
 
     def __post_init__(self) -> None:
-        merged: list[list] = []
-        for first, last, left, right, score in self.runs:
-            first, last = int(first), int(last)
-            key = [_opt_int(left), _opt_int(right), float(score)]
-            prev = merged[-1][1] if merged else first - 1
-            if not prev + 1 == first <= last:
-                raise ValueError(f"quilt run from node {first} to node {last} after node {prev}")
-            if merged and merged[-1][2:] == key:
-                merged[-1][1] = last
-            else:
-                merged.append([first, last, *key])
-        object.__setattr__(self, "runs", tuple(map(tuple, merged)))
+        runs = self.runs if isinstance(self.runs, (list, tuple)) else list(self.runs)
+        merge = _merged_runs if len(runs) < _ARRAY_RUNS else _merged_run_arrays
+        object.__setattr__(self, "runs", merge(runs))
+
+    @classmethod
+    def _canonical(cls, runs: tuple[_Run, ...]) -> "QuiltRuns":
+        """Runs that are canonical already, with Python numbers, as the
+        search emits them: a node's run starts where its winner differs
+        from the node before it. They are kept as they are."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "runs", runs)
+        return table
 
     def __len__(self) -> int:
         return self.runs[-1][1] - self.runs[0][0] + 1 if self.runs else 0
@@ -439,48 +506,75 @@ def _two_sided_winners(
     return winner
 
 
-def _block_winners(
-    epsilon: float,
-    e_two: NDArray[np.float64],
+def _one_sided_nearby(
+    i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64], L: int, ma: int, mb: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Nearby counts ``L - i + a`` and ``i + b - 1`` of the left-only and
+    right-only quilts of local nodes ``i`` at offsets up to ``ma`` and
+    ``mb``; ``inf`` past a node's own offsets ``na`` and ``nb``."""
+    aa, bb = np.arange(1.0, ma + 1), np.arange(1.0, mb + 1)
+    return (np.where(aa <= na[:, None], (L - i)[:, None] + aa, np.inf),
+            np.where(bb <= nb[:, None], (i - 1)[:, None] + bb, np.inf))
+
+
+def _cut(
+    i: NDArray[np.int64],
     na: NDArray[np.int64],
     nb: NDArray[np.int64],
-) -> _Winners:
-    """The best two-sided quilt of each node of a kernel block, given
-    ``e_two[j, a-1, b-1]``, of which node ``j`` owns offsets ``a <= na[j]``
-    and ``b <= nb[j]``. The first minimum of (score, nearby count) in
-    ``(a, b)`` order is the tie order's winner. Padded cells score ``inf``,
-    so they never win: where every owned cell scores ``inf`` too, the
-    owned cell ``(1, 1)`` has the fewest nearby nodes."""
-    n, ma, mb = e_two.shape
-    if not (ma and mb):
-        return np.full(n, np.inf), np.zeros_like(na), np.zeros_like(nb)
-    aa = np.arange(1, ma + 1)[:, None]
-    bb = np.arange(1, mb + 1)
-    nearby2 = (aa + bb - 1).astype(float)
-    owned = (aa <= na[:, None, None]) & (bb <= nb[:, None, None])
-    s2 = np.where(owned, _scores(e_two, nearby2, epsilon), np.inf).reshape(n, -1)
-    flat = _first_min(s2, nearby2.ravel())
-    some = (na > 0) & (nb > 0)
-    ai, bi = np.divmod(flat, mb)
-    return (
-        np.where(some, s2[np.arange(n), flat], np.inf),
-        np.where(some, ai + 1, 0),
-        np.where(some, bi + 1, 0),
-    )
+    L: int,
+    epsilon: float,
+    bound: NDArray[np.float64],
+) -> Callable[..., tuple[NDArray[np.int64], ...]]:
+    """The ``keep`` of an exact kernel block of local nodes ``i`` (see
+    :func:`~mquilt.influence._exact_influences`): the owned two-sided cells
+    that can still win.
 
+    Write ``eL``, ``mL`` for the largest and least backward half of a cell's
+    row over the value pairs, and ``eR``, ``mR`` for its forward half's.
+    Each sum of a pair's halves lies between ``eL + mR`` (the pair of
+    ``eL``) and ``eL + eR``, and so between ``mL + eR`` and ``eL + eR``,
+    and by monotone rounding so do their floating-point sums: ``lo =
+    max(eL + mR, mL + eR) <= e_two <= eL + eR = hi``. The halves may round
+    below zero, so ``max(eL, eR)`` is no lower bound. Scores grow with the
+    influence and the nearby count, in floating point too, so a cell scores
+    between the scores of its bounds.
 
-def _one_sided(
-    e: NDArray[np.float64], base: NDArray[np.int64], count: NDArray[np.int64], epsilon: float
-) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-    """Per row, the best score and its offset among the first ``count``
-    offsets, given influences ``e`` at offsets 1, 2, ... and nearby counts
-    ``base + offset``; nearby count and offset grow together, so the first
-    minimum wins ties. Rows with ``count`` 0 score ``inf``."""
-    if not e.shape[1]:
-        return np.full(count.shape, np.inf), np.zeros_like(count)
-    off = np.arange(1, e.shape[1] + 1)
-    s = np.where(off <= count[:, None], _scores(e, base[:, None] + off, epsilon), np.inf)
-    return s.min(axis=1), s.argmin(axis=1) + 1
+    Node ``j`` needs its winner only where it scores at most ``bound[j]``.
+    That bound drops to the node's exact one-sided scores where they are
+    less, and then to the least score of its cells' upper bounds, which its
+    best cell attains or beats. A cell whose lower bound scores more cannot
+    win, ties included, and is left out, and so is every cell the node does
+    not own. A backward half of ``-inf`` can make a sum ``nan``, which
+    scores ``inf``, so such a row bounds no score from above.
+    """
+    ma, mb = int(na.max()), int(nb.max())
+    near_left, near_right = _one_sided_nearby(i, na, nb, L, ma, mb)
+    aa, bb = np.arange(1, ma + 1), np.arange(1, mb + 1)
+    near_two = np.broadcast_to(aa[:, None] + bb - 1.0, (i.size, ma, mb))
+    if (na < ma).any() or (nb < mb).any():
+        own = (aa[:, None] <= na[:, None, None]) & (bb <= nb[:, None, None])
+        near_two = np.where(own, near_two, np.inf)
+    bound = bound.copy()
+
+    def score(near, e):
+        """``near / (epsilon - e)``, or ``inf`` where ``e`` is not below
+        ``epsilon``, is ``nan`` or ``near`` is ``inf``."""
+        return near / np.fmax(epsilon - e, 0.0)
+
+    def keep(nodes: slice, offs: slice, e_left, m_left, e_right, m_right):
+        near = near_two[nodes, offs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hi = (e_left + (m_left - m_left))[..., None] + e_right
+            u = bound[nodes] = np.minimum.reduce([
+                bound[nodes],
+                score(near_left[nodes, offs], e_left).min(axis=1),
+                score(near_right[nodes], e_right).min(axis=1, initial=np.inf),
+                score(near, hi).min(axis=(1, 2), initial=np.inf),
+            ])
+            lo = np.fmax(e_left[..., None] + m_right, m_left[..., None] + e_right)
+            return np.nonzero(score(near, lo) <= u[:, None, None])
+
+    return keep
 
 
 def _best_quilts(
@@ -491,29 +585,40 @@ def _best_quilts(
     epsilon: float,
     e_left: NDArray[np.float64],
     e_right: NDArray[np.float64],
-    two: _Winners,
+    two: _Cells,
 ) -> _Winners:
-    """The winning quilts at local nodes ``i``.
+    """The winning quilts at local nodes ``i``, from one scoring of every
+    candidate.
 
-    Row ``j`` of ``e_left`` and ``e_right`` bounds the influence of node
+    Row ``j`` of ``e_left`` and ``e_right`` holds the influences of node
     ``i[j]``'s one-sided quilts at offsets 1, 2, ..., of which the first
-    ``na[j]`` and ``nb[j]`` are its own; ``two`` holds the nodes' best
-    two-sided quilts. The one-sided and empty candidates are scored here,
-    since their nearby counts depend on ``i``. Candidates tie in the order
+    ``na[j]`` and ``nb[j]`` are its own. ``two`` holds two-sided candidates
+    ``(j, a, b, e)``, in node, then ``(a, b)`` order, among them every
+    two-sided quilt that can win at the node. Candidates tie in the order
     score, nearby count, kind (two-sided, one-sided, empty), ``a``, ``b``:
-    within one kind, the right-only quilt (``a = 0``) comes first.
+    within one kind, the right-only quilt (``a = 0``) comes first. So each
+    node's row lays its candidates out in that order, the cells it does not
+    own scoring ``inf``, and its first least score, then nearby count, wins.
     """
-    s_left, a = _one_sided(e_left, L - i, na, epsilon)
-    s_right, b = _one_sided(e_right, i - 1, nb, epsilon)
-    s_two, a_two, b_two = two
-    s = np.stack([s_two, s_right, s_left, np.full(i.shape, L / epsilon)], axis=1)
-    nearby = np.stack([a_two + b_two - 1, i + b - 1, L - i + a, np.full_like(i, L)], axis=1)
-    pick = _first_min(s, nearby)
-    return (
-        s[np.arange(i.size), pick],
-        np.choose(pick, [a_two, 0, a, 0]),
-        np.choose(pick, [b_two, b, 0, 0]),
-    )
+    n, ma = e_left.shape
+    mb = e_right.shape[1]
+    j, a2, b2, e2 = two
+    count = np.bincount(j, minlength=n)
+    w = int(count.max(initial=0))
+    width = w + mb + ma + 1
+    e, near = np.full((n, width), np.inf), np.full((n, width), np.inf)
+    a, b = np.zeros((n, width), np.int64), np.zeros((n, width), np.int64)
+    at = np.arange(j.size) - (np.cumsum(count) - count)[j]
+    e[j, at], near[j, at], a[j, at], b[j, at] = e2, a2 + b2 - 1, a2, b2
+    right, left = slice(w, w + mb), slice(w + mb, width - 1)
+    e[:, right], b[:, right] = e_right, np.arange(1, mb + 1)
+    e[:, left], a[:, left] = e_left, np.arange(1, ma + 1)
+    near[:, left], near[:, right] = _one_sided_nearby(i, na, nb, L, ma, mb)
+    e[:, -1], near[:, -1] = 0.0, L
+    s = _scores(e, near, epsilon)
+    pick = _first_min(s, near)
+    rows = np.arange(n)
+    return s[rows, pick], a[rows, pick], b[rows, pick]
 
 
 def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
@@ -531,7 +636,7 @@ def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
     margs[0] = model.initial
     seen = {margs[0].tobytes(): 0}
     for t in range(1, L):
-        nxt = np.clip(margs[t - 1] @ model.transition, 0.0, None)
+        nxt = np.maximum(margs[t - 1] @ model.transition, 0.0)
         margs[t] = nxt / nxt.sum()
         s = seen.setdefault(margs[t].tobytes(), t)
         if s < t:
@@ -583,6 +688,9 @@ def _blocks(
     """Consecutive runs of nodes, as index arrays, each as long as it can be
     while ``count * size(max na, max nb)`` stays within ``_BLOCK_FLOATS``;
     a node too large for that is a block of its own."""
+    if len(na) * size(max(na, default=0), max(nb, default=0)) <= _BLOCK_FLOATS:
+        yield np.arange(len(na))
+        return
     lo = 0
     while lo < len(na):
         ma, mb, hi = na[lo], nb[lo], lo + 1
@@ -639,13 +747,14 @@ def _search_model(
     Influences are exact when ``log_margs`` (the log marginals of the
     searched nodes) is given and spectral bounds from ``info`` otherwise;
     the variants differ only in where a block's one-sided influences and
-    two-sided winners come from. Every node still open shares one offset
-    cap per step, which doubles until the node's winner is certified (see
-    the module docstring); cap ``L`` stands for every node's full reach.
+    two-sided candidates come from: the exact kernel's cells that can still
+    win, or each node's two-sided winner from the approx table. Every node
+    still open shares one offset cap per step, which doubles until the
+    node's winner is certified (see the module docstring); cap ``L`` stands
+    for every node's full reach.
     Also returns the node steps taken at each cap, the number of steps,
     the number of exact-kernel blocks, and the numbers of node steps
-    scored from their own inputs and served from another node's two-sided
-    winner.
+    scored from their own inputs and served from another node's winner.
     """
     exact = log_margs is not None
     cap = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
@@ -685,15 +794,24 @@ def _search_model(
     else:
         row_ids = np.zeros(L, dtype=np.int32)
 
-    def node_blocks(i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64]):
-        """Blocks ``(rows, e_left, e_right, two)`` that score the nodes
-        ``i[rows]`` at offsets up to ``na[rows]`` and ``nb[rows]``."""
+    def node_blocks(i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64],
+                    bound: NDArray[np.float64]) -> Iterator[tuple[NDArray[np.int64], _Winners]]:
+        """Blocks ``(rows, winners)`` that score the nodes ``i[rows]`` at
+        offsets up to ``na[rows]`` and ``nb[rows]``; ``bound`` is each
+        node's score past which its winner is not kept."""
         nonlocal blocks
         if not exact:
             for rows in _blocks(na.tolist(), nb.tolist(), lambda ma, mb: ma + mb):
                 ma, mb = int(na[rows].max()), int(nb[rows].max())
-                yield (rows, np.broadcast_to(2.0 * terms[:ma], (rows.size, ma)),
-                       np.broadcast_to(terms[:mb], (rows.size, mb)), winner(na[rows], nb[rows]))
+                _, a, b = winner(na[rows], nb[rows])
+                j = np.flatnonzero(a)
+                a, b = a[j], b[j]
+                yield rows, _best_quilts(
+                    i[rows], na[rows], nb[rows], L, epsilon,
+                    np.broadcast_to(2.0 * terms[:ma], (rows.size, ma)),
+                    np.broadcast_to(terms[:mb], (rows.size, mb)),
+                    (j, a, b, 2.0 * terms[a - 1] + terms[b - 1]),
+                )
             return
         if pattern is None:
             groups = [np.arange(i.size)]
@@ -704,14 +822,15 @@ def _search_model(
             for rows in _blocks(na[group].tolist(), nb[group].tolist(),
                                 lambda ma, mb: max(1, ma) * max(1, mb)):
                 rows = group[rows]
-                j = i[rows]
-                ma, mb = int(na[rows].max()), int(nb[rows].max())
+                j, ja, jb = i[rows], na[rows], nb[rows]
+                ma, mb = int(ja.max()), int(jb.max())
                 past = log_margs[np.maximum(j[:, None] - 2 - np.arange(ma), 0)]  # nearest first
-                e_left, e_right, e_two = _exact_influences(
-                    log_margs[j - 1], past, log_powers[1 : ma + 1], right_max[1 : mb + 1]
+                influences = _exact_influences(
+                    log_margs[j - 1], past, log_powers[1 : ma + 1], right_max[1 : mb + 1],
+                    _cut(j, ja, jb, L, epsilon, bound[rows]),
                 )
                 blocks += 1
-                yield rows, e_left, e_right, _block_winners(epsilon, e_two, na[rows], nb[rows])
+                yield rows, _best_quilts(j, ja, jb, L, epsilon, *influences)
 
     while open_nodes.size:
         caps[cap] = open_nodes.size
@@ -727,32 +846,31 @@ def _search_model(
             terms = extend_terms(top)
             winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
         inner = (na == cap) & (nb == cap)
+        # A node's winner is kept if it scores below (cap + 1) / epsilon,
+        # or if this step is the node's last (see below).
+        last = ~inner & (na + nb == L - 1)
+        bound = np.where(last, L, min(L, cap + 1)) / epsilon
         own = np.arange(open_nodes.size)
         if inner.any():
             # The boundary nodes are scored from their own inputs, and so is
-            # the first interior node of each key, for its two-sided winner.
+            # the first interior node of each key.
             ids = _window_ids(row_ids, open_nodes[inner], cap)
             first = np.flatnonzero(inner)[np.unique(ids, return_index=True)[1]]
             own = np.sort(np.concatenate([own[~inner], first]))
             shared += ids.size - first.size
         distinct += own.size
         s, a, b = np.empty(open_nodes.size), np.zeros_like(open_nodes), np.zeros_like(open_nodes)
-        for rows, e_left, e_right, two in node_blocks(open_nodes[own], na[own], nb[own]):
-            at = own[rows]
-            s[at], a[at], b[at] = two
-            edge = ~inner[at]
-            at = at[edge]
-            s[at], a[at], b[at] = _best_quilts(
-                open_nodes[at], na[at], nb[at], L, epsilon, e_left[edge], e_right[edge],
-                tuple(x[edge] for x in two),
-            )
+        for rows, winners in node_blocks(open_nodes[own], na[own], nb[own], bound[own]):
+            s[own[rows]], a[own[rows]], b[own[rows]] = winners
         if inner.any():
             # No one-sided or empty quilt can clear an interior node's bound,
-            # so its key's two-sided winner is its winner if any quilt is.
+            # so a winner of its key's first node that clears it is two-sided,
+            # and the node's winner too.
             s[inner], a[inner], b[inner] = s[first][ids], a[first][ids], b[first][ids]
         # An interior node at its full reach (2 cap = L - 1) is not certified
-        # by it: its one-sided and empty quilts were not scored.
-        done = (s < (cap + 1) / epsilon) | (~inner & (na + nb == L - 1))
+        # by it: its one-sided and empty quilts were scored at its key's
+        # first node, whose nearby counts are not its own.
+        done = (s < (cap + 1) / epsilon) | last
         k = open_nodes[done] - 1
         win_s[k], win_a[k], win_b[k] = s[done], a[done], b[done]
         open_nodes = open_nodes[~done]
@@ -838,10 +956,10 @@ def quilt_scores(
             idx, variant.value, L, dict(sorted(caps.items())), most, blocks, distinct, shared,
             len(runs),
         )
-        active[idx] = QuiltRuns(
+        active[idx] = QuiltRuns._canonical(tuple(
             (first + offset, last + offset, left, right, s)
             for first, last, left, right, s in runs
-        )
+        ))
         sigma_max = max(sigma_max, max(run[4] for run in runs))
     return sigma_max, active
 

@@ -142,6 +142,19 @@ class LedgerEntry:
 _TAIL_BLOCK = 1 << 16
 
 
+_FULL = json.JSONDecoder()
+_SKIM = json.JSONDecoder(parse_float=str)
+"""The decoders of ledger lines, built once: ``json.loads`` builds a new one
+at every call that passes it an option such as ``parse_float``."""
+
+
+def _loads(line: bytes, skim: bool = False):
+    """``json.loads`` of one ledger line, with floats kept as text if
+    ``skim``."""
+    text = line.decode(json.detect_encoding(line), "surrogatepass")
+    return (_SKIM if skim else _FULL).decode(text)
+
+
 def _line_doc(line: bytes, where: str, skim: bool = False) -> dict:
     """Decode one ledger line and check its id; ``where`` names it in errors.
 
@@ -150,7 +163,7 @@ def _line_doc(line: bytes, where: str, skim: bool = False) -> dict:
     checked in full.
     """
     try:
-        doc = json.loads(line, parse_float=str if skim else None)
+        doc = _loads(line, skim)
     except ValueError as exc:
         raise FormatError(f"{where} is not valid JSON: {exc}") from exc
     entry_id = doc.get("id") if isinstance(doc, dict) else None
@@ -353,14 +366,14 @@ def read_ledger(
             if skim and entry_id not in wanted:
                 continue
             if head.parts is None:
-                head_doc = head.doc if head.doc is not None else json.loads(head.line)
+                head_doc = head.doc if head.doc is not None else _loads(head.line)
                 raw = head_doc.get("framework")
                 shared = known[1] if raw == known[0] else None
                 head.parts = _decode(head_doc, head.where, shared)
                 known = (raw, head.parts[0])
             framework, record, timestamp = head.parts
             if later:
-                line_doc = json.loads(line) if skim else doc
+                line_doc = _loads(line) if skim else doc
                 _, record, timestamp = _decode(line_doc, where, framework, record.active_quilts)
             entries.append(LedgerEntry(entry_id, timestamp, framework, record))
     return entries

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import multiprocessing
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -319,6 +318,44 @@ def test_malformed_entry_is_a_format_error(tmp_path, line):
         read_ledger(path, ids=[1])
 
 
+def _json_loads_per_line(line, skim=False):
+    """Ledger lines decoded as ``json.loads`` decodes them, one decoder per
+    call: the reference for the decoders that storage builds once."""
+    return json.loads(line, parse_float=str if skim else None)
+
+
+def test_ledger_reads_with_shared_decoders_equal_json_loads(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fw, rec = _make_record()
+    for n in range(3):
+        append_release(path, fw, [rec, dataclasses.replace(rec, output=rec.output + n)])
+
+    def parts(entries):
+        return [(e.entry_id, e.timestamp, e.record, e.framework.horizon, e.framework.window,
+                 [(m.states, m.initial.tobytes(), m.transition.tobytes())
+                  for m in e.framework.models]) for e in entries]
+
+    for ids in (None, [2], [4, 5], [6]):
+        got = read_ledger(path, ids=ids)
+        with mock.patch.object(storage, "_loads", _json_loads_per_line):
+            assert parts(got) == parts(read_ledger(path, ids=ids))
+        assert [e.entry_id for e in got] == (ids or list(range(1, 7)))
+    good = path.read_bytes()
+    lines = good.splitlines(keepends=True)
+    damaged = [
+        lines[0][:-10] + b"\n",  # cut short
+        b"\xff\xfe" + lines[0],  # not UTF-8
+        lines[0].replace(b'"id": 1', b'"id": 1.0'),  # an id that is not an integer
+        b"[1, 2]\n",  # not an object
+        lines[0].rstrip() + b" }\n",  # trailing junk
+    ]
+    for bad in damaged:
+        path.write_bytes(bad + b"".join(lines[1:]))
+        for ids in (None, [2]):
+            with pytest.raises(FormatError, match="line 1"):
+                read_ledger(path, ids=ids)
+
+
 def test_read_ledger_refuses_ids_that_do_not_increase(tmp_path):
     path = tmp_path / "ledger.jsonl"
     fw, rec = _make_record()
@@ -432,14 +469,13 @@ def test_append_decodes_only_the_last_line(tmp_path, monkeypatch):
         for n in range(2, 501):
             fh.write(json.dumps({**doc, "id": n}) + "\n")
     calls = []
+    loads = storage._loads  # every ledger line is decoded through it
 
     def counting_loads(*args, **kwargs):
         calls.append(1)
-        return json.loads(*args, **kwargs)
+        return loads(*args, **kwargs)
 
-    monkeypatch.setattr(
-        storage, "json", SimpleNamespace(loads=counting_loads, dumps=json.dumps)
-    )
+    monkeypatch.setattr(storage, "_loads", counting_loads)
     assert append_release(path, fw, [rec])[0].entry_id == 501
     assert len(calls) <= 1
 

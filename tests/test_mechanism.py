@@ -708,24 +708,26 @@ def test_search_numbers_windows_as_one_bytes_key_per_node(fw, eps, variant, caps
     # The interior node 9 of 17 is at its full reach at the first cap.
     (_full(_chain(5, 3, 0.97), 17), 0.5, Variant.EXACT),
 ], ids=["lazy", "sticky", "approx", "full-reach"])
-def test_interior_nodes_never_reach_best_quilts(fw, eps, variant):
-    # An interior node takes its key's two-sided winner, or the next step;
-    # only boundary nodes have their one-sided and empty quilts scored. Each
-    # step builds its log powers, or its two-sided table, once.
-    steps = []  # per step: the interior nodes and the nodes scored in full
+def test_interior_nodes_are_scored_once_per_key(fw, eps, variant):
+    # An interior node takes the winner of its key's first node, or the
+    # next step; of a step's interior nodes only the first of each key is
+    # scored. Each step builds its log powers, or its two-sided table, once.
+    steps = []  # per step: each key's first interior node, all interior nodes, nodes scored
 
     def stepping(build):
         def new_step(*args):
-            steps.append((set(), set()))
+            steps.append((set(), set(), set()))
             return build(*args)
         return new_step
 
     def keying(row_ids, j, cap):
-        steps[-1][0].update(j.tolist())
-        return window_ids(row_ids, j, cap)
+        ids = window_ids(row_ids, j, cap)
+        steps[-1][0].update(j[np.unique(ids, return_index=True)[1]].tolist())
+        steps[-1][1].update(j.tolist())
+        return ids
 
     def scoring(i, *args):
-        steps[-1][1].update(i.tolist())
+        steps[-1][2].update(i.tolist())
         return best_quilts(i, *args)
 
     window_ids, best_quilts = mechanism._window_ids, mechanism._best_quilts
@@ -735,10 +737,10 @@ def test_interior_nodes_never_reach_best_quilts(fw, eps, variant):
             mock.patch.object(mechanism, "_window_ids", keying), \
             mock.patch.object(mechanism, "_best_quilts", scoring):
         got = quilt_scores(fw, eps, variant)
-    assert all(not interior & scored for interior, scored in steps)
+    assert all(interior & scored == firsts for firsts, interior, scored in steps)
     # Some interior node is not certified at its step and takes the next.
-    later = [set().union(*(a | b for a, b in steps[n + 1:])) for n in range(len(steps))]
-    assert any(interior & rest for (interior, _), rest in zip(steps, later))
+    later = [set().union(*(b | c for _, b, c in steps[n + 1:])) for n in range(len(steps))]
+    assert any(interior & rest for (_, interior, _), rest in zip(steps, later))
     assert got == _unpruned(fw, eps, variant)
 
 
@@ -833,17 +835,34 @@ def test_block_winners_equal_a_sort_of_each_block(seed, ma, mb, eps):
 def test_padded_block_winners_equal_a_sort_of_each_node(seed, n, ma, mb, eps):
     # Each node owns a corner of the block's table; the cells past it hold
     # influences that would win, and must not. Some nodes own only cells
-    # that score inf, or no cell at all.
+    # that score inf, or no cell at all. With one value pair per half, its
+    # bounds are the influences themselves; the block's cut and its one
+    # scoring pass must pick each node's winner of a sort of its own
+    # candidates. Influences from a few levels, so scores and nearby counts
+    # tie often and the tie order decides.
     rng = np.random.default_rng(seed)
-    e_two = rng.choice([0.0, 0.25 * eps, 0.5 * eps, np.inf], (n, ma, mb))
     na, nb = rng.integers(0, ma + 1, n), rng.integers(0, mb + 1, n)
+    ma, mb = int(na.max()), int(nb.max())  # a block spans its nodes' offsets
+    levels = [0.0, 0.25 * eps, 0.5 * eps, np.inf]
+    e_left, e_right = rng.choice(levels, (n, ma)), rng.choice(levels, mb)
     for j in range(n):
-        e_two[j, na[j]:, :] = e_two[j, :, nb[j]:] = 0.0
+        e_left[j, na[j]:] = 0.0
         if rng.random() < 0.3:
-            e_two[j, : na[j], : nb[j]] = np.inf
-    got = _per_node(lambda row, col: mechanism._block_winners(eps, e_two[row], na[row], nb[row]))
+            e_left[j, : na[j]] = np.inf
+    e_two = e_left[:, :, None] + e_right
+    L = int((na + nb).max()) + 1 + int(rng.integers(0, 3))
+    i = na + 1 + rng.integers(0, L - na - nb)  # node i reaches na back and nb ahead
+    keep = mechanism._cut(i, na, nb, L, eps, np.full(n, L / eps))
+    if ma:
+        j, a, b = keep(slice(0, n), slice(0, ma), e_left, e_left, e_right, e_right)
+    else:
+        j = a = b = np.empty(0, int)  # the kernel has no chunk to cut
+    got = mechanism._best_quilts(i, na, nb, L, eps, e_left, np.broadcast_to(e_right, (n, mb)),
+                                 (j, a + 1, b + 1, e_two[j, a, b]))
     for j in range(n):
-        assert got(j, j) == _two_sided_best(eps, e_two[j, : na[j], : nb[j]])
+        want = _best_quilt(int(i[j]), L, eps, e_left[j, : na[j]], e_right[: nb[j]],
+                           _two_sided_best(eps, e_two[j, : na[j], : nb[j]]))
+        assert (got[0][j], got[1][j], got[2][j]) == (want[0], want[3], want[4])
 
 
 @st.composite
@@ -893,6 +912,46 @@ def test_kernel_block_equals_one_call_per_node(model, n, first, na, nb):
         for j, one in enumerate(ones):
             for g, want in zip(got, one):
                 assert g[j].tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_kernel_chains(), st.integers(1, 6), st.integers(1, 12), st.integers(0, 12),
+       st.integers(1, 10), st.floats(0.05, 8.0), st.booleans())
+def test_pruned_block_winners_equal_full_corner_winners(model, n, first, tail, cap, eps, last):
+    # The search's block: the kernel sums only the two-sided cells its cut
+    # keeps, and one scoring pass picks each node's winner. Each node's own
+    # full corner, sorted in the tie order, and its one-sided and empty
+    # quilts give the same winner, in chunks of one node and offset, of a
+    # few, or of the whole block. A node whose step is not its last keeps
+    # its winner only below (cap + 1) / eps, and needs it only there.
+    L = first + n - 1 + tail
+    with np.errstate(divide="ignore"):
+        log_margs = np.log(mechanism._marginals(model, L))
+    i = np.arange(first, first + n)
+    live = log_margs[i - 1] > -np.inf
+    i = i[(live == live[0]).all(axis=1)]  # one block shares its live values
+    na, nb = np.minimum(i - 1, cap), np.minimum(L - i, cap)
+    ma, mb = int(na.max()), int(nb.max())
+    log_powers, right_max = mechanism._log_powers(model.transition, max(ma, mb, 1))
+    past = log_margs[np.maximum(i[:, None] - 2 - np.arange(ma), 0)]
+    bound = np.full(i.size, (L if last else min(L, cap + 1)) / eps)
+    for block in (1, 64, 2**15):
+        with mock.patch.object(influence, "_BLOCK_FLOATS", block):
+            influences = mechanism._exact_influences(
+                log_margs[i - 1], past, log_powers[1 : ma + 1], right_max[1 : mb + 1],
+                mechanism._cut(i, na, nb, L, eps, bound),
+            )
+        got = mechanism._best_quilts(i, na, nb, L, eps, *influences)
+        for j, node in enumerate(i.tolist()):
+            e_left, e_right, e_two = mechanism._exact_influences(
+                log_margs[node - 1], log_margs[node - 1 - na[j] : node - 1][::-1],
+                log_powers[1 : na[j] + 1], right_max[1 : nb[j] + 1],
+            )
+            want = _best_quilt(node, L, eps, e_left, e_right, _two_sided_best(eps, e_two))
+            if want[0] <= bound[j]:
+                assert (got[0][j], got[1][j], got[2][j]) == (want[0], want[3], want[4])
+            else:
+                assert got[0][j] > bound[j]
 
 
 @contextlib.contextmanager
@@ -1297,6 +1356,79 @@ def test_record_stores_quilts_as_runs_whose_size_does_not_grow_with_the_window(t
         assert peak < 64 * 1024, peak
     assert abs(len(docs[1]) - len(docs[0])) <= 1024
     assert len(docs[1]) < 4096
+
+
+def _merged_runs(runs):
+    """The canonical runs that ``QuiltRuns`` makes with array passes, made
+    run by run: the reference its array passes are checked against."""
+    merged = []
+    for first, last, left, right, score in runs:
+        first, last = int(first), int(last)
+        key = [None if left is None else int(left), None if right is None else int(right),
+               float(score)]
+        prev = merged[-1][1] if merged else first - 1
+        if not prev + 1 == first <= last:
+            raise ValueError(f"quilt run from node {first} to node {last} after node {prev}")
+        if merged and merged[-1][2:] == key:
+            merged[-1][1] = last
+        else:
+            merged.append([first, last, *key])
+    return tuple(map(tuple, merged))
+
+
+@st.composite
+def _raw_runs(draw):
+    """Runs as a search or a ledger line gives them, with Python or numpy
+    numbers, shapes and scores that repeat so that runs merge, and now and
+    then a run that skips, repeats or reverses nodes. NaN scores are drawn
+    as distinct objects, as each parse of a line makes them."""
+    side = st.sampled_from([None, 1, 2, np.int64(2), 3.0])
+    score = st.one_of(st.sampled_from([1.0, 2.5, np.float64(2.5), 0.0, -0.0, math.inf]),
+                      st.builds(float, st.just("nan")))
+    runs, node = [], draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(0, 12))):
+        length = draw(st.integers(1, 4))
+        if draw(st.integers(0, 19)) == 0:
+            node += draw(st.sampled_from([-2, -1, 1, 2]))
+        last = node + length - 1 if draw(st.integers(0, 19)) else node - 1
+        number = draw(st.sampled_from([int, np.int64]))
+        runs.append((number(node), number(last), draw(side), draw(side), draw(score)))
+        node = last + 1
+    return runs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_raw_runs(), st.sampled_from([0, mechanism._ARRAY_RUNS]))
+def test_quilt_runs_equal_a_run_by_run_merge(runs, array_runs):
+    # By array passes for every table, or for long tables only.
+    try:
+        want = _merged_runs(runs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))), \
+                mock.patch.object(mechanism, "_ARRAY_RUNS", array_runs):
+            mechanism.QuiltRuns(runs)
+        return
+    with mock.patch.object(mechanism, "_ARRAY_RUNS", array_runs):
+        got = mechanism.QuiltRuns(iter(runs)).runs
+    assert [[type(x) for x in run] for run in got] == [[type(x) for x in run] for run in want]
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("fw, eps, variant", [
+    (_full(random_model(10, np.random.default_rng(0)), 5000), 1.0, Variant.EXACT),
+    (Framework(320, Window(21, 300), (_chain(3, 3), _chain(4, 3, 0.3))), 1.0, Variant.EXACT),
+    (_full(_chain(5, 3, 0.97), 150), 4.0, Variant.APPROX),
+], ids=["cycling", "two-models", "approx"])
+def test_search_runs_are_canonical(fw, eps, variant):
+    # The search's runs are taken as they are; merging them again changes
+    # nothing, not even a number's type.
+    _, active = quilt_scores(fw, eps, variant)
+    for table in active.values():
+        again = mechanism.QuiltRuns(table.runs)
+        assert repr(again.runs) == repr(table.runs) and again == table
+        assert {tuple(map(type, run)) for run in table.runs} <= {
+            (int, int, left, right, float) for left in (int, type(None))
+            for right in (int, type(None))}
 
 
 def test_active_quilt_nodes_are_global():
