@@ -63,8 +63,10 @@ nearby nodes, so it scores at least ``(c + 1) / epsilon``, in floating
 point too, because ``epsilon - e <= epsilon`` and rounding is monotone. A
 winner below ``(c + 1) / epsilon`` at the first interior node with some
 input is therefore two-sided, and wins strictly at every interior node
-that shares the input; they take it without being scored. Otherwise no
-quilt within the cap can win there, and the nodes take the next step. So
+that shares the input; they take it without being scored. The search
+shares a winner only if it is two-sided, so this holds in the code
+whatever the rounding. Otherwise no quilt within the cap can win there, or
+the winner is not shared, and the nodes take the next step. So
 only boundary nodes, whose inputs are their own, and the first interior
 node with each input are scored. Unlike a boundary node, an interior
 node at its full reach (``2c = L - 1``) keeps a winner only below
@@ -105,7 +107,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -258,56 +260,6 @@ class ActiveQuilt:
 
 _Run = tuple[int, int, int | None, int | None, float]
 
-_ARRAY_RUNS = 64
-"""Tables of at least this many runs are merged by array passes, which cost
-about 40 us whatever the size; shorter ones run by run, at about 2 us a
-run. Either gives the same runs."""
-
-
-def _merged_runs(runs: Sequence) -> tuple[_Run, ...]:
-    """Canonical runs, made run by run: fields converted as ``int`` and
-    ``float`` convert them, adjacent runs with one shape and score merged,
-    and a run that does not start right after the one before refused."""
-    merged: list[list] = []
-    for first, last, left, right, score in runs:
-        first, last = int(first), int(last)
-        key = [_opt_int(left), _opt_int(right), float(score)]
-        prev = merged[-1][1] if merged else first - 1
-        if not prev + 1 == first <= last:
-            raise ValueError(f"quilt run from node {first} to node {last} after node {prev}")
-        if merged and merged[-1][2:] == key:
-            merged[-1][1] = last
-        else:
-            merged.append([first, last, *key])
-    return tuple(map(tuple, merged))
-
-
-def _merged_run_arrays(runs: Sequence) -> tuple[_Run, ...]:
-    """:func:`_merged_runs` by array passes over the fields."""
-    if not runs:
-        return ()
-    # One object per field, converted by column as int() and float() do.
-    cols = np.array(runs, dtype=object)
-    if cols.shape != (len(runs), 5):
-        raise ValueError("a quilt run has five fields: first, last, left, right, score")
-    absent = cols == None  # noqa: E711 (elementwise)
-    if absent[:, 4].any():
-        raise TypeError("a quilt run's score is None")
-    cols[absent] = 0
-    ints, score = cols[:, :4].astype(np.int64), cols[:, 4].astype(float)
-    first, last = ints[:, 0], ints[:, 1]
-    prev = np.append(first[0] - 1, last[:-1])
-    bad = np.flatnonzero((prev + 1 != first) | (first > last))
-    if bad.size:
-        t = bad[0]
-        raise ValueError(f"quilt run from node {first[t]} to node {last[t]} after node {prev[t]}")
-    # A run is kept where its shape or score differs from the run before.
-    key = np.column_stack([ints[:, 2:], absent[:, 2:4], score])
-    heads = np.flatnonzero(np.append(True, (key[1:] != key[:-1]).any(axis=1)))
-    ends = np.append(heads[1:], len(runs)) - 1
-    sides = np.where(absent[heads, 2:4], None, ints[heads, 2:4]).T.tolist()
-    return tuple(zip(first[heads].tolist(), last[ends].tolist(), *sides, score[heads].tolist()))
-
 
 @dataclass(frozen=True)
 class QuiltRuns:
@@ -321,9 +273,18 @@ class QuiltRuns:
     runs: tuple[_Run, ...]
 
     def __post_init__(self) -> None:
-        runs = self.runs if isinstance(self.runs, (list, tuple)) else list(self.runs)
-        merge = _merged_runs if len(runs) < _ARRAY_RUNS else _merged_run_arrays
-        object.__setattr__(self, "runs", merge(runs))
+        merged: list[list] = []
+        for first, last, left, right, score in self.runs:
+            first, last = int(first), int(last)
+            key = [_opt_int(left), _opt_int(right), float(score)]
+            prev = merged[-1][1] if merged else first - 1
+            if not prev + 1 == first <= last:
+                raise ValueError(f"quilt run from node {first} to node {last} after node {prev}")
+            if merged and merged[-1][2:] == key:
+                merged[-1][1] = last
+            else:
+                merged.append([first, last, *key])
+        object.__setattr__(self, "runs", tuple(map(tuple, merged)))
 
     @classmethod
     def _canonical(cls, runs: tuple[_Run, ...]) -> "QuiltRuns":
@@ -688,9 +649,6 @@ def _blocks(
     """Consecutive runs of nodes, as index arrays, each as long as it can be
     while ``count * size(max na, max nb)`` stays within ``_BLOCK_FLOATS``;
     a node too large for that is a block of its own."""
-    if len(na) * size(max(na, default=0), max(nb, default=0)) <= _BLOCK_FLOATS:
-        yield np.arange(len(na))
-        return
     lo = 0
     while lo < len(na):
         ma, mb, hi = na[lo], nb[lo], lo + 1
@@ -865,8 +823,12 @@ def _search_model(
         if inner.any():
             # No one-sided or empty quilt can clear an interior node's bound,
             # so a winner of its key's first node that clears it is two-sided,
-            # and the node's winner too.
-            s[inner], a[inner], b[inner] = s[first][ids], a[first][ids], b[first][ids]
+            # and the node's winner too. Only a two-sided winner is shared,
+            # whatever the rounding; otherwise the key's nodes take the next
+            # step.
+            two = (a[first] > 0) & (b[first] > 0)
+            s[inner] = np.where(two, s[first], np.inf)[ids]
+            a[inner], b[inner] = a[first][ids], b[first][ids]
         # An interior node at its full reach (2 cap = L - 1) is not certified
         # by it: its one-sided and empty quilts were scored at its key's
         # first node, whose nearby counts are not its own.

@@ -744,6 +744,27 @@ def test_interior_nodes_are_scored_once_per_key(fw, eps, variant):
     assert got == _unpruned(fw, eps, variant)
 
 
+@pytest.mark.parametrize("fw, eps, variant", [
+    (_full(LAZY, 400), 1.0, Variant.EXACT),
+    (_full(_chain(3, 3), 400), 0.5, Variant.APPROX),
+], ids=["exact", "approx"])
+def test_one_sided_winners_are_not_shared(fw, eps, variant):
+    # Were a key's first interior node to win with a one-sided or empty
+    # quilt, the key's other nodes would not take it: they take the next
+    # step, so every node's winner comes from its own scoring.
+    scored = set()
+
+    def one_sided(i, na, nb, *args):
+        scored.update(i.tolist())
+        return np.zeros(i.size), np.minimum(na, 1), np.zeros_like(nb)
+
+    with mock.patch.object(mechanism, "_best_quilts", one_sided):
+        sigma, active = quilt_scores(fw, eps, variant)
+    L = fw.window.length
+    assert scored == set(range(1, L + 1))
+    assert sigma == 0.0 and len(active[0]) == L
+
+
 def _per_node_approx_search_model(model, log_margs, info, L, epsilon):
     """The approx search with its own two-sided table scored at every step."""
     terms = np.array([mechanism._spectral_term(info, x) for x in range(1, L)])
@@ -1359,8 +1380,8 @@ def test_record_stores_quilts_as_runs_whose_size_does_not_grow_with_the_window(t
 
 
 def _merged_runs(runs):
-    """The canonical runs that ``QuiltRuns`` makes with array passes, made
-    run by run: the reference its array passes are checked against."""
+    """The canonical runs of ``runs``, made run by run: the reference that
+    ``QuiltRuns`` is checked against."""
     merged = []
     for first, last, left, right, score in runs:
         first, last = int(first), int(last)
@@ -1398,18 +1419,15 @@ def _raw_runs(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_raw_runs(), st.sampled_from([0, mechanism._ARRAY_RUNS]))
-def test_quilt_runs_equal_a_run_by_run_merge(runs, array_runs):
-    # By array passes for every table, or for long tables only.
+@given(_raw_runs())
+def test_quilt_runs_equal_a_run_by_run_merge(runs):
     try:
         want = _merged_runs(runs)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))), \
-                mock.patch.object(mechanism, "_ARRAY_RUNS", array_runs):
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
             mechanism.QuiltRuns(runs)
         return
-    with mock.patch.object(mechanism, "_ARRAY_RUNS", array_runs):
-        got = mechanism.QuiltRuns(iter(runs)).runs
+    got = mechanism.QuiltRuns(iter(runs)).runs
     assert [[type(x) for x in run] for run in got] == [[type(x) for x in run] for run in want]
     assert repr(got) == repr(want)
 
