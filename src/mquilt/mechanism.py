@@ -51,16 +51,22 @@ exact kernel only its offset counts ``na = min(i - 1, c)`` and
 ``nb = min(L - i, c)`` and the log marginals of nodes ``i - na .. i``. The
 marginal recursion ends at its first repeated row, in a bitwise cycle of
 any period: random chains repeat a row within a few dozen steps, and 18
-of 40 random 10-state chains cycle with a period of 3 or more. Past that
-point every interior node (``na = nb = c``) repeats one of at most
-``period`` inputs per cap. Each step numbers its interior nodes' inputs by
-array passes, keying each distinct input once per chunk of nodes, so its
-Python work grows with the distinct inputs, not with ``L``. The best
-two-sided quilt depends only on those inputs. The one-sided and empty
-candidates do not: their nearby counts ``L - i + a`` and ``i + b - 1``
-depend on ``i``. At an interior node each of them has at least ``c + 1``
-nearby nodes, so it scores at least ``(c + 1) / epsilon``, in floating
-point too, because ``epsilon - e <= epsilon`` and rounding is monotone. A
+of 40 random 10-state chains cycle with a period of 3 or more.
+:func:`_row_classes` reads each marginal row's class, the least row equal
+to it bit for bit, off that cycle with no sort. An interior node
+(``na = nb = c``) is keyed by the class of its window's first row: a
+window that starts in the cycle lies wholly in it, and one that starts
+before holds a row no other window holds. So past the cycle's start a
+step keys at most ``period`` inputs, in array passes. Keys follow marginal
+bits, not log bits: equal marginal rows have equal logs, but distinct ones
+may too, and a log table need not cycle where the marginals do, so its
+classes would not be sound; nodes whose logs coincide that way are scored
+apart. The best two-sided quilt depends only on those inputs. The
+one-sided and empty candidates do not: their nearby counts ``L - i + a``
+and ``i + b - 1`` depend on ``i``. At an interior node each of them has
+at least ``c + 1`` nearby nodes, so it scores at least
+``(c + 1) / epsilon``, in floating point too, because
+``epsilon - e <= epsilon`` and rounding is monotone. A
 winner below ``(c + 1) / epsilon`` at the first interior node with some
 input is therefore two-sided, and wins strictly at every interior node
 that shares the input; they take it without being scored. The search
@@ -479,16 +485,16 @@ def _one_sided_nearby(
 
 
 def _cut(
-    i: NDArray[np.int64],
+    nearby: tuple[NDArray[np.float64], NDArray[np.float64]],
     na: NDArray[np.int64],
     nb: NDArray[np.int64],
-    L: int,
     epsilon: float,
     bound: NDArray[np.float64],
 ) -> Callable[..., tuple[NDArray[np.int64], ...]]:
-    """The ``keep`` of an exact kernel block of local nodes ``i`` (see
-    :func:`~mquilt.influence._exact_influences`): the owned two-sided cells
-    that can still win.
+    """The ``keep`` of an exact kernel block of nodes with offsets ``na``,
+    ``nb`` and one-sided ``nearby`` counts (see :func:`_one_sided_nearby`
+    and :func:`~mquilt.influence._exact_influences`): the owned two-sided
+    cells that can still win.
 
     Write ``eL``, ``mL`` for the largest and least backward half of a cell's
     row over the value pairs, and ``eR``, ``mR`` for its forward half's.
@@ -508,10 +514,10 @@ def _cut(
     not own. A backward half of ``-inf`` can make a sum ``nan``, which
     scores ``inf``, so such a row bounds no score from above.
     """
-    ma, mb = int(na.max()), int(nb.max())
-    near_left, near_right = _one_sided_nearby(i, na, nb, L, ma, mb)
+    near_left, near_right = nearby
+    (n, ma), mb = near_left.shape, near_right.shape[1]
     aa, bb = np.arange(1, ma + 1), np.arange(1, mb + 1)
-    near_two = np.broadcast_to(aa[:, None] + bb - 1.0, (i.size, ma, mb))
+    near_two = np.broadcast_to(aa[:, None] + bb - 1.0, (n, ma, mb))
     if (na < ma).any() or (nb < mb).any():
         own = (aa[:, None] <= na[:, None, None]) & (bb <= nb[:, None, None])
         near_two = np.where(own, near_two, np.inf)
@@ -539,21 +545,20 @@ def _cut(
 
 
 def _best_quilts(
-    i: NDArray[np.int64],
-    na: NDArray[np.int64],
-    nb: NDArray[np.int64],
+    nearby: tuple[NDArray[np.float64], NDArray[np.float64]],
     L: int,
     epsilon: float,
     e_left: NDArray[np.float64],
     e_right: NDArray[np.float64],
     two: _Cells,
 ) -> _Winners:
-    """The winning quilts at local nodes ``i``, from one scoring of every
+    """The winning quilts at a block of nodes, from one scoring of every
     candidate.
 
     Row ``j`` of ``e_left`` and ``e_right`` holds the influences of node
-    ``i[j]``'s one-sided quilts at offsets 1, 2, ..., of which the first
-    ``na[j]`` and ``nb[j]`` are its own. ``two`` holds two-sided candidates
+    ``j``'s one-sided quilts at offsets 1, 2, ..., and row ``j`` of
+    ``nearby``'s tables their nearby counts (:func:`_one_sided_nearby`),
+    ``inf`` past the node's own offsets. ``two`` holds two-sided candidates
     ``(j, a, b, e)``, in node, then ``(a, b)`` order, among them every
     two-sided quilt that can win at the node. Candidates tie in the order
     score, nearby count, kind (two-sided, one-sided, empty), ``a``, ``b``:
@@ -574,7 +579,7 @@ def _best_quilts(
     right, left = slice(w, w + mb), slice(w + mb, width - 1)
     e[:, right], b[:, right] = e_right, np.arange(1, mb + 1)
     e[:, left], a[:, left] = e_left, np.arange(1, ma + 1)
-    near[:, left], near[:, right] = _one_sided_nearby(i, na, nb, L, ma, mb)
+    near[:, left], near[:, right] = nearby
     e[:, -1], near[:, -1] = 0.0, L
     s = _scores(e, near, epsilon)
     pick = _first_min(s, near)
@@ -606,6 +611,27 @@ def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
             margs[L - r :] = margs[s : s + r]
             break
     return margs
+
+
+def _row_classes(table: NDArray[np.float64]) -> NDArray[np.intp]:
+    """A class per row, equal only for rows equal bit for bit: on a lead-in
+    and then a bitwise cycle, as :func:`_marginals` makes, the least row
+    equal to it. The period ``p`` is the gap between the first two rows
+    equal to the last row, the cycle starts at the first row ``s`` equal to
+    row ``s + p``, and row ``r`` is in class ``r`` before ``s`` and
+    ``s + (r - s) mod p`` from ``s`` on. A table that does not cycle so,
+    checked row by row, has a class per row."""
+    bits = table.view(np.int64)
+    rows = np.arange(len(table))
+    last = np.flatnonzero((bits == bits[-1]).all(axis=1))
+    if last.size < 2:
+        return rows
+    p = int(last[1] - last[0])
+    same = (bits[p:] == bits[:-p]).all(axis=1)
+    s = int(same.argmax())
+    if not same[s:].all():
+        return rows
+    return np.where(rows < s, rows, s + (rows - s) % p)
 
 
 def _log_powers(
@@ -661,39 +687,9 @@ def _blocks(
         lo = hi
 
 
-def _window_ids(row_ids: NDArray[np.int32], j: NDArray[np.int64], cap: int) -> NDArray[np.intp]:
-    """The number of each window ``row_ids[j - 1 - cap : j]``, for the nodes
-    ``j`` in node order, numbered from 0 in node order of first appearance.
-
-    The windows are told apart by one sort per chunk of nodes, whose windows
-    stay within ``_BLOCK_FLOATS`` entries, so each window's bytes are keyed
-    once per chunk it occurs in, not once per node."""
-    windows = np.lib.stride_tricks.sliding_window_view(row_ids, cap + 1)
-    rows = np.dtype((np.void, row_ids.itemsize * (cap + 1)))
-    chunk = max(1, _BLOCK_FLOATS // (cap + 1))
-    local = np.empty(j.size, np.intp)  # chunk-local window classes
-    first_of = np.full(j.size, -1)  # each class numbered at its first node
-    n = 0
-    for lo in range(0, j.size, chunk):
-        _, first, inverse = np.unique(
-            windows[j[lo : lo + chunk] - 1 - cap].view(rows)[:, 0],
-            return_index=True, return_inverse=True,
-        )
-        local[lo : lo + chunk] = inverse + n
-        first_of[lo + first] = np.arange(n, n + first.size)
-        n += first.size
-    x = np.flatnonzero(first_of >= 0)
-    index: dict[bytes, int] = {}
-    number = np.empty(n, np.intp)
-    number[first_of[x]] = [
-        index.setdefault(row_ids[y - 1 - cap : y].tobytes(), len(index)) for y in j[x].tolist()
-    ]
-    return number[local]
-
-
 def _search_model(
     model: ChainModel,
-    log_margs: NDArray[np.float64] | None,
+    margs: NDArray[np.float64] | None,
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
@@ -702,8 +698,8 @@ def _search_model(
     ``[first, last, left, right, score]`` of consecutive local nodes with
     one shape and score.
 
-    Influences are exact when ``log_margs`` (the log marginals of the
-    searched nodes) is given and spectral bounds from ``info`` otherwise;
+    Influences are exact when ``margs`` (the marginal laws of the searched
+    nodes) is given and spectral bounds from ``info`` otherwise;
     the variants differ only in where a block's one-sided influences and
     two-sided candidates come from: the exact kernel's cells that can still
     win, or each node's two-sided winner from the approx table. Every node
@@ -714,7 +710,7 @@ def _search_model(
     the number of exact-kernel blocks, and the numbers of node steps
     scored from their own inputs and served from another node's winner.
     """
-    exact = log_margs is not None
+    exact = margs is not None
     cap = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
     log_powers = right_max = winner = None
     terms = np.empty(0)
@@ -735,22 +731,21 @@ def _search_model(
     open_nodes = np.arange(1, L + 1)
     win_s, win_a, win_b = np.empty(L), np.zeros(L, np.int64), np.zeros(L, np.int64)
     # Only interior nodes (na = nb = cap) can have the same inputs as
-    # another node's. Their inputs are keyed by the ids of their cap + 1
-    # log-marginal rows, equal ids for bitwise-equal rows (one id for all in
-    # the approx search); see _window_ids.
+    # another node's: node j's are its cap + 1 marginal rows from row
+    # j - 1 - cap, keyed by the class of that first row (see the module
+    # docstring). The approx search's inputs are its offsets alone, as if
+    # its rows were empty: one class for all.
+    classes = _row_classes(margs if exact else np.empty((L, 0)))
     if exact:
-        rows = np.ascontiguousarray(log_margs).view(np.dtype((np.void, log_margs[0].nbytes)))
-        _, first_row, row_ids = np.unique(rows[:, 0], return_index=True, return_inverse=True)
-        row_ids = row_ids.astype(np.int32)
+        with np.errstate(divide="ignore"):
+            log_margs = np.log(margs)
         # Nodes with the same live values share one list of value pairs.
-        live = np.ascontiguousarray(log_margs[first_row] > -np.inf)
+        live = log_margs[: classes.max() + 1] > -np.inf  # every class is one of these rows
         pattern = None  # one pattern, no grouping
         if not (live == live[0]).all():
             pattern = np.unique(
                 live.view(np.dtype((np.void, model.k)))[:, 0], return_inverse=True
-            )[1][row_ids]
-    else:
-        row_ids = np.zeros(L, dtype=np.int32)
+            )[1][classes]
 
     def node_blocks(i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64],
                     bound: NDArray[np.float64]) -> Iterator[tuple[NDArray[np.int64], _Winners]]:
@@ -765,7 +760,7 @@ def _search_model(
                 j = np.flatnonzero(a)
                 a, b = a[j], b[j]
                 yield rows, _best_quilts(
-                    i[rows], na[rows], nb[rows], L, epsilon,
+                    _one_sided_nearby(i[rows], na[rows], nb[rows], L, ma, mb), L, epsilon,
                     np.broadcast_to(2.0 * terms[:ma], (rows.size, ma)),
                     np.broadcast_to(terms[:mb], (rows.size, mb)),
                     (j, a, b, 2.0 * terms[a - 1] + terms[b - 1]),
@@ -783,12 +778,13 @@ def _search_model(
                 j, ja, jb = i[rows], na[rows], nb[rows]
                 ma, mb = int(ja.max()), int(jb.max())
                 past = log_margs[np.maximum(j[:, None] - 2 - np.arange(ma), 0)]  # nearest first
+                nearby = _one_sided_nearby(j, ja, jb, L, ma, mb)
                 influences = _exact_influences(
                     log_margs[j - 1], past, log_powers[1 : ma + 1], right_max[1 : mb + 1],
-                    _cut(j, ja, jb, L, epsilon, bound[rows]),
+                    _cut(nearby, ja, jb, epsilon, bound[rows]),
                 )
                 blocks += 1
-                yield rows, _best_quilts(j, ja, jb, L, epsilon, *influences)
+                yield rows, _best_quilts(nearby, L, epsilon, *influences)
 
     while open_nodes.size:
         caps[cap] = open_nodes.size
@@ -812,8 +808,9 @@ def _search_model(
         if inner.any():
             # The boundary nodes are scored from their own inputs, and so is
             # the first interior node of each key.
-            ids = _window_ids(row_ids, open_nodes[inner], cap)
-            first = np.flatnonzero(inner)[np.unique(ids, return_index=True)[1]]
+            keys = classes[open_nodes[inner] - 1 - cap]
+            _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+            first = np.flatnonzero(inner)[first]
             own = np.sort(np.concatenate([own[~inner], first]))
             shared += ids.size - first.size
         distinct += own.size
@@ -877,9 +874,10 @@ def quilt_scores(
     nodes searched, the node steps taken at each cap (cap ``L`` is every
     node's full reach) and the number of steps, the exact-kernel
     blocks (none in the approx variant), each scoring many nodes at once,
-    the node steps scored from their own inputs and those served from
-    another node's table entry, which add up to the node steps, and the
-    number of quilt runs. A search that would
+    the node steps scored from their own inputs, told apart by marginal
+    bits (see the module docstring), and those served from another node's
+    winner, which add up to the node steps, and the number of quilt runs.
+    A search that would
     build a two-sided influence table of more than ``2**24`` entries raises
     :class:`~mquilt.errors.TooLarge`.
     """
@@ -904,13 +902,10 @@ def quilt_scores(
     active: dict[int, QuiltRuns] = {}
     for idx, model in enumerate(search_models):
         if variant is Variant.EXACT:
-            with np.errstate(divide="ignore"):
-                log_margs, info = np.log(_marginals(model, L)), None
+            margs, info = _marginals(model, L), None
         else:
-            log_margs, info = None, spectral(model)
-        runs, caps, most, blocks, distinct, shared = _search_model(
-            model, log_margs, info, L, epsilon
-        )
+            margs, info = None, spectral(model)
+        runs, caps, most, blocks, distinct, shared = _search_model(model, margs, info, L, epsilon)
         _log.debug(
             "model %d (%s): %d nodes, node steps at caps %s, at most %d per node, "
             "%d kernel blocks, %d distinct node inputs, %d nodes served from the shared "

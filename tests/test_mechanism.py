@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -345,13 +346,13 @@ def test_fast_chain_accepts_every_node_at_the_first_cap():
 @pytest.mark.parametrize("L", [1, 2, 12, 2 * mechanism._FIRST_CAP])
 def test_short_window_searches_every_node_once_at_full_reach(L, variant):
     scored = []
-    inner = mechanism._best_quilts
+    inner = mechanism._one_sided_nearby  # built once per block of nodes scored
 
     def recording(i, na, nb, *args):
         scored.extend(zip(i.tolist(), na.tolist(), nb.tolist()))
         return inner(i, na, nb, *args)
 
-    with _node_steps() as work, mock.patch.object(mechanism, "_best_quilts", recording):
+    with _node_steps() as work, mock.patch.object(mechanism, "_one_sided_nearby", recording):
         quilt_scores(_full(_chain(5, 3, 0.97), L), 1.0, variant)
     assert work == [({L: L}, 1)]
     assert scored == [(i, i - 1, L - i) for i in range(1, L + 1)]
@@ -539,9 +540,11 @@ def _best_quilt(
     return min(cands)
 
 
-def _unshared_search_model(model, log_margs, info, L, epsilon):
+def _unshared_search_model(model, margs, info, L, epsilon):
     """One kernel call and one full scoring at every step of every node."""
     log_powers, right_max = mechanism._log_powers(model.transition, L - 1)
+    with np.errstate(divide="ignore"):
+        log_margs = np.log(margs)
 
     def step(i, na, nb):
         e_left, e_right, e_two = mechanism._exact_influences(
@@ -640,65 +643,148 @@ def test_shared_exact_search_equals_unshared_search(inst):
     assert quilt_scores(fw, eps, Variant.EXACT, scope=scope) == _unshared(fw, eps, scope)
 
 
-def _tobytes_ids(row_ids, j, cap):
-    """The numbering that ``mechanism._window_ids`` makes by array passes,
-    made node by node: one bytes key per node, in node order."""
+def _least_equal_rows(table):
+    """Each row's least row equal to it bit for bit, by one bytes key per row."""
     index = {}
-    return [index.setdefault(row_ids[x - 1 - cap : x].tobytes(), len(index))
-            for x in j.tolist()]
+    return [index.setdefault(row.tobytes(), r) for r, row in enumerate(table)]
 
 
 @st.composite
-def _window_steps(draw):
-    """Row ids of a window (all zero as in the approx search, a few values,
-    or a cycle after a lead-in), and search steps of distinct interior
-    nodes in node order, each at one cap."""
-    L = draw(st.integers(3, 80))
-    kind = draw(st.sampled_from(["zeros", "few", "cycle"]))
-    if kind == "zeros":
-        row_ids = np.zeros(L, np.int32)
-    elif kind == "few":
-        row_ids = np.array(draw(st.lists(st.integers(0, 2), min_size=L, max_size=L)), np.int32)
-    else:
-        lead, period = draw(st.integers(0, 20)), draw(st.integers(1, 12))
-        t = np.arange(L)
-        row_ids = np.where(t < lead, t, lead + (t - lead) % period).astype(np.int32)
-    steps = []
-    for _ in range(draw(st.integers(1, 3))):
-        cap = draw(st.integers(1, (L - 1) // 2))
-        j = sorted(set(draw(st.lists(st.integers(cap + 1, L - cap), min_size=1, max_size=40))))
-        steps.append((np.array(j), cap))
-    return row_ids, steps
+def _recursion_tables(draw):
+    """Tables that are a lead-in and then a bitwise cycle, as the marginal
+    recursion makes them: the stepped marginals of cycling, sticky and
+    zero-entry chains, and lead-ins and cycles of distinct rows, some of
+    them differing only in the sign of a zero."""
+    kind = draw(st.sampled_from(["cycling", "rough", "cycle", "signed-zero"]))
+    L = draw(st.integers(1, 90))
+    if kind == "cycling":
+        return _stepped_marginals(draw(st.sampled_from(_CYCLING))[0], L)
+    if kind == "rough":
+        model = _rough_chain(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 5)),
+                             draw(st.sampled_from([0.0, 0.3, 0.9, 0.98])), draw(st.booleans()))
+        return _stepped_marginals(model, L)
+    lead, period = draw(st.integers(0, 20)), draw(st.integers(1, 12))
+    n = np.arange(lead + period)
+    if kind == "cycle":
+        rows = (n[:, None] + np.arange(3.0)) / 7.0
+    else:  # row r holds -0.0 where bit j of r is set, else 0.0
+        rows = np.where((n[:, None] >> np.arange(5)) & 1, -0.0, 0.0)
+    t = np.arange(L)
+    return rows[np.where(t < lead, t, lead + (t - lead) % period)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_recursion_tables())
+@example(np.full((1, 3), 1 / 3))
+@example(np.full((2, 3), 1 / 3))
+@example(np.array([[0.5, 0.5], [1.0, 0.0]]))
+@example(np.array([[0.0], [-0.0]]))
+@example(np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [1.0, -0.0]]))
+def test_row_classes_are_each_rows_least_equal_row(table):
+    assert mechanism._row_classes(table).tolist() == _least_equal_rows(table)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_window_steps(), st.sampled_from([1, 2, 5, 2**15]))
-def test_window_ids_number_windows_as_one_bytes_key_per_node(inst, block):
-    # Chunks of one node, of a few nodes, and of every node of a step.
-    row_ids, steps = inst
-    with mock.patch.object(mechanism, "_BLOCK_FLOATS", block):
-        for j, cap in steps:
-            assert mechanism._window_ids(row_ids, j, cap).tolist() == _tobytes_ids(row_ids, j, cap)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_row_classes_of_any_table_hold_equal_rows(L, values, seed):
+    # A table that the recursion cannot make, a few values in any order:
+    # rows of one class are equal bit for bit.
+    table = np.random.default_rng(seed).integers(0, values, (L, 2)).astype(float)
+    classes = mechanism._row_classes(table)
+    rows = _least_equal_rows(table)
+    assert all(rows[r] == rows[c] for r, c in enumerate(classes.tolist()))
+
+
+@contextlib.contextmanager
+def _search_steps():
+    """Record each step of the searches inside the block: the table its
+    row classes were read from, the nodes it scored, and, where it has
+    interior nodes, its cap and its interior nodes with their keys. The
+    nodes and the cap are read from the search's frame as it looks the keys
+    up in the row classes, so no record assumes how it indexes them."""
+    steps, tables = [], []
+    row_classes, nearby = mechanism._row_classes, mechanism._one_sided_nearby
+    log_powers, two_sided_winners = mechanism._log_powers, mechanism._two_sided_winners
+
+    class Keys(np.ndarray):
+        def __getitem__(self, index):
+            keys = np.asarray(super().__getitem__(index))
+            search = sys._getframe(1).f_locals
+            steps[-1].update(cap=search["cap"], keys=keys,
+                             interior=search["open_nodes"][search["inner"]])
+            return keys
+
+    def step():
+        steps.append(dict(table=tables[-1], interior=np.empty(0, int), keys=np.empty(0, int),
+                          scored=set()))
+
+    def classing(table):
+        tables.append(table)
+        return row_classes(table).view(Keys)
+
+    def powers(P, top):
+        step()
+        return log_powers(P, top)
+
+    def two_sided(epsilon, e_two):
+        step()
+        return two_sided_winners(epsilon, e_two)
+
+    def scoring(i, *args):
+        steps[-1]["scored"].update(i.tolist())
+        return nearby(i, *args)
+
+    with mock.patch.object(mechanism, "_row_classes", classing), \
+            mock.patch.object(mechanism, "_log_powers", powers), \
+            mock.patch.object(mechanism, "_two_sided_winners", two_sided), \
+            mock.patch.object(mechanism, "_one_sided_nearby", scoring):
+        yield steps
+
+
+def _log_coincidence_chain():
+    """The 10-state chain of perfbench's release-exact seed 2, cell L=256,
+    drawn as that workload draws it after its five cells before. Its
+    marginals first repeat at rows (23, 31), their logs at rows (23, 27)."""
+    rng = np.random.default_rng([2, 1])
+    for k, T, models in [(2, 64, 1), (5, 64, 1), (10, 64, 1), (2, 256, 2), (5, 1000, 1)]:
+        for _ in range(models):
+            rng.random((k, k)), rng.random(k)
+        rng.random(T), rng.uniform(0.5, 2.0), rng.integers(k), rng.integers(2**31)
+    P = rng.random((10, 10)) + 0.05
+    P = P / P.sum(axis=1, keepdims=True)
+    q = rng.random(10) + 0.05
+    return ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+
+
+def test_log_coincidence_chain_repeats_its_logs_first():
+    margs = mechanism._marginals(_log_coincidence_chain(), 256)
+    with np.errstate(divide="ignore"):
+        assert (_first_repeat(margs), _first_repeat(np.log(margs))) == ((23, 31), (23, 27))
 
 
 @pytest.mark.parametrize("fw, eps, variant, caps", [
     (_full(_STICKY_2, 300), 4.0, Variant.EXACT, [8, 16, 32, 64]),
     (_full(random_model(10, np.random.default_rng(0)), 400), 1.0, Variant.EXACT, [8]),
     (_full(_chain(3, 3), 400), 0.5, Variant.APPROX, [8, 16, 32]),
-], ids=["sticky", "period-6", "approx"])
-def test_search_numbers_windows_as_one_bytes_key_per_node(fw, eps, variant, caps):
-    inner = mechanism._window_ids
-    seen = []
-
-    def checking(row_ids, j, cap):
-        got = inner(row_ids, j, cap)
-        assert got.tolist() == _tobytes_ids(row_ids, j, cap)
-        seen.append(cap)
-        return got
-
-    with mock.patch.object(mechanism, "_window_ids", checking):
+    (_full(_log_coincidence_chain(), 256), 1.0, Variant.EXACT, [8]),
+], ids=["sticky", "period-6", "approx", "log-coincidence"])
+def test_search_shares_keys_only_between_bitwise_equal_windows(fw, eps, variant, caps):
+    # Interior node j at cap c is keyed by the class of marginal row
+    # j - 1 - c; its kernel inputs are log rows j - 1 - c .. j - 1 (none in
+    # the approx search, whose rows are empty). Nodes of one key share
+    # those inputs bit for bit.
+    with _search_steps() as steps:
         quilt_scores(fw, eps, variant)
-    assert seen == caps
+    keyed = [s for s in steps if s["interior"].size]
+    assert [s["cap"] for s in keyed] == caps
+    for s in keyed:
+        cap = s["cap"]
+        with np.errstate(divide="ignore"):
+            logs = np.log(s["table"])
+        first = {}
+        for key, j in zip(s["keys"].tolist(), s["interior"].tolist()):
+            window = logs[j - 1 - cap : j].tobytes()
+            assert first.setdefault(key, window) == window
 
 
 @pytest.mark.parametrize("fw, eps, variant", [
@@ -710,37 +796,18 @@ def test_search_numbers_windows_as_one_bytes_key_per_node(fw, eps, variant, caps
 ], ids=["lazy", "sticky", "approx", "full-reach"])
 def test_interior_nodes_are_scored_once_per_key(fw, eps, variant):
     # An interior node takes the winner of its key's first node, or the
-    # next step; of a step's interior nodes only the first of each key is
-    # scored. Each step builds its log powers, or its two-sided table, once.
-    steps = []  # per step: each key's first interior node, all interior nodes, nodes scored
-
-    def stepping(build):
-        def new_step(*args):
-            steps.append((set(), set(), set()))
-            return build(*args)
-        return new_step
-
-    def keying(row_ids, j, cap):
-        ids = window_ids(row_ids, j, cap)
-        steps[-1][0].update(j[np.unique(ids, return_index=True)[1]].tolist())
-        steps[-1][1].update(j.tolist())
-        return ids
-
-    def scoring(i, *args):
-        steps[-1][2].update(i.tolist())
-        return best_quilts(i, *args)
-
-    window_ids, best_quilts = mechanism._window_ids, mechanism._best_quilts
-    with mock.patch.object(mechanism, "_log_powers", stepping(mechanism._log_powers)), \
-            mock.patch.object(mechanism, "_two_sided_winners",
-                              stepping(mechanism._two_sided_winners)), \
-            mock.patch.object(mechanism, "_window_ids", keying), \
-            mock.patch.object(mechanism, "_best_quilts", scoring):
+    # next step; of a step's interior nodes only the first of each key, by
+    # the class of its window's first row, is scored. Each step builds its
+    # log powers, or its two-sided table, once.
+    with _search_steps() as steps:
         got = quilt_scores(fw, eps, variant)
-    assert all(interior & scored == firsts for firsts, interior, scored in steps)
+    for s in steps:
+        firsts = s["interior"][np.unique(s["keys"], return_index=True)[1]]
+        assert set(s["interior"].tolist()) & s["scored"] == set(firsts.tolist())
     # Some interior node is not certified at its step and takes the next.
-    later = [set().union(*(b | c for _, b, c in steps[n + 1:])) for n in range(len(steps))]
-    assert any(interior & rest for (_, interior, _), rest in zip(steps, later))
+    later = [set().union(*(set(s["interior"].tolist()) | s["scored"] for s in steps[n + 1:]))
+             for n in range(len(steps))]
+    assert any(set(s["interior"].tolist()) & rest for s, rest in zip(steps, later))
     assert got == _unpruned(fw, eps, variant)
 
 
@@ -754,18 +821,24 @@ def test_one_sided_winners_are_not_shared(fw, eps, variant):
     # step, so every node's winner comes from its own scoring.
     scored = set()
 
-    def one_sided(i, na, nb, *args):
+    def nearby(i, *args):
         scored.update(i.tolist())
-        return np.zeros(i.size), np.minimum(na, 1), np.zeros_like(nb)
+        return one_sided_nearby(i, *args)
 
-    with mock.patch.object(mechanism, "_best_quilts", one_sided):
+    def one_sided(near, *args):
+        a = np.isfinite(near[0][:, :1]).sum(axis=1)  # offset 1 where a node reaches back
+        return np.zeros(a.size), a, np.zeros_like(a)
+
+    one_sided_nearby = mechanism._one_sided_nearby
+    with mock.patch.object(mechanism, "_one_sided_nearby", nearby), \
+            mock.patch.object(mechanism, "_best_quilts", one_sided):
         sigma, active = quilt_scores(fw, eps, variant)
     L = fw.window.length
     assert scored == set(range(1, L + 1))
     assert sigma == 0.0 and len(active[0]) == L
 
 
-def _per_node_approx_search_model(model, log_margs, info, L, epsilon):
+def _per_node_approx_search_model(model, margs, info, L, epsilon):
     """The approx search with its own two-sided table scored at every step."""
     terms = np.array([mechanism._spectral_term(info, x) for x in range(1, L)])
 
@@ -873,12 +946,13 @@ def test_padded_block_winners_equal_a_sort_of_each_node(seed, n, ma, mb, eps):
     e_two = e_left[:, :, None] + e_right
     L = int((na + nb).max()) + 1 + int(rng.integers(0, 3))
     i = na + 1 + rng.integers(0, L - na - nb)  # node i reaches na back and nb ahead
-    keep = mechanism._cut(i, na, nb, L, eps, np.full(n, L / eps))
+    near = mechanism._one_sided_nearby(i, na, nb, L, ma, mb)
+    keep = mechanism._cut(near, na, nb, eps, np.full(n, L / eps))
     if ma:
         j, a, b = keep(slice(0, n), slice(0, ma), e_left, e_left, e_right, e_right)
     else:
         j = a = b = np.empty(0, int)  # the kernel has no chunk to cut
-    got = mechanism._best_quilts(i, na, nb, L, eps, e_left, np.broadcast_to(e_right, (n, mb)),
+    got = mechanism._best_quilts(near, L, eps, e_left, np.broadcast_to(e_right, (n, mb)),
                                  (j, a + 1, b + 1, e_two[j, a, b]))
     for j in range(n):
         want = _best_quilt(int(i[j]), L, eps, e_left[j, : na[j]], e_right[: nb[j]],
@@ -956,13 +1030,14 @@ def test_pruned_block_winners_equal_full_corner_winners(model, n, first, tail, c
     log_powers, right_max = mechanism._log_powers(model.transition, max(ma, mb, 1))
     past = log_margs[np.maximum(i[:, None] - 2 - np.arange(ma), 0)]
     bound = np.full(i.size, (L if last else min(L, cap + 1)) / eps)
+    near = mechanism._one_sided_nearby(i, na, nb, L, ma, mb)
     for block in (1, 64, 2**15):
         with mock.patch.object(influence, "_BLOCK_FLOATS", block):
             influences = mechanism._exact_influences(
                 log_margs[i - 1], past, log_powers[1 : ma + 1], right_max[1 : mb + 1],
-                mechanism._cut(i, na, nb, L, eps, bound),
+                mechanism._cut(near, na, nb, eps, bound),
             )
-        got = mechanism._best_quilts(i, na, nb, L, eps, *influences)
+        got = mechanism._best_quilts(near, L, eps, *influences)
         for j, node in enumerate(i.tolist()):
             e_left, e_right, e_two = mechanism._exact_influences(
                 log_margs[node - 1], log_margs[node - 1 - na[j] : node - 1][::-1],
@@ -1175,13 +1250,13 @@ def test_best_quilt_calls_do_not_grow_with_the_window():
     counts = []
     for L in (4096, 20000):
         calls = []
-        inner = mechanism._best_quilts
+        inner = mechanism._one_sided_nearby  # built once per block of nodes scored
 
         def counting(i, *args):
             calls.extend([1] * i.size)
             return inner(i, *args)
 
-        with mock.patch.object(mechanism, "_best_quilts", counting), _node_steps() as work:
+        with mock.patch.object(mechanism, "_one_sided_nearby", counting), _node_steps() as work:
             quilt_scores(_full(LAZY, L), 1.0, Variant.EXACT)  # the README's chain
         assert work[0][1] == 2  # interior nodes do take a second step
         counts.append(len(calls))
