@@ -289,13 +289,9 @@ def compose_parallel_general(
             "guarantee covers secrets inside the two windows only",
         ),
     ]
-    ids = (
-        tuple(input_ids)
-        if input_ids is not None
-        else _labels([first, second], None)
-    )
     return CompositionReport(
-        float(eps), CompositionRule.GENERAL_PARALLEL, tuple(checks), tuple(ids)
+        float(eps), CompositionRule.GENERAL_PARALLEL, tuple(checks),
+        _labels([first, second], input_ids),
     )
 
 
@@ -360,13 +356,9 @@ def compose_parallel_mqm_approx(
         checks.append(
             Check("budget-max", True, f"max of {first.epsilon} and {second.epsilon}")
         )
-        ids = (
-            tuple(input_ids)
-            if input_ids is not None
-            else _labels([first, second], None)
-        )
         return CompositionReport(
-            float(eps), CompositionRule.APPROX_PARALLEL, tuple(checks), tuple(ids)
+            float(eps), CompositionRule.APPROX_PARALLEL, tuple(checks),
+            _labels([first, second], input_ids),
         )
     fallback = compose_parallel_general(first, second, models, input_ids)
     return CompositionReport(

@@ -12,15 +12,18 @@ plain floats:
     pair. The backward half at offset ``a`` compares columns of the log
     joint law of ``(X_{i-a}, X_i)``, built from the marginal at ``i - a``
     and ``P^a``, one value at a time; the forward half at offset ``b``
-    compares rows of ``P^b``. A two-sided influence is the largest sum of
-    the halves over the pairs. The kernel takes these per offset, as
-    stacks: the quilt search passes every offset up to its cap at once,
-    for a block of nodes that share their live values, and has the pairs
+    compares rows of ``P^b`` (:func:`_log_ratio_max`, the one expression
+    of the forward half). A two-sided influence is the largest sum of the
+    halves over the pairs. The kernel has one call form: a block of nodes
+    that share their live values, with every offset's inputs stacked, and
+    it returns the one-sided influences and the two-sided cells. The quilt
+    search passes every offset up to its cap at once, and has the pairs
     summed only in the two-sided cells whose bounds, from the halves'
     largest and least values over the pairs, leave them a chance to win;
-    :func:`exact_max_influence` passes the one row of a single shape,
-    built directly with :func:`~mquilt.chains.transition_power`, so a
-    far-away offset costs no table up to it.
+    :func:`exact_max_influence` passes a one-node block with the one row of
+    a single shape, built directly with
+    :func:`~mquilt.chains.transition_power`, so a far-away offset costs no
+    table up to it, and reads its one cell.
 
 ``approx``
     A spectral upper bound that only needs the stationary minimum and the
@@ -138,15 +141,16 @@ temporaries."""
 
 
 def _log_ratio_max(log_rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``out[u, v] = max_x (log_rows[u, x] - log_rows[v, x])``, skipping
-    slots where both entries are ``-inf``.
+    """``out[..., u, v] = max_x (log_rows[..., u, x] - log_rows[..., v, x])``
+    over a stack of ``(k, k)`` tables, skipping slots where both entries are
+    ``-inf``.
 
-    For the rows of ``log P^b`` this is the forward part of the exact
-    influence at offset ``b`` for every ordered value pair.
+    For the rows of ``log P^b`` this is the forward half of the exact
+    influence at offset ``b`` for every ordered value pair; the kernel's
+    callers take it for a stack of offsets at once.
     """
     with np.errstate(invalid="ignore"):
-        diff = log_rows[:, None, :] - log_rows[None, :, :]
-    return np.nanmax(diff, axis=2)
+        return np.fmax.reduce(log_rows[..., :, None, :] - log_rows[..., None, :, :], axis=-1)
 
 
 def _pair_indices(live: NDArray[np.bool_]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
@@ -163,19 +167,18 @@ def _exact_influences(
     log_powers: NDArray[np.float64],
     right_max: NDArray[np.float64],
     keep: Callable[..., tuple[NDArray[np.int64], ...]] | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64] | _Cells]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], _Cells]:
     """Exact influences of ``X_i`` on every quilt over the given offsets,
-    for one node or for a block of nodes.
+    for a block of nodes.
 
-    ``log_m`` is ``log P(X_i)``, of shape ``(k,)`` for one node or
-    ``(n, k)`` for ``n`` nodes that share their live values. Row ``r`` of
-    ``log_past`` (``(na, k)``, or ``(n, na, k)`` for a block) and of
-    ``log_powers`` holds ``log P(X_{i-a})`` and ``log P^a`` for the
+    ``log_m`` is ``log P(X_i)``, of shape ``(n, k)`` for ``n`` nodes that
+    share their live values. Row ``r`` of ``log_past`` (``(n, na, k)``) and
+    of ``log_powers`` holds ``log P(X_{i-a})`` and ``log P^a`` for the
     ``r``-th backward offset ``a``; row ``s`` of ``right_max`` holds
     :func:`_log_ratio_max` of ``log P^b`` for the ``s``-th forward offset
-    ``b``. Returns the influences of the left-only ``(na,)``, right-only
-    ``(nb,)`` and two-sided ``(na, nb)`` quilts, each with the node axis in
-    front for a block.
+    ``b``. Returns the influences of the left-only ``(n, na)`` and
+    right-only ``(n, nb)`` quilts, and two-sided cells ``(node, a, b,
+    e_two)``, offsets from 1, in node, then ``(a, b)`` order.
 
     Per live ordered value pair, the backward half at offset ``a`` is a
     log-ratio maximum of the joint law of ``(X_{i-a}, X_i)`` plus the
@@ -188,27 +191,25 @@ def _exact_influences(
     influences are the same floating-point expressions whatever block it is
     scored in.
 
-    With ``keep``, the two-sided sums are taken only in the cells it picks.
-    For each chunk, ``keep(nodes, offsets, e_left, m_left, e_right,
-    m_right)`` gets the chunk's slices of the block's nodes and backward
-    offsets, the largest and least backward half of each of their rows over
-    the pairs, ``(nodes, offsets)``, and the forward half's, ``(nb,)``; it
-    returns the chunk's cells to sum as index arrays ``(node, a, b)``, from
-    0, in node, then ``(a, b)`` order. The third result is then those cells
-    as ``(node, a, b, e_two)``, with offsets from 1.
+    Without ``keep`` the cells are every two-sided quilt, so ``e_two``
+    reshaped to ``(n, na, nb)`` is the dense table. With ``keep``, the sums
+    are taken only in the cells it picks. For each chunk, ``keep(nodes,
+    offsets, e_left, m_left, e_right, m_right)`` gets the chunk's slices of
+    the block's nodes and backward offsets, the largest and least backward
+    half of each of their rows over the pairs, ``(nodes, offsets)``, and
+    the forward half's, ``(nb,)``; it returns the chunk's cells to sum as
+    index arrays ``(node, a, b)``, from 0, in node, then ``(a, b)`` order.
 
     The backward half compares the columns of each offset's joint law one
     value ``u`` at a time, over contiguous ``(x, u, node * offset)``
     columns, and the two-sided sums are taken over gathered cells; both in
     chunks whose temporaries stay within ``_BLOCK_FLOATS`` floats, or of
     one node and offset where those alone are more. So a block of any size
-    may be passed, and a block that fits is one chunk. Value pairs are the
-    first axis of both halves, so each maximum over pairs reduces whole
-    slabs.
+    may be passed, and a block that fits is one chunk; a chunk of several
+    nodes holds all their offsets, so the cells stay in order. Value pairs
+    are the first axis of both halves, so each maximum over pairs reduces
+    whole slabs.
     """
-    block = log_m.ndim == 2
-    if not block:
-        log_m, log_past = log_m[None], log_past[None]
     n, na, k = log_past.shape
     nb = right_max.shape[0]
     uu, vv = _pair_indices(log_m[0] > -np.inf)
@@ -216,7 +217,8 @@ def _exact_influences(
     c_right = right_max.transpose(1, 2, 0)[uu, vv] if uu.size else np.zeros((1, nb))
     e_right, m_right = c_right.max(axis=0), c_right.min(axis=0)
     e_left = np.empty((n, na))
-    cells: list[tuple[NDArray, ...]] = []
+    none = np.empty(0, np.intp)
+    cells: list[tuple[NDArray, ...]] = [(none, none, none, np.empty(0))]
     # Floats of temporaries per node and backward offset: the (x, v)
     # differences of one value u, or the cells of the offset's row.
     row = max(k * k, nb, 1)
@@ -234,17 +236,10 @@ def _exact_influences(
                 else:
                     j, a, b = keep(node, off, e_l, c_left.min(axis=0), e_right, m_right)
                 col = j * e_l.shape[1] + a  # the cell's (node, a) column
-                cells.append((j + n0, a + a0, b, _two_sided(c_left.reshape(len(c_left), -1),
-                                                            c_right, col, b)))
-    j, a, b, e = (np.concatenate(x) for x in zip(*cells)) if cells else (
-        np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
-    if keep is not None:
-        return e_left, np.broadcast_to(e_right, (n, nb)), (j, a + 1, b + 1, e)
-    e_two = np.empty((n, na, nb))
-    e_two[j, a, b] = e
-    if not block:
-        return e_left[0], e_right, e_two[0]
-    return e_left, np.broadcast_to(e_right, (n, nb)), e_two
+                cells.append((j + n0, a + a0 + 1, b + 1, _two_sided(
+                    c_left.reshape(len(c_left), -1), c_right, col, b)))
+    j, a, b, e = (np.concatenate(x) for x in zip(*cells))
+    return e_left, np.broadcast_to(e_right, (n, nb)), (j, a, b, e)
 
 
 def _backward_half(
@@ -301,8 +296,8 @@ def exact_max_influence(model: ChainModel, shape: QuiltShape) -> float:
     separate and the influence is 0. The result is ``inf`` when some
     realization is possible under one value and impossible under another.
 
-    This is one offset pair of :func:`_exact_influences`, the kernel the
-    quilt search runs over every offset.
+    This is a one-node block of :func:`_exact_influences` at one offset
+    pair; the quilt search runs the kernel over every offset.
     """
     model = validate(model)
     if shape.is_empty:
@@ -312,21 +307,22 @@ def exact_max_influence(model: ChainModel, shape: QuiltShape) -> float:
         raise BadShape(f"left offset {a} invalid for node {i}")
     if b is not None and b < 1:
         raise BadShape(f"right offset {b} must be >= 1")
-    # One row per side that the quilt has; a missing side gets zero rows.
+    # A one-node block with one row per side that the quilt has; a missing
+    # side gets zero rows.
     k, P = model.k, model.transition
-    log_past, log_powers = np.empty((0, k)), np.empty((0, k, k))
+    log_past, log_powers = np.empty((1, 0, k)), np.empty((0, k, k))
     right_max = np.empty((0, k, k))
     with np.errstate(divide="ignore"):
-        log_m = np.log(marginal(model, i))
+        log_m = np.log(marginal(model, i))[None]
         if a is not None:
-            log_past = np.log(marginal(model, i - a))[None]
+            log_past = np.log(marginal(model, i - a))[None, None]
             log_powers = np.log(transition_power(P, a))[None]
         if b is not None:
-            right_max = _log_ratio_max(np.log(transition_power(P, b)))[None]
-    e_left, e_right, e_two = _exact_influences(log_m, log_past, log_powers, right_max)
+            right_max = _log_ratio_max(np.log(transition_power(P, b))[None])
+    e_left, e_right, (_, _, _, e_two) = _exact_influences(log_m, log_past, log_powers, right_max)
     if shape.is_two_sided:
-        return float(e_two[0, 0])
-    return float(e_left[0] if a is not None else e_right[0])
+        return float(e_two[0])
+    return float(e_left[0, 0] if a is not None else e_right[0, 0])
 
 
 def approx_offset_threshold(info: SpectralInfo) -> float:

@@ -38,13 +38,15 @@ The exact kernel sums its two halves over the value pairs only in the
 two-sided cells that can still win. Per cell it bounds the influence by
 the halves' largest and least values over the pairs (see
 :func:`~mquilt.influence._exact_influences`), and :func:`_cut` scores the
-bounds: a node's best cell scores at most the best upper-bound score of
-its cells, so a cell whose lower bound scores more cannot win, ties
-included. The node's exact one-sided and empty scores lower that bound
-further, and so does ``(c + 1) / epsilon`` unless the step is the node's
-last: a winner at or past it is not kept. Scores grow with the influence
-in floating point too, so the surviving cells hold the node's winner, and
-their sums are the kernel's own expression, bit for bit.
+bounds with :func:`_scores`, the search's one score expression, which
+scores the winners too: a node's best cell scores at most the best
+upper-bound score of its cells, so a cell whose lower bound scores more
+cannot win, ties included. The node's exact one-sided and empty scores
+lower that bound further, and so does ``(c + 1) / epsilon`` unless the
+step is the node's last: a winner at or past it is not kept. Scores grow
+with the influence in floating point too, so the surviving cells hold the
+node's winner, and their sums are the kernel's own expression, bit for
+bit.
 
 Nodes with identical inputs at one cap share them. Node ``i`` feeds the
 exact kernel only its offset counts ``na = min(i - 1, c)`` and
@@ -134,6 +136,7 @@ from .influence import (
     _BLOCK_FLOATS,
     _exact_influences,
     _Cells,
+    _log_ratio_max,
     _opt_int,
     _spectral_term,
 )
@@ -420,17 +423,19 @@ about 40 bytes per entry, so this is about 0.7 GB, and full searches of up
 to 4097 nodes still run."""
 
 _Winners = tuple[NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]]
-"""Scores and left and right offsets of one scored quilt per node; an
-absent side has offset 0, and a node with no quilt of the kind scores
-``inf``."""
+"""Scores and left and right offsets of each node's winning quilt; an
+absent side has offset 0."""
 
 
 def _scores(
     e: NDArray[np.float64], nearby: NDArray[np.float64], epsilon: float
 ) -> NDArray[np.float64]:
-    s = np.full(e.shape, np.inf)
-    np.divide(nearby, epsilon - e, out=s, where=e < epsilon)
-    return s
+    """The search's one score expression, ``nearby / (epsilon - e)``, or
+    ``inf`` where ``e`` is not below ``epsilon`` or is ``nan``, for
+    positive nearby counts; ``e`` and ``nearby`` broadcast. It grows with ``e`` and with ``nearby``, in
+    floating point too, which :func:`_cut`'s pruning relies on."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return nearby / np.fmax(epsilon - e, 0.0)
 
 
 def _first_min(s: NDArray[np.float64], nearby: NDArray) -> NDArray[np.int64]:
@@ -442,12 +447,14 @@ def _first_min(s: NDArray[np.float64], nearby: NDArray) -> NDArray[np.int64]:
 
 def _two_sided_winners(
     epsilon: float, e_two: NDArray[np.float64]
-) -> Callable[[NDArray[np.int64], NDArray[np.int64]], _Winners]:
+) -> Callable[[NDArray[np.int64], NDArray[np.int64]], _Cells]:
     """A lookup of the best two-sided quilts with offsets ``a <= na`` and
     ``b <= nb``, one per entry of the arrays ``na`` and ``nb``, given
     ``e_two[a-1, b-1]``, the influence of the quilt at offsets ``a`` and
-    ``b``. It does not depend on the node's position in the window (see the
-    module docstring)."""
+    ``b``. It returns the cells ``(j, a, b, e)`` of the entries ``j`` that
+    have a two-sided quilt, in order: the same kind of candidates as the
+    exact kernel's, for :func:`_best_quilts` to score. It does not depend
+    on the node's position in the window (see the module docstring)."""
     ma, mb = e_two.shape
     aa = np.arange(1, ma + 1)
     bb = np.arange(1, mb + 1)
@@ -456,19 +463,17 @@ def _two_sided_winners(
     # The sort is stable and flat indices run in (a, b) order, so ties in
     # score and nearby count stay in the tie order.
     order = np.lexsort((nearby2.ravel(), s2.ravel()))
-    del nearby2
+    del nearby2, s2
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     rank = rank.reshape(ma, mb)
     np.minimum.accumulate(rank, axis=0, out=rank)
     np.minimum.accumulate(rank, axis=1, out=rank)
 
-    def winner(na: NDArray[np.int64], nb: NDArray[np.int64]) -> _Winners:
-        some = (na > 0) & (nb > 0)
-        ai, bi = np.divmod(order[rank[na[some] - 1, nb[some] - 1]], mb)
-        s, a, b = np.full(some.shape, np.inf), np.zeros_like(na), np.zeros_like(nb)
-        s[some], a[some], b[some] = s2[ai, bi], ai + 1, bi + 1
-        return s, a, b
+    def winner(na: NDArray[np.int64], nb: NDArray[np.int64]) -> _Cells:
+        j = np.flatnonzero((na > 0) & (nb > 0))
+        ai, bi = np.divmod(order[rank[na[j] - 1, nb[j] - 1]], mb)
+        return j, ai + 1, bi + 1, e_two[ai, bi]
 
     return winner
 
@@ -523,23 +528,18 @@ def _cut(
         near_two = np.where(own, near_two, np.inf)
     bound = bound.copy()
 
-    def score(near, e):
-        """``near / (epsilon - e)``, or ``inf`` where ``e`` is not below
-        ``epsilon``, is ``nan`` or ``near`` is ``inf``."""
-        return near / np.fmax(epsilon - e, 0.0)
-
     def keep(nodes: slice, offs: slice, e_left, m_left, e_right, m_right):
         near = near_two[nodes, offs]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # inf - inf in the bounds' sums
             hi = (e_left + (m_left - m_left))[..., None] + e_right
             u = bound[nodes] = np.minimum.reduce([
                 bound[nodes],
-                score(near_left[nodes, offs], e_left).min(axis=1),
-                score(near_right[nodes], e_right).min(axis=1, initial=np.inf),
-                score(near, hi).min(axis=(1, 2), initial=np.inf),
+                _scores(e_left, near_left[nodes, offs], epsilon).min(axis=1),
+                _scores(e_right, near_right[nodes], epsilon).min(axis=1, initial=np.inf),
+                _scores(hi, near, epsilon).min(axis=(1, 2), initial=np.inf),
             ])
             lo = np.fmax(e_left[..., None] + m_right, m_left[..., None] + e_right)
-            return np.nonzero(score(near, lo) <= u[:, None, None])
+            return np.nonzero(_scores(lo, near, epsilon) <= u[:, None, None])
 
     return keep
 
@@ -639,10 +639,9 @@ def _log_powers(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Logs of ``P^0 .. P^cap`` and the forward log-ratio maxima.
 
-    ``right_max[j, u, v] = max_x log(P^j[u, x] / P^j[v, x])``, skipping
-    slots where both entries vanish, as :func:`_log_ratio_max` does; it is
-    taken over chunks of offsets whose differences stay within
-    ``_BLOCK_FLOATS`` floats.
+    ``right_max[j]`` is :func:`~mquilt.influence._log_ratio_max` of
+    ``log P^j``, taken over chunks of offsets whose differences stay within
+    ``_BLOCK_FLOATS`` floats; ``right_max[0]`` is zero.
     """
     k = P.shape[0]
     powers = np.empty((cap + 1, k, k))
@@ -651,13 +650,10 @@ def _log_powers(
     for j in range(1, cap + 1):
         power = powers[j] = np.clip(power @ P, 0.0, 1.0)
     chunk = max(1, _BLOCK_FLOATS // k**3)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         log_powers = np.log(powers)
-        for lo in range(1, cap + 1, chunk):
-            rows = log_powers[lo : lo + chunk]
-            right_max[lo : lo + chunk] = np.fmax.reduce(
-                rows[:, :, None, :] - rows[:, None, :, :], axis=3
-            )
+    for lo in range(1, cap + 1, chunk):
+        right_max[lo : lo + chunk] = _log_ratio_max(log_powers[lo : lo + chunk])
     return log_powers, right_max
 
 
@@ -756,14 +752,11 @@ def _search_model(
         if not exact:
             for rows in _blocks(na.tolist(), nb.tolist(), lambda ma, mb: ma + mb):
                 ma, mb = int(na[rows].max()), int(nb[rows].max())
-                _, a, b = winner(na[rows], nb[rows])
-                j = np.flatnonzero(a)
-                a, b = a[j], b[j]
                 yield rows, _best_quilts(
                     _one_sided_nearby(i[rows], na[rows], nb[rows], L, ma, mb), L, epsilon,
                     np.broadcast_to(2.0 * terms[:ma], (rows.size, ma)),
                     np.broadcast_to(terms[:mb], (rows.size, mb)),
-                    (j, a, b, 2.0 * terms[a - 1] + terms[b - 1]),
+                    winner(na[rows], nb[rows]),
                 )
             return
         if pattern is None:

@@ -79,8 +79,8 @@ def save_model(model: ChainModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ChainModel:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path} does not hold a model object")
@@ -98,8 +98,11 @@ def save_sequence(seq: StateSequence | Iterable[int], path: str | Path) -> None:
 
 
 def load_sequence(path: str | Path) -> StateSequence:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows or rows[0] != ["state"]:
         raise FormatError(f"{path} is missing the 'state' header")
     try:

@@ -335,3 +335,18 @@ def test_report_serialization():
     assert d["rule"] == "thm6"
     assert d["inputs"] == ["a", "b"]
     assert all({"name", "passed", "evidence"} <= set(c) for c in d["checks"])
+
+
+def test_parallel_rules_report_caller_ids_as_strings():
+    # Caller ids come out as text, as CompositionReport.inputs declares,
+    # from thm2, from thm3 and from thm3's fallback to thm2.
+    near, far = (_released(eps, win, Variant.APPROX, FAST, T=60)
+                 for eps, win in [(8.0, (1, 20)), (9.0, (41, 60))])
+    close = _released(9.0, (25, 44), Variant.APPROX, FAST, T=60)
+    reports = [
+        compose_parallel_general(near, far, (FAST,), [1, 2]),
+        compose_parallel_mqm_approx(near, far, (FAST,), [1, 2]),
+        compose_parallel_mqm_approx(near, close, (FAST,), [1, 2]),
+    ]
+    assert [r.rule.value for r in reports] == ["thm2", "thm3", "thm2"]
+    assert all(r.inputs == ("1", "2") for r in reports)

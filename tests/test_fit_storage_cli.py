@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -628,6 +629,28 @@ def _write_inputs(tmp_path, T=6):
     save_model(LAZY, model_path)
     save_sequence(StateSequence(np.array([0, 1, 0, 0, 1, 0][:T])), data_path)
     return str(model_path), str(data_path)
+
+
+def test_cli_refuses_input_files_that_are_not_utf8(tmp_path, capsys):
+    # Byte 0xff starts no UTF-8 sequence. Each command names the file and
+    # exits 2, as it does for a ledger line holding that byte.
+    model_path, data_path = _write_inputs(tmp_path)
+    model, data = tmp_path / "bad.json", tmp_path / "bad.csv"
+    model.write_bytes(b"\xff" + Path(model_path).read_bytes())
+    data.write_bytes(b"state\n0\n\xff1\n")
+    release = ["release", "--query", "count:0", "--epsilon", "1", "--seed", "1"]
+    cases = [
+        (model, ["gap", "--model", str(model)]),
+        (model, release + ["--model", str(model), "--data", data_path]),
+        (data, release + ["--model", model_path, "--data", str(data)]),
+        (data, ["fit", "--data", str(data), "--out", str(tmp_path / "fitted.json")]),
+        (model, ["simulate", "--model", str(model), "--T", "5", "--seed", "1",
+                 "--out", str(tmp_path / "sim.csv")]),
+    ]
+    for path, argv in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {path} is not "), argv
+    assert not (tmp_path / "fitted.json").exists() and not (tmp_path / "sim.csv").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

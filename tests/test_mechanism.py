@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mquilt import influence, mechanism
-from mquilt.chains import ChainModel, StateSequence, marginal, random_model
+from mquilt.chains import ChainModel, StateSequence, marginal, random_model, transition_power
 from mquilt.errors import (
     BadShape,
     BadState,
@@ -442,6 +443,39 @@ def test_marginals_step_no_further_than_the_first_repeated_row(model):
     assert got.tobytes() == _stepped_marginals(model, L).tobytes()
 
 
+def _masked_scores(e, nearby, epsilon):
+    """The score the winners were taken with before the search had one
+    score expression, kept verbatim as the reference."""
+    s = np.full(e.shape, np.inf)
+    np.divide(nearby, epsilon - e, out=s, where=e < epsilon)
+    return s
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 1.0, 3.7])
+def test_scores_equal_the_masked_divide(epsilon):
+    # Influences at, just below, just above and past the budget, nan, inf
+    # and a hair below zero, against nearby counts finite and inf, whole or
+    # broadcast; then random tables mixing them with plain influences. The
+    # scores match byte for byte, and no floating-point warning escapes.
+    e = np.array([0.0, epsilon, np.nextafter(epsilon, 0), np.nextafter(epsilon, np.inf),
+                  2 * epsilon, np.nan, np.inf, -1e-17])
+    near = np.array([1.0, 2.0, 7.0, 4097.0, 2.0**24, np.inf])
+    table = e[:, None] + np.zeros(near.size)
+    cases = [(table, near + np.zeros_like(table)), (table, near), (table, near[None]),
+             (table.T, near[:, None]), (table, np.float64(3.0))]
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 7, 2))
+        plain = rng.uniform(-1e-16, 3 * epsilon, shape)
+        counts = np.where(rng.random(shape) < 0.1, np.inf, rng.integers(1, 5000, shape))
+        cases.append((np.where(rng.random(shape) < 0.5, rng.choice(e, shape), plain),
+                      counts[0] if rng.random() < 0.3 else counts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for e, near in cases:
+            assert _scores(e, near, epsilon).tobytes() == _masked_scores(e, near, epsilon).tobytes()
+
+
 def _two_sided_best(epsilon, e_two):
     """The best two-sided quilt of a whole table by one sort in the tie
     order, as the per-node searches scored it."""
@@ -540,6 +574,15 @@ def _best_quilt(
     return min(cands)
 
 
+def _node_influences(log_m, log_past, log_powers, right_max):
+    """One node's influences from a one-node kernel block with no cut: its
+    left-only and right-only rows and its dense two-sided table, whose cells
+    the kernel returns in (a, b) order."""
+    e_left, e_right, (_, _, _, e_two) = mechanism._exact_influences(
+        log_m[None], log_past[None], log_powers, right_max)
+    return e_left[0], e_right[0], e_two.reshape(len(log_powers), len(right_max))
+
+
 def _unshared_search_model(model, margs, info, L, epsilon):
     """One kernel call and one full scoring at every step of every node."""
     log_powers, right_max = mechanism._log_powers(model.transition, L - 1)
@@ -547,7 +590,7 @@ def _unshared_search_model(model, margs, info, L, epsilon):
         log_margs = np.log(margs)
 
     def step(i, na, nb):
-        e_left, e_right, e_two = mechanism._exact_influences(
+        e_left, e_right, e_two = _node_influences(
             log_margs[i - 1],
             log_margs[i - 1 - na : i - 1][::-1],
             log_powers[1 : na + 1],
@@ -895,17 +938,19 @@ def test_one_table_approx_search_equals_per_node_search(inst):
     assert quilt_scores(fw, eps, Variant.APPROX, scope=scope) == _per_node_approx(fw, eps, scope)
 
 
-def _per_node(lookup):
+def _per_node(lookup, epsilon):
     """One node's view of a winner lookup over arrays of caps: the best
-    two-sided candidate at caps ``na`` and ``nb``, or None where the lookup
-    reports no two-sided quilt (offsets 0, score inf)."""
+    two-sided candidate at caps ``na`` and ``nb``, scored by the search's
+    score, or None where the lookup returns no cell."""
 
     def winner(na, nb):
-        s, a, b = (x[0] for x in lookup(np.array([na]), np.array([nb])))
-        if a == 0:
-            assert b == 0 and s == np.inf
+        j, a, b, e = lookup(np.array([na]), np.array([nb]))
+        if not j.size:
+            assert not (na and nb)
             return None
-        return (float(s), int(a + b - 1), 0, int(a), int(b))
+        assert j.tolist() == [0]
+        s = mechanism._scores(e, (a + b - 1).astype(float), epsilon)
+        return (float(s[0]), int(a[0] + b[0] - 1), 0, int(a[0]), int(b[0]))
 
     return winner
 
@@ -917,7 +962,7 @@ def test_block_winners_equal_a_sort_of_each_block(seed, ma, mb, eps):
     # Influences from a few levels, so scores and nearby counts tie often
     # and the tie order decides.
     e_two = np.random.default_rng(seed).choice([0.0, 0.25 * eps, 0.5 * eps, np.inf], (ma, mb))
-    winner = _per_node(mechanism._two_sided_winners(eps, e_two))
+    winner = _per_node(mechanism._two_sided_winners(eps, e_two), eps)
     for na in range(ma + 1):
         for nb in range(mb + 1):
             assert winner(na, nb) == _two_sided_best(eps, e_two[:na, :nb])
@@ -990,7 +1035,8 @@ def test_kernel_block_equals_one_call_per_node(model, n, first, na, nb):
     # Blocked or not, in chunks of one node and offset, of a few, or of the
     # whole block, each node's influences are the same floats. Past rows
     # are padded as the search pads them, so node 1 may sit in a block; na
-    # = 0 is node 1's own reach and nb = 0 the last node's.
+    # = 0 is node 1's own reach and nb = 0 the last node's. With no cut the
+    # kernel returns every cell in (node, a, b) order.
     with np.errstate(divide="ignore"):
         log_margs = np.log(mechanism._marginals(model, first + n))
     log_powers, right_max = mechanism._log_powers(model.transition, max(na, nb, 1))
@@ -999,14 +1045,39 @@ def test_kernel_block_equals_one_call_per_node(model, n, first, na, nb):
     nodes = nodes[(live == live[0]).all(axis=1)]  # one block shares its live values
     past = log_margs[np.maximum(nodes[:, None] - 2 - np.arange(na), 0)]
     offsets = (log_powers[1 : na + 1], right_max[1 : nb + 1])
-    ones = [mechanism._exact_influences(log_margs[i - 1], past[j], *offsets)
-            for j, i in enumerate(nodes)]
+    ones = [_node_influences(log_margs[i - 1], past[j], *offsets) for j, i in enumerate(nodes)]
+    every = np.nonzero(np.ones((nodes.size, na, nb), bool))
     for block in (1, 64, 2**15):
         with mock.patch.object(influence, "_BLOCK_FLOATS", block):
-            got = mechanism._exact_influences(log_margs[nodes - 1], past, *offsets)
+            e_left, e_right, (node, a, b, e) = mechanism._exact_influences(
+                log_margs[nodes - 1], past, *offsets)
+        assert [x.tolist() for x in (node, a - 1, b - 1)] == [x.tolist() for x in every]
+        got = (e_left, e_right, e.reshape(nodes.size, na, nb))
         for j, one in enumerate(ones):
             for g, want in zip(got, one):
                 assert g[j].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_kernel_chains(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
+def test_exact_max_influence_is_a_one_node_kernel_block(model, na, nb, extra):
+    # One block of node i over offsets up to na and nb, built as
+    # exact_max_influence builds its one offset pair: its cells and
+    # one-sided entries are the influence of every shape within them.
+    i, k, P = na + 1 + extra, model.k, model.transition
+    with np.errstate(divide="ignore"):
+        log_m = np.log(marginal(model, i))
+        log_past = np.log([marginal(model, i - a) for a in range(1, na + 1)]).reshape(na, k)
+        log_powers = np.log([transition_power(P, a) for a in range(1, na + 1)]).reshape(na, k, k)
+        log_ahead = np.log([transition_power(P, b) for b in range(1, nb + 1)]).reshape(nb, k, k)
+    e_left, e_right, e_two = _node_influences(log_m, log_past, log_powers,
+                                              _log_ratio_max(log_ahead))
+    for a in range(na + 1):
+        for b in range(nb + 1):
+            if a or b:
+                got = exact_max_influence(model, QuiltShape(i, a or None, b or None))
+                want = e_two[a - 1, b - 1] if a and b else e_left[a - 1] if a else e_right[b - 1]
+                assert np.float64(got).tobytes() == want.tobytes(), (a, b)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -1039,7 +1110,7 @@ def test_pruned_block_winners_equal_full_corner_winners(model, n, first, tail, c
             )
         got = mechanism._best_quilts(near, L, eps, *influences)
         for j, node in enumerate(i.tolist()):
-            e_left, e_right, e_two = mechanism._exact_influences(
+            e_left, e_right, e_two = _node_influences(
                 log_margs[node - 1], log_margs[node - 1 - na[j] : node - 1][::-1],
                 log_powers[1 : na[j] + 1], right_max[1 : nb[j] + 1],
             )
@@ -1171,12 +1242,15 @@ def test_log_powers_equal_one_ratio_maximum_per_offset(seed, k, cap, stay, holes
     P = _rough_chain(seed, k, stay, holes).transition
     log_powers, right_max = mechanism._log_powers(P, cap)
     power = np.eye(k)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(cap + 1):
             if j:
                 power = np.clip(power @ P, 0.0, 1.0)
-            assert log_powers[j].tobytes() == np.log(power).tobytes()
-            want = _log_ratio_max(np.log(power)) if j else np.zeros((k, k))
+            log_power = np.log(power)
+            assert log_powers[j].tobytes() == log_power.tobytes()
+            # u, v, x: the largest log ratio of rows u and v, skipping nan.
+            ratios = log_power[:, None, :] - log_power[None, :, :]
+            want = np.nanmax(ratios, axis=2) if j else np.zeros((k, k))
             assert right_max[j].tobytes() == want.tobytes()
 
 
