@@ -474,6 +474,11 @@ def test_scores_equal_the_masked_divide(epsilon):
         warnings.simplefilter("error", RuntimeWarning)
         for e, near in cases:
             assert _scores(e, near, epsilon).tobytes() == _masked_scores(e, near, epsilon).tobytes()
+    # The one pair that scores nan, in both forms: no influence is -inf,
+    # since each is a maximum over both orders of a value pair.
+    pair = np.array([-np.inf]), np.array([np.inf]), epsilon
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_scores(*pair)).all() and np.isnan(_masked_scores(*pair)).all()
 
 
 def _two_sided_best(epsilon, e_two):
