@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -24,11 +25,9 @@ from .composition import (
     compose_auto,
     compose_parallel_general,
     compose_parallel_mqm_approx,
-    compose_sequential_general,
-    compose_sequential_legacy,
     compose_sequential_mqm,
 )
-from .errors import FormatError, MixedFrameworks, MquiltError
+from .errors import FormatError, InvalidEpsilon, MixedFrameworks, MquiltError
 from .fit import fit_chain
 from .influence import QuiltShape, Variant, approx_max_influence, approx_offset_threshold, exact_max_influence
 from .mechanism import (
@@ -250,25 +249,16 @@ def _cmd_compose(args) -> int:
         report = compose_auto(records, _shared_models(entries), labels)
     elif rule == "thm6":
         report = compose_sequential_mqm(records, labels)
-    elif rule == "thm1":
-        report = compose_sequential_legacy(records, labels)
-    elif rule == "thm5":
-        if len(records) != 2:
-            raise FormatError("rule thm5 composes exactly 2 releases")
-        if args.E is None:
-            raise FormatError("rule thm5 needs --E, the max-divergence bound")
-        report = compose_sequential_general(
-            records[0].epsilon, records[1].epsilon, args.E, labels
-        )
-    elif rule in ("thm2", "thm3"):
+    else:  # thm2 or thm3, the parallel rules for two disjoint windows
         if len(records) != 2:
             raise FormatError(f"rule {rule} composes exactly 2 releases")
         compose = (
             compose_parallel_general if rule == "thm2" else compose_parallel_mqm_approx
         )
         report = compose(records[0], records[1], _shared_models(entries), labels)
-    else:  # pragma: no cover - argparse choices guard this
-        raise FormatError(f"unknown rule {rule!r}")
+    if not math.isfinite(report.epsilon):
+        # Budgets near the float maximum can sum past it.
+        raise InvalidEpsilon(f"composed budget {report.epsilon} is not finite")
     _print_report(args, report)
     return 0
 
@@ -483,10 +473,10 @@ def build_parser() -> _Parser:
     p.add_argument("--ids", required=True, help="comma-separated entry ids")
     p.add_argument(
         "--rule",
-        choices=["auto", "thm1", "thm2", "thm3", "thm5", "thm6"],
+        choices=["auto", "thm2", "thm3", "thm6"],
         default="auto",
+        help="auto picks thm6 for one window, thm2 or thm3 for two disjoint ones",
     )
-    p.add_argument("--E", type=float, default=None, help="divergence bound for thm5")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compose)
 

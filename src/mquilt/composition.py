@@ -6,12 +6,16 @@ candidate models the boundary influence is computed under) and produces a
 precondition checks with evidence. Rules never mutate records and never
 look at data.
 
-Rule tokens follow the CLI surface: ``thm1`` (worst budget times count,
-requiring identical active quilts), ``thm2`` (general parallel, paying
-the exact boundary influence), ``thm3`` (parallel max for approximate
-releases under far-apart-window conditions, falling back to ``thm2``),
-``thm5`` (general sequential with a max-divergence surcharge), ``thm6``
-(plain budget sum for quilt releases).
+Rule tokens name the theorems: ``thm2`` (general parallel, paying the
+exact boundary influence), ``thm3`` (parallel max for approximate
+releases under far-apart-window conditions, falling back to ``thm2``) and
+``thm6`` (plain budget sum for quilt releases) are the rules the CLI
+offers, with ``compose_auto`` choosing among them. Two more remain for
+library callers only: ``thm1`` (worst budget times count, requiring
+identical active quilts) never beats ``thm6`` on the records it accepts,
+and ``thm5`` (general sequential with a max-divergence surcharge) rests
+on a divergence bound that nothing here checks. Both are due for
+deletion.
 """
 
 from __future__ import annotations
@@ -225,7 +229,7 @@ def compose_sequential_general(
             else "divergence bound is infinite, no finite guarantee",
         ),
     ]
-    ids = tuple(input_ids) if input_ids is not None else ("mechanism-a", "mechanism-b")
+    ids = ("mechanism-a", "mechanism-b") if input_ids is None else map(str, input_ids)
     return CompositionReport(
         float(eps), CompositionRule.GENERAL_SEQUENTIAL, tuple(checks), tuple(ids)
     )
@@ -381,7 +385,9 @@ def compose_auto(
     the general parallel rule. The parallel rules are proved for two
     windows only, so three or more disjoint windows raise
     ``TooManyWindows``; partial overlap raises ``OverlappingWindows``.
-    Both messages say how to compose instead.
+    Both messages say what is refused and why: a composition report is
+    not a record and cannot be composed again, and a bound on each pair
+    of windows bounds no three of them.
     """
     records = list(records)
     if not records:
@@ -400,13 +406,13 @@ def compose_auto(
     for left, right in zip(order, order[1:]):
         if records[left].window.end >= records[right].window.start:
             raise OverlappingWindows(
-                "windows partially overlap; compose same-window groups with a "
-                "sequential rule first, then compose the disjoint results"
+                "windows partially overlap; the budget sum needs one shared "
+                "window and the parallel rules need two disjoint ones"
             )
     if len(records) > 2:
         raise TooManyWindows(
-            f"{len(records)} disjoint windows have no proved single-rule bound; "
-            "compose them pairwise (rule thm2 or thm3 on two records at a time)"
+            f"{len(records)} disjoint windows have no proved bound; the parallel "
+            "rules hold for two windows, and a pairwise bound bounds no more"
         )
     a, b = records[order[0]], records[order[1]]
     pair_ids = [ids[order[0]], ids[order[1]]]

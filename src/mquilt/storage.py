@@ -29,6 +29,7 @@ import csv
 import datetime
 import fcntl
 import json
+import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -324,6 +325,10 @@ def read_ledger(
     quilt table, and consecutive releases with equal framework documents
     share one ``Framework``.
 
+    A record that still holds a ``seed`` key (ledgers written before
+    releases stopped storing it) reads as any other; one WARNING names
+    those lines, since the seed and the output give the exact answer.
+
     Raises
     ------
     FormatError
@@ -335,6 +340,7 @@ def read_ledger(
     last_id = 0
     head: _Head | None = None
     known = (None, None)  # the last framework document built, and its Framework
+    seeded = []  # lines written before releases stopped storing the noise seed
     try:
         fh = open(path, "rb")
     except FileNotFoundError as exc:
@@ -345,6 +351,8 @@ def read_ledger(
                 continue
             where = f"{path} line {n}"
             doc = _line_doc(line, where, skim=skim)
+            if isinstance(doc.get("record"), dict) and "seed" in doc["record"]:
+                seeded.append(n)
             entry_id = doc["id"]
             if entry_id <= last_id:
                 raise FormatError(
@@ -379,4 +387,8 @@ def read_ledger(
                 line_doc = _loads(line) if skim else doc
                 _, record, timestamp = _decode(line_doc, where, framework, record.active_quilts)
             entries.append(LedgerEntry(entry_id, timestamp, framework, record))
+    if seeded:
+        logging.getLogger(__name__).warning(
+            "%s lines %s hold a noise seed, which gives away the exact answer", path, seeded
+        )
     return entries

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mquilt.chains import ChainModel, StateSequence
+from mquilt.chains import ChainModel, StateSequence, random_model
 from mquilt.composition import (
     CompositionRule,
     compose_auto,
@@ -17,6 +19,7 @@ from mquilt.composition import (
 from mquilt.errors import (
     EmptyInput,
     MixedFrameworks,
+    MquiltError,
     NegativeE,
     NotApproxVariant,
     OverlappingWindows,
@@ -350,3 +353,73 @@ def test_parallel_rules_report_caller_ids_as_strings():
     ]
     assert [r.rule.value for r in reports] == ["thm2", "thm3", "thm2"]
     assert all(r.inputs == ("1", "2") for r in reports)
+
+
+def test_general_sequential_rule_reports_caller_ids_as_strings():
+    assert compose_sequential_general(1.0, 1.0, 0.0, [1, 2]).inputs == ("1", "2")
+    assert compose_sequential_general(1.0, 1.0, 0.0).inputs == ("mechanism-a", "mechanism-b")
+
+
+ABSORBING = ChainModel.from_arrays([0.5, 0.5], [[1.0, 0.0], [0.3, 0.7]])
+
+
+@st.composite
+def _record_pairs(draw):
+    """Two count releases over one trajectory, over one shared window or two
+    disjoint ones, each exact or approx, under one or two candidate models.
+    An absorbing chain can be among the models of exact releases (approx
+    releases refuse a reducible chain)."""
+    chain = random_model(2, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    models = draw(st.sampled_from(
+        [(chain,), (FAST,), (chain, FAST), (chain, ABSORBING), (ABSORBING,)]
+    ))
+    variants = st.sampled_from(
+        [Variant.EXACT] if models[-1] is ABSORBING else [Variant.EXACT, Variant.APPROX]
+    )
+    start = draw(st.integers(1, 4))
+    first = Window(start, start + draw(st.integers(0, 24)))
+    second = first
+    if draw(st.booleans()):
+        lead = first.end + draw(st.integers(1, 40))
+        second = Window(lead, lead + draw(st.integers(0, 24)))
+    horizon = second.end + draw(st.integers(0, 3))
+    eps_a = draw(st.floats(0.2, 12.0))
+    eps_b = draw(st.one_of(st.just(eps_a), st.floats(0.2, 12.0)))
+    records = [
+        release(StateSequence(np.zeros(win.length, dtype=np.int64)),
+                count_state_query(0, 2), eps, Framework(horizon, win, models),
+                draw(variants), seed=n)
+        for n, (win, eps) in enumerate([(first, eps_a), (second, eps_b)])
+    ]
+    if draw(st.booleans()):
+        records.reverse()
+    return models, records
+
+
+# An approx pair that meets thm3's conditions, which random draws seldom do.
+FAR_APART = ((FAST,), [_released(8.0, (1, 20), Variant.APPROX, FAST, T=60),
+                       _released(9.0, (41, 60), Variant.APPROX, FAST, T=60)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_record_pairs(), st.one_of(st.floats(0.0, 5.0), st.just(math.inf)))
+@example(FAR_APART, 0.0)
+def test_auto_is_no_worse_than_any_rule_that_accepts_the_pair(pair, divergence):
+    # compose_auto picks among thm2, thm3 and thm6; thm1 and thm5 must never
+    # give a smaller budget on a pair they accept, or dropping them would
+    # lose a provable bound.
+    models, (ra, rb) = pair
+    auto = compose_auto([ra, rb], models).epsilon
+    rules = {
+        "thm1": lambda: compose_sequential_legacy([ra, rb]),
+        "thm2": lambda: compose_parallel_general(ra, rb, models),
+        "thm3": lambda: compose_parallel_mqm_approx(ra, rb, models),
+        "thm5": lambda: compose_sequential_general(ra.epsilon, rb.epsilon, divergence),
+        "thm6": lambda: compose_sequential_mqm([ra, rb]),
+    }
+    for name, rule in rules.items():
+        try:
+            eps = rule().epsilon
+        except MquiltError:  # the rule's preconditions refuse this pair
+            continue
+        assert auto <= eps, (name, auto, eps)

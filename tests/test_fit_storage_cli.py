@@ -1001,12 +1001,10 @@ def test_cli_release_ledger_compose_round_trip(tmp_path, capsys):
     assert auto["rule"] == "thm6"
     assert auto["epsilon"] == pytest.approx(0.8)
     code = main(
-        ["compose", "--ledger", ledger, "--ids", "1,2", "--rule", "thm1", "--json"]
+        ["compose", "--ledger", ledger, "--ids", "1,2", "--rule", "thm6", "--json"]
     )
     assert code == 0
-    legacy = json.loads(capsys.readouterr().out)
-    assert legacy["epsilon"] == pytest.approx(0.8)
-    assert auto["epsilon"] <= legacy["epsilon"] + 1e-12
+    assert json.loads(capsys.readouterr().out) == auto
 
 
 @pytest.mark.parametrize(
@@ -1038,39 +1036,42 @@ def test_cli_compose_refuses_an_impossible_record(tmp_path, capsys, changes):
         assert out == "" and err.startswith("error: ")
 
 
-def test_cli_compose_thm5_needs_divergence_bound(tmp_path, capsys):
+def _two_ledgered_counts(tmp_path, epsilon="0.5"):
+    """A ledger of two count releases over one window, ids 1 and 2."""
     model_path, data_path = _write_inputs(tmp_path)
     ledger = str(tmp_path / "ledger.jsonl")
     for seed in (1, 2):
-        main(
-            [
-                "release",
-                "--model", model_path,
-                "--data", data_path,
-                "--query", "count:0",
-                "--epsilon", "0.5",
-                "--seed", str(seed),
-                "--ledger", ledger,
-            ]
-        )
-        capsys.readouterr()
-    assert main(["compose", "--ledger", ledger, "--ids", "1,2", "--rule", "thm5"]) == 2
+        assert main(["release", "--model", model_path, "--data", data_path,
+                     "--query", "count:0", "--epsilon", epsilon, "--seed", str(seed),
+                     "--ledger", ledger]) == 0
+    return ledger
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--rule", "thm1"], ["--rule", "thm5"], ["--rule", "thm5", "--E", "0.25"],
+     ["--E", "0.25"]],
+    ids=["thm1", "thm5", "thm5-with-E", "E"],
+)
+def test_cli_compose_offers_no_rule_that_cannot_win(tmp_path, capsys, extra):
+    # thm1 never beats thm6 on the records it accepts, and thm5 rests on a
+    # divergence bound nothing checks: both are usage errors.
+    ledger = _two_ledgered_counts(tmp_path)
     capsys.readouterr()
-    code = main(
-        [
-            "compose",
-            "--ledger", ledger,
-            "--ids", "1,2",
-            "--rule", "thm5",
-            "--E", "0.25",
-            "--json",
-        ]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["epsilon"] == pytest.approx(1.5)
-    (check,) = [c for c in payload["checks"] if c["name"] == "nonnegative-divergence"]
-    assert "assumed" in check["evidence"] and "not verified" in check["evidence"]
+    assert main(["compose", "--ledger", ledger, "--ids", "1,2", "--json", *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("rule", ["auto", "thm6"])
+def test_cli_compose_refuses_a_budget_that_is_not_finite(tmp_path, capsys, rule):
+    # Two budgets near the float maximum sum to inf, which bounds nothing.
+    ledger = _two_ledgered_counts(tmp_path, epsilon="1e308")
+    capsys.readouterr()
+    argv = ["compose", "--ledger", ledger, "--ids", "1,2", "--rule", rule, "--json"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: composed budget inf")
 
 
 def _keys(doc) -> set:
@@ -1099,11 +1100,22 @@ def test_release_never_publishes_the_seed(tmp_path, capsys, query):
         assert "seed" not in _keys(doc)
 
 
-def test_ledger_line_with_seed_still_reads_and_replays(tmp_path, capsys):
-    # Ledgers written before the seed was dropped carry a "seed" key.
+def test_ledger_line_with_seed_still_reads_and_replays(tmp_path, capsys, caplog):
+    # Ledgers written before the seed was dropped carry a "seed" key; a read
+    # names those lines in one warning, since the seed reveals the count.
     path = tmp_path / "ledger.jsonl"
     first = json.loads(_entry_line(seed=4))
     second = {**first, "id": 2, "record": {**first["record"], "seed": 5}}
+    clean = json.loads(_entry_line())
+    clean["id"] = 2
+    docs = (first, clean, {**second, "id": 3})
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    caplog.set_level("WARNING", logger="mquilt.storage")
+    assert [e.entry_id for e in read_ledger(path, [2])] == [2]
+    (warning,) = caplog.records
+    assert warning.levelname == "WARNING"
+    assert "lines [1, 3] hold a noise seed" in warning.message
+    assert capsys.readouterr() == ("", "")
     path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
     entries = read_ledger(path)
     assert [e.entry_id for e in entries] == [1, 2]
