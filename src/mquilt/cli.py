@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -212,6 +213,9 @@ def _cmd_release(args) -> int:
 
 
 def _entries_by_ids(path: str, ids: Sequence[int]) -> list[LedgerEntry]:
+    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise FormatError(f"ids name entries {repeated} more than once")
     table = {e.entry_id: e for e in read_ledger(path, ids)}
     missing = [i for i in ids if i not in table]
     if missing:

@@ -54,14 +54,16 @@ exact kernel only its offset counts ``na = min(i - 1, c)`` and
 marginal recursion ends at its first repeated row, in a bitwise cycle of
 any period: random chains repeat a row within a few dozen steps, and 18
 of 40 random 10-state chains cycle with a period of 3 or more.
-:func:`_row_classes` reads each marginal row's class, the least row equal
-to it bit for bit, off that cycle with no sort. An interior node
+:func:`_marginals` returns the distinct rows it stepped through and each
+node's class, the least row equal to its law bit for bit, which from the
+repeat on follows the cycle; the search reads each node's log marginals
+through its class and keeps no table of ``L`` rows. An interior node
 (``na = nb = c``) is keyed by the class of its window's first row: a
 window that starts in the cycle lies wholly in it, and one that starts
 before holds a row no other window holds. So past the cycle's start a
 step keys at most ``period`` inputs, in array passes. Keys follow marginal
 bits, not log bits: equal marginal rows have equal logs, but distinct ones
-may too, and a log table need not cycle where the marginals do, so its
+may too, and the logs need not cycle where the marginals do, so their
 classes would not be sound; nodes whose logs coincide that way are scored
 apart. The best two-sided quilt depends only on those inputs. The
 one-sided and empty candidates do not: their nearby counts ``L - i + a``
@@ -587,51 +589,34 @@ def _best_quilts(
     return s[rows, pick], a[rows, pick], b[rows, pick]
 
 
-def _marginals(model: ChainModel, L: int) -> NDArray[np.float64]:
-    """Marginal laws of the first ``L`` nodes, one row per node.
+def _marginals(model: ChainModel, L: int) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """Marginal laws of the first ``L`` nodes as ``(rows, classes)``: the
+    distinct rows the recursion steps through, and each node's class, the
+    index of the least row equal to its law bit for bit, so node ``i``'s law
+    is ``rows[classes[i - 1]]``.
 
     The recursion is a function of the previous row's bits, so once row
-    ``t`` repeats an earlier row ``s`` bit for bit, the rest of the table
-    repeats rows ``s .. t - 1``; it is filled in without stepping. The
-    period may be any length: of ``random_model(k, default_rng(s))`` for
-    ``s < 40``, 6, 12, 18 and 18 chains at k = 3, 5, 10 and 30 cycle with a
-    period of 3 or more (up to 4, 7, 12 and 25 rows), and every one of them
-    repeats a row by step 51.
+    ``t`` repeats an earlier row ``s`` bit for bit, every later row repeats
+    rows ``s .. t - 1``: ``rows`` stops at ``t``, and node ``i > t`` is in
+    class ``s + (i - 1 - s) mod (t - s)``. When nothing repeats, ``rows``
+    holds all ``L`` rows. The period may be any length: of
+    ``random_model(k, default_rng(s))`` for ``s < 40``, 6, 12, 18 and 18
+    chains at k = 3, 5, 10 and 30 cycle with a period of 3 or more (up to
+    4, 7, 12 and 25 rows), and every one of them repeats a row by step 51.
     """
-    margs = np.empty((L, model.k))
-    margs[0] = model.initial
-    seen = {margs[0].tobytes(): 0}
+    row, seen = model.initial, {model.initial.tobytes(): 0}
+    classes = np.arange(L)
     for t in range(1, L):
-        nxt = np.maximum(margs[t - 1] @ model.transition, 0.0)
-        margs[t] = nxt / nxt.sum()
-        s = seen.setdefault(margs[t].tobytes(), t)
+        nxt = np.maximum(row @ model.transition, 0.0)
+        row = nxt / nxt.sum()
+        s = seen.setdefault(row.tobytes(), t)
         if s < t:
-            q, r = divmod(L - t, t - s)
-            margs[t : L - r].reshape(q, t - s, model.k)[:] = margs[s:t]
-            margs[L - r :] = margs[s : s + r]
+            cycle = classes[s:]  # in place: no temporary of L entries
+            cycle -= s
+            cycle %= t - s
+            cycle += s
             break
-    return margs
-
-
-def _row_classes(table: NDArray[np.float64]) -> NDArray[np.intp]:
-    """A class per row, equal only for rows equal bit for bit: on a lead-in
-    and then a bitwise cycle, as :func:`_marginals` makes, the least row
-    equal to it. The period ``p`` is the gap between the first two rows
-    equal to the last row, the cycle starts at the first row ``s`` equal to
-    row ``s + p``, and row ``r`` is in class ``r`` before ``s`` and
-    ``s + (r - s) mod p`` from ``s`` on. A table that does not cycle so,
-    checked row by row, has a class per row."""
-    bits = table.view(np.int64)
-    rows = np.arange(len(table))
-    last = np.flatnonzero((bits == bits[-1]).all(axis=1))
-    if last.size < 2:
-        return rows
-    p = int(last[1] - last[0])
-    same = (bits[p:] == bits[:-p]).all(axis=1)
-    s = int(same.argmax())
-    if not same[s:].all():
-        return rows
-    return np.where(rows < s, rows, s + (rows - s) % p)
+    return np.frombuffer(b"".join(seen), np.float64).reshape(-1, model.k), classes
 
 
 def _log_powers(
@@ -685,7 +670,7 @@ def _blocks(
 
 def _search_model(
     model: ChainModel,
-    margs: NDArray[np.float64] | None,
+    marginals: tuple[NDArray[np.float64], NDArray[np.intp]] | None,
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
@@ -694,8 +679,10 @@ def _search_model(
     ``[first, last, left, right, score]`` of consecutive local nodes with
     one shape and score.
 
-    Influences are exact when ``margs`` (the marginal laws of the searched
-    nodes) is given and spectral bounds from ``info`` otherwise;
+    Influences are exact when ``marginals`` is given, the distinct
+    marginal rows of the searched nodes and each node's class as
+    :func:`_marginals` returns them, and spectral bounds from ``info``
+    otherwise;
     the variants differ only in where a block's one-sided influences and
     two-sided candidates come from: the exact kernel's cells that can still
     win, or each node's two-sided winner from the approx table. Every node
@@ -706,7 +693,7 @@ def _search_model(
     the number of exact-kernel blocks, and the numbers of node steps
     scored from their own inputs and served from another node's winner.
     """
-    exact = margs is not None
+    exact = marginals is not None
     cap = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
     log_powers = right_max = winner = None
     terms = np.empty(0)
@@ -729,14 +716,14 @@ def _search_model(
     # Only interior nodes (na = nb = cap) can have the same inputs as
     # another node's: node j's are its cap + 1 marginal rows from row
     # j - 1 - cap, keyed by the class of that first row (see the module
-    # docstring). The approx search's inputs are its offsets alone, as if
-    # its rows were empty: one class for all.
-    classes = _row_classes(margs if exact else np.empty((L, 0)))
+    # docstring). The approx search's inputs are its offsets alone: one
+    # class for all.
+    classes = marginals[1] if exact else np.zeros(L, np.intp)
     if exact:
         with np.errstate(divide="ignore"):
-            log_margs = np.log(margs)
+            log_rows = np.log(marginals[0])
         # Nodes with the same live values share one list of value pairs.
-        live = log_margs[: classes.max() + 1] > -np.inf  # every class is one of these rows
+        live = log_rows > -np.inf
         pattern = None  # one pattern, no grouping
         if not (live == live[0]).all():
             pattern = np.unique(
@@ -770,10 +757,12 @@ def _search_model(
                 rows = group[rows]
                 j, ja, jb = i[rows], na[rows], nb[rows]
                 ma, mb = int(ja.max()), int(jb.max())
-                past = log_margs[np.maximum(j[:, None] - 2 - np.arange(ma), 0)]  # nearest first
+                back = np.maximum(j[:, None] - 2 - np.arange(ma), 0)  # nearest first
+                past = log_rows[classes[back]]
                 nearby = _one_sided_nearby(j, ja, jb, L, ma, mb)
                 influences = _exact_influences(
-                    log_margs[j - 1], past, log_powers[1 : ma + 1], right_max[1 : mb + 1],
+                    log_rows[classes[j - 1]], past,
+                    log_powers[1 : ma + 1], right_max[1 : mb + 1],
                     _cut(nearby, ja, jb, epsilon, bound[rows]),
                 )
                 blocks += 1
@@ -861,7 +850,11 @@ def quilt_scores(
     the cap can win at it, so the result is the full search's bit for bit
     (see the module docstring). An approx search in which no spectral term within the first
     cap is below ``epsilon`` starts at the full reach, since its first step
-    would score every capped quilt ``inf`` and certify no node.
+    would score every capped quilt ``inf`` and certify no node. An exact
+    search steps each model's marginal recursion only to its first bitwise
+    repeated row and reads every node's law as one of the distinct rows
+    through its class (see :func:`_marginals`), so it keeps no table of
+    ``L`` marginal rows.
 
     Each model's search logs one DEBUG record on this module's logger: the
     nodes searched, the node steps taken at each cap (cap ``L`` is every
@@ -895,10 +888,11 @@ def quilt_scores(
     active: dict[int, QuiltRuns] = {}
     for idx, model in enumerate(search_models):
         if variant is Variant.EXACT:
-            margs, info = _marginals(model, L), None
+            marginals, info = _marginals(model, L), None
         else:
-            margs, info = None, spectral(model)
-        runs, caps, most, blocks, distinct, shared = _search_model(model, margs, info, L, epsilon)
+            marginals, info = None, spectral(model)
+        runs, caps, most, blocks, distinct, shared = _search_model(
+            model, marginals, info, L, epsilon)
         _log.debug(
             "model %d (%s): %d nodes, node steps at caps %s, at most %d per node, "
             "%d kernel blocks, %d distinct node inputs, %d nodes served from the shared "

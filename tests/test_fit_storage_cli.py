@@ -1074,6 +1074,18 @@ def test_cli_compose_refuses_a_budget_that_is_not_finite(tmp_path, capsys, rule)
     assert out == "" and err.startswith("error: composed budget inf")
 
 
+@pytest.mark.parametrize("ids, repeated", [("1,1", "[1]"), ("2,1,2", "[2]"),
+                                           ("1,2,1,2,2", "[1, 2]")])
+def test_cli_compose_refuses_an_id_given_twice(tmp_path, capsys, ids, repeated):
+    # An entry composed with itself would count its budget twice.
+    ledger = _two_ledgered_counts(tmp_path)
+    capsys.readouterr()
+    for rule in ("auto", "thm6"):
+        assert main(["compose", "--ledger", ledger, "--ids", ids, "--rule", rule]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ids name entries {repeated} more than once\n"
+
+
 def _keys(doc) -> set:
     """Every mapping key at any depth of a decoded JSON document."""
     if isinstance(doc, dict):

@@ -369,6 +369,13 @@ def _stepped_marginals(model, L):
     return margs
 
 
+def _marginal_table(model, L):
+    """The marginal law of every node, ``rows[classes]`` of
+    :func:`~mquilt.mechanism._marginals`."""
+    rows, classes = mechanism._marginals(model, L)
+    return rows[classes]
+
+
 def _period(margs):
     """The length, 1 or 2, of the first bitwise repeat among the rows."""
     rows = [r.tobytes() for r in margs]
@@ -394,7 +401,7 @@ def _period(margs):
 def test_marginals_stop_at_their_period(model, L, period):
     stepped = _stepped_marginals(model, L)
     assert _period(stepped) == period
-    assert mechanism._marginals(model, L).tobytes() == stepped.tobytes()
+    assert _marginal_table(model, L).tobytes() == stepped.tobytes()
 
 
 def _first_repeat(margs):
@@ -422,7 +429,7 @@ def test_marginals_stop_at_a_repeated_row_of_any_period(model, period, L):
     stepped = _stepped_marginals(model, 5000)
     s, t = _first_repeat(stepped)
     assert t - s == period
-    assert mechanism._marginals(model, L).tobytes() == stepped[:L].tobytes()
+    assert _marginal_table(model, L).tobytes() == stepped[:L].tobytes()
 
 
 @pytest.mark.parametrize("model", [model for model, _ in _CYCLING])
@@ -437,7 +444,7 @@ def test_marginals_step_no_further_than_the_first_repeated_row(model):
     L = 5000
     counted = mock.Mock(k=model.k, initial=model.initial,
                         transition=model.transition.view(Counting))
-    got = mechanism._marginals(counted, L)
+    got = _marginal_table(counted, L)
     _, t = _first_repeat(_stepped_marginals(model, L))
     assert 0 < len(steps) <= t
     assert got.tobytes() == _stepped_marginals(model, L).tobytes()
@@ -588,11 +595,12 @@ def _node_influences(log_m, log_past, log_powers, right_max):
     return e_left[0], e_right[0], e_two.reshape(len(log_powers), len(right_max))
 
 
-def _unshared_search_model(model, margs, info, L, epsilon):
+def _unshared_search_model(model, marginals, info, L, epsilon):
     """One kernel call and one full scoring at every step of every node."""
     log_powers, right_max = mechanism._log_powers(model.transition, L - 1)
+    rows, classes = marginals
     with np.errstate(divide="ignore"):
-        log_margs = np.log(margs)
+        log_margs = np.log(rows[classes])
 
     def step(i, na, nb):
         e_left, e_right, e_two = _node_influences(
@@ -611,7 +619,8 @@ def _unshared_search_model(model, margs, info, L, epsilon):
 def _unshared(fw, eps, scope="window"):
     """The exact search with no node sharing another's kernel call. Each of
     its model searches is also run by the shared search, which must agree
-    node for node."""
+    node for node. Both take the marginals stepped to the last node, with
+    each node's class its least bitwise equal row."""
     shared = mechanism._search_model
 
     def search(*args):
@@ -619,8 +628,12 @@ def _unshared(fw, eps, scope="window"):
         assert shared(*args)[0] == want[0]
         return want
 
+    def stepped(model, L):
+        table = _stepped_marginals(model, L)
+        return table, np.array(_least_equal_rows(table))
+
     with mock.patch.object(mechanism, "_search_model", search), \
-            mock.patch.object(mechanism, "_marginals", _stepped_marginals):
+            mock.patch.object(mechanism, "_marginals", stepped):
         return quilt_scores(fw, eps, Variant.EXACT, scope=scope)
 
 
@@ -698,77 +711,59 @@ def _least_equal_rows(table):
 
 
 @st.composite
-def _recursion_tables(draw):
-    """Tables that are a lead-in and then a bitwise cycle, as the marginal
-    recursion makes them: the stepped marginals of cycling, sticky and
-    zero-entry chains, and lead-ins and cycles of distinct rows, some of
-    them differing only in the sign of a zero."""
-    kind = draw(st.sampled_from(["cycling", "rough", "cycle", "signed-zero"]))
-    L = draw(st.integers(1, 90))
-    if kind == "cycling":
-        return _stepped_marginals(draw(st.sampled_from(_CYCLING))[0], L)
-    if kind == "rough":
+def _marginal_chains(draw):
+    """Chains whose marginals cycle with a period of 4 to 7, and sticky and
+    zero-entry chains, with a window length."""
+    if draw(st.sampled_from(["cycling", "rough"])) == "cycling":
+        model = draw(st.sampled_from(_CYCLING))[0]
+    else:
         model = _rough_chain(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 5)),
                              draw(st.sampled_from([0.0, 0.3, 0.9, 0.98])), draw(st.booleans()))
-        return _stepped_marginals(model, L)
-    lead, period = draw(st.integers(0, 20)), draw(st.integers(1, 12))
-    n = np.arange(lead + period)
-    if kind == "cycle":
-        rows = (n[:, None] + np.arange(3.0)) / 7.0
-    else:  # row r holds -0.0 where bit j of r is set, else 0.0
-        rows = np.where((n[:, None] >> np.arange(5)) & 1, -0.0, 0.0)
-    t = np.arange(L)
-    return rows[np.where(t < lead, t, lead + (t - lead) % period)]
+    return model, draw(st.integers(1, 600))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_recursion_tables())
-@example(np.full((1, 3), 1 / 3))
-@example(np.full((2, 3), 1 / 3))
-@example(np.array([[0.5, 0.5], [1.0, 0.0]]))
-@example(np.array([[0.0], [-0.0]]))
-@example(np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [1.0, -0.0]]))
-def test_row_classes_are_each_rows_least_equal_row(table):
-    assert mechanism._row_classes(table).tolist() == _least_equal_rows(table)
+@given(_marginal_chains())
+@example((LAZY, 1))
+@example((ChainModel.from_arrays([1.0], [[1.0]]), 2))
+@example((ChainModel.from_arrays([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]), 9))
+@example((_chain(152, 3, 0.97), 600))  # no row repeats within the window
+@example((random_model(10, np.random.default_rng(0)), 600))
+def test_marginals_are_distinct_rows_and_each_nodes_least_equal_row(chain):
+    model, L = chain
+    rows, classes = mechanism._marginals(model, L)
+    stepped = _stepped_marginals(model, L)
+    assert classes.tolist() == _least_equal_rows(stepped)
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert rows[classes].tobytes() == stepped.tobytes()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 40), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_row_classes_of_any_table_hold_equal_rows(L, values, seed):
-    # A table that the recursion cannot make, a few values in any order:
-    # rows of one class are equal bit for bit.
-    table = np.random.default_rng(seed).integers(0, values, (L, 2)).astype(float)
-    classes = mechanism._row_classes(table)
-    rows = _least_equal_rows(table)
-    assert all(rows[r] == rows[c] for r, c in enumerate(classes.tolist()))
+def _search_frame():
+    """The locals of the innermost quilt search on the call stack."""
+    frame = sys._getframe(1)
+    while frame.f_code.co_name != "_search_model":
+        frame = frame.f_back
+    return frame.f_locals
 
 
 @contextlib.contextmanager
 def _search_steps():
-    """Record each step of the searches inside the block: the table its
-    row classes were read from, the nodes it scored, and, where it has
-    interior nodes, its cap and its interior nodes with their keys. The
-    nodes and the cap are read from the search's frame as it looks the keys
-    up in the row classes, so no record assumes how it indexes them."""
-    steps, tables = [], []
-    row_classes, nearby = mechanism._row_classes, mechanism._one_sided_nearby
+    """Record each step of the searches inside the block: its search's
+    marginal table, ``rows[classes]`` of the marginals it was given (no
+    columns in the approx search), the nodes it scored, and, where it has
+    interior nodes, its cap and its interior nodes with their keys. They
+    are read from the search's frame as it scores a block, keys and all, so
+    no record assumes how the search computes them."""
+    steps = []
+    nearby = mechanism._one_sided_nearby
     log_powers, two_sided_winners = mechanism._log_powers, mechanism._two_sided_winners
 
-    class Keys(np.ndarray):
-        def __getitem__(self, index):
-            keys = np.asarray(super().__getitem__(index))
-            search = sys._getframe(1).f_locals
-            steps[-1].update(cap=search["cap"], keys=keys,
-                             interior=search["open_nodes"][search["inner"]])
-            return keys
-
     def step():
-        steps.append(dict(table=tables[-1], interior=np.empty(0, int), keys=np.empty(0, int),
+        search = _search_frame()
+        marginals = search["marginals"]
+        table = np.empty((search["L"], 0)) if marginals is None else marginals[0][marginals[1]]
+        steps.append(dict(table=table, interior=np.empty(0, int), keys=np.empty(0, int),
                           scored=set()))
-
-    def classing(table):
-        tables.append(table)
-        return row_classes(table).view(Keys)
 
     def powers(P, top):
         step()
@@ -779,11 +774,14 @@ def _search_steps():
         return two_sided_winners(epsilon, e_two)
 
     def scoring(i, *args):
+        search = _search_frame()
+        if search["inner"].any():
+            steps[-1].update(cap=search["cap"], keys=search["keys"],
+                             interior=search["open_nodes"][search["inner"]])
         steps[-1]["scored"].update(i.tolist())
         return nearby(i, *args)
 
-    with mock.patch.object(mechanism, "_row_classes", classing), \
-            mock.patch.object(mechanism, "_log_powers", powers), \
+    with mock.patch.object(mechanism, "_log_powers", powers), \
             mock.patch.object(mechanism, "_two_sided_winners", two_sided), \
             mock.patch.object(mechanism, "_one_sided_nearby", scoring):
         yield steps
@@ -805,7 +803,7 @@ def _log_coincidence_chain():
 
 
 def test_log_coincidence_chain_repeats_its_logs_first():
-    margs = mechanism._marginals(_log_coincidence_chain(), 256)
+    margs = _marginal_table(_log_coincidence_chain(), 256)
     with np.errstate(divide="ignore"):
         assert (_first_repeat(margs), _first_repeat(np.log(margs))) == ((23, 31), (23, 27))
 
@@ -886,7 +884,7 @@ def test_one_sided_winners_are_not_shared(fw, eps, variant):
     assert sigma == 0.0 and len(active[0]) == L
 
 
-def _per_node_approx_search_model(model, margs, info, L, epsilon):
+def _per_node_approx_search_model(model, marginals, info, L, epsilon):
     """The approx search with its own two-sided table scored at every step."""
     terms = np.array([mechanism._spectral_term(info, x) for x in range(1, L)])
 
@@ -1043,7 +1041,7 @@ def test_kernel_block_equals_one_call_per_node(model, n, first, na, nb):
     # = 0 is node 1's own reach and nb = 0 the last node's. With no cut the
     # kernel returns every cell in (node, a, b) order.
     with np.errstate(divide="ignore"):
-        log_margs = np.log(mechanism._marginals(model, first + n))
+        log_margs = np.log(_marginal_table(model, first + n))
     log_powers, right_max = mechanism._log_powers(model.transition, max(na, nb, 1))
     nodes = np.arange(first, first + n)
     live = log_margs[nodes - 1] > -np.inf
@@ -1097,7 +1095,7 @@ def test_pruned_block_winners_equal_full_corner_winners(model, n, first, tail, c
     # its winner only below (cap + 1) / eps, and needs it only there.
     L = first + n - 1 + tail
     with np.errstate(divide="ignore"):
-        log_margs = np.log(mechanism._marginals(model, L))
+        log_margs = np.log(_marginal_table(model, L))
     i = np.arange(first, first + n)
     live = log_margs[i - 1] > -np.inf
     i = i[(live == live[0]).all(axis=1)]  # one block shares its live values
@@ -1296,16 +1294,20 @@ def test_exact_cap_step_is_one_kernel_block(caplog):
     assert steps == {8: 1024} and n_blocks == 1
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_exact_search_memory_stays_small_on_a_long_window():
     # Kernel blocks are bounded by _BLOCK_FLOATS, so batching nodes adds
     # little to the search's peak allocation.
     fw = _full(random_model(10, np.random.default_rng(3)), 20000)
-    tracemalloc.start()
-    try:
-        quilt_scores(fw, 1.0, Variant.EXACT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: quilt_scores(fw, 1.0, Variant.EXACT))
     assert peak < 10 * 2**20, peak
 
 
@@ -1313,13 +1315,23 @@ def test_exact_search_memory_stays_small_on_cycling_marginals():
     # Marginals of period 6 give six inputs per cap, numbered by array
     # passes whose temporaries stay within _BLOCK_FLOATS entries.
     fw = _full(random_model(10, np.random.default_rng(0)), 20000)
-    tracemalloc.start()
-    try:
-        quilt_scores(fw, 1.0, Variant.EXACT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: quilt_scores(fw, 1.0, Variant.EXACT))
     assert peak < 10 * 2**20, peak
+
+
+def test_marginals_keep_only_their_distinct_rows():
+    # 23 distinct rows and one class per node: no table of L rows.
+    model = random_model(10, np.random.default_rng(3))
+    peak = _traced_peak(lambda: mechanism._marginals(model, 10**5))
+    assert peak < 2 * 2**20, peak
+
+
+def test_exact_search_memory_holds_no_marginal_table():
+    # The search reads each node's log marginals through its class, and
+    # keeps no table of L rows of them.
+    fw = _full(random_model(10, np.random.default_rng(3)), 10**5)
+    peak = _traced_peak(lambda: quilt_scores(fw, 1.0, Variant.EXACT))
+    assert peak < 20 * 2**20, peak
 
 
 def test_best_quilt_calls_do_not_grow_with_the_window():
