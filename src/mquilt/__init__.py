@@ -7,143 +7,21 @@ ships a composition accountant for combining audited releases and a
 brute-force oracle that verifies guarantees exactly on small instances.
 """
 
-from .chains import (
-    ChainModel,
-    SpectralInfo,
-    StateSequence,
-    marginal,
-    random_model,
-    sample,
-    spectral,
-    transition_power,
-    validate,
-)
-from .composition import (
-    Check,
-    CompositionReport,
-    CompositionRule,
-    compose_auto,
-    compose_parallel_general,
-    compose_parallel_mqm_approx,
-    compose_sequential_general,
-    compose_sequential_legacy,
-    compose_sequential_mqm,
-)
+from . import chains, composition, fit, influence, mechanism, oracle, storage
+from .chains import *
+from .influence import *
+from .mechanism import *
+from .composition import *
+from .oracle import *
+from .fit import *
+from .storage import *
 from .errors import MquiltError
-from .fit import fit_chain
-from .influence import (
-    QuiltShape,
-    Variant,
-    approx_max_influence,
-    approx_offset_threshold,
-    exact_max_influence,
-    influence_over_set,
-    nearby_size,
-)
-from .mechanism import (
-    ActiveQuilt,
-    Framework,
-    LipschitzQuery,
-    QuiltRuns,
-    ReleaseRecord,
-    Window,
-    count_state_query,
-    quilt_scores,
-    release,
-    release_record,
-    unit_laplace,
-)
-from .oracle import (
-    CounterexampleReport,
-    EmpiricalEpsilon,
-    RemoteBoundReport,
-    Witness,
-    check_joint_remote_bound,
-    empirical_epsilon,
-    enumerate_quilts,
-    enumerate_sequences,
-    enumerated_max_influence,
-    reevaluate_witness,
-    release_values,
-    score,
-    sequence_probs,
-    verify_counterexample,
-)
-from .storage import (
-    LedgerEntry,
-    append_release,
-    framework_from_dict,
-    framework_to_dict,
-    load_model,
-    load_sequence,
-    read_ledger,
-    save_model,
-    save_sequence,
-)
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "ChainModel",
-    "StateSequence",
-    "SpectralInfo",
-    "validate",
-    "marginal",
-    "transition_power",
-    "spectral",
-    "sample",
-    "random_model",
-    "Variant",
-    "QuiltShape",
-    "nearby_size",
-    "exact_max_influence",
-    "approx_max_influence",
-    "approx_offset_threshold",
-    "influence_over_set",
-    "Window",
-    "Framework",
-    "LipschitzQuery",
-    "count_state_query",
-    "ActiveQuilt",
-    "QuiltRuns",
-    "ReleaseRecord",
-    "quilt_scores",
-    "release",
-    "release_record",
-    "unit_laplace",
-    "CompositionRule",
-    "Check",
-    "CompositionReport",
-    "compose_sequential_mqm",
-    "compose_sequential_legacy",
-    "compose_sequential_general",
-    "compose_parallel_general",
-    "compose_parallel_mqm_approx",
-    "compose_auto",
-    "EmpiricalEpsilon",
-    "Witness",
-    "RemoteBoundReport",
-    "CounterexampleReport",
-    "enumerate_sequences",
-    "sequence_probs",
-    "enumerate_quilts",
-    "score",
-    "empirical_epsilon",
-    "reevaluate_witness",
-    "release_values",
-    "enumerated_max_influence",
-    "check_joint_remote_bound",
-    "verify_counterexample",
-    "fit_chain",
-    "save_model",
-    "load_model",
-    "save_sequence",
-    "load_sequence",
-    "framework_to_dict",
-    "framework_from_dict",
-    "LedgerEntry",
-    "append_release",
-    "read_ledger",
-    "MquiltError",
-    "__version__",
-]
+    name
+    for module in (chains, influence, mechanism, composition, oracle, fit, storage)
+    for name in module.__all__
+] + ["MquiltError", "__version__"]

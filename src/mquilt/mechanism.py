@@ -13,8 +13,8 @@ with ``n`` nearby nodes scores at least ``n / epsilon``. Each node
 certifies its own winner: capped at offset ``c``, its search leaves out
 only quilts with at least ``c + 1`` nearby nodes, so once its capped
 minimum ``s`` is below ``(c + 1) / epsilon`` the capped winner is the full
-search's, ties included, and by monotone rounding bit for bit. A node at
-its full reach (``na = i - 1``, ``nb = L - i``) is certified too.
+search's, ties included, and by monotone rounding bit for bit. The step at
+cap ``L``, every node's full reach, certifies every node it scores.
 
 The search goes in steps rather than node by node, and every node still
 open shares one cap per step: ``_FIRST_CAP``, doubled at each step until
@@ -78,12 +78,9 @@ shares a winner only if it is two-sided, so this holds in the code
 whatever the rounding. Otherwise no quilt within the cap can win there, or
 the winner is not shared, and the nodes take the next step. So
 only boundary nodes, whose inputs are their own, and the first interior
-node with each input are scored. Unlike a boundary node, an interior
-node at its full reach (``2c = L - 1``) keeps a winner only below
-``(c + 1) / epsilon`` too, since the one-sided and empty quilts it was
-chosen among are another node's; otherwise it takes the next step. Per
-distinct input the search keeps one winner, never the exact
-two-sided table, whose size would be quadratic in ``c``.
+node with each input are scored. Per distinct input the search keeps one
+winner, never the exact two-sided table, whose size would be quadratic in
+``c``.
 
 The approx search runs the same steps. Its influences depend on the
 offsets alone (``2 t(a) + t(b)`` for the quilt at offsets ``a`` and
@@ -102,8 +99,10 @@ step's table extends them. The terms never grow with the offset, so a
 quilt within cap ``c`` is charged at least ``t(c)``. When no term within
 ``_FIRST_CAP`` is below the budget, every capped quilt scores ``inf`` and
 the first step can certify no node, so the approx search skips it and
-starts at the full reach. The exact variant always takes the first step,
-since its influences are known only after the kernel runs.
+starts at the full reach, if that reach's ``(L - 1) x (L - 1)`` table is
+within ``_TABLE_LIMIT``; otherwise it doubles from ``_FIRST_CAP`` as
+usual. The exact variant always takes the first step, since its
+influences are known only after the kernel runs.
 Neither variant builds a two-sided table of more than
 ``_TABLE_LIMIT`` entries; a search that would is refused with
 :class:`~mquilt.errors.TooLarge`.
@@ -416,8 +415,9 @@ _FIRST_CAP = 8
 """Offset cap of the search's first step; each later step doubles it. In
 windows of at most twice the cap the search starts at the full reach,
 which costs about as much as a capped step. So does an approx search in
-which no spectral term up to this offset is below the budget: its capped
-step could certify no node."""
+which no spectral term up to this offset is below the budget, where the
+full reach's two-sided table is within ``_TABLE_LIMIT``: its capped step
+could certify no node."""
 
 _TABLE_LIMIT = 2**24
 """The most entries a two-sided influence table may hold: ranking one takes
@@ -496,7 +496,7 @@ def _cut(
     na: NDArray[np.int64],
     nb: NDArray[np.int64],
     epsilon: float,
-    bound: NDArray[np.float64],
+    bound: float | NDArray[np.float64],
 ) -> Callable[..., tuple[NDArray[np.int64], ...]]:
     """The ``keep`` of an exact kernel block of nodes with offsets ``na``,
     ``nb`` and one-sided ``nearby`` counts (see :func:`_one_sided_nearby`
@@ -513,7 +513,8 @@ def _cut(
     influence and the nearby count, in floating point too, so a cell scores
     between the scores of its bounds.
 
-    Node ``j`` needs its winner only where it scores at most ``bound[j]``.
+    Node ``j`` needs its winner only where it scores at most ``bound``, one
+    number for the block or one per node.
     That bound drops to the node's exact one-sided scores where they are
     less, and then to the least score of its cells' upper bounds, which its
     best cell attains or beats. A cell whose lower bound scores more cannot
@@ -528,7 +529,7 @@ def _cut(
     if (na < ma).any() or (nb < mb).any():
         own = (aa[:, None] <= na[:, None, None]) & (bb <= nb[:, None, None])
         near_two = np.where(own, near_two, np.inf)
-    bound = bound.copy()
+    bound = np.full(n, bound)
 
     def keep(nodes: slice, offs: slice, e_left, m_left, e_right, m_right):
         near = near_two[nodes, offs]
@@ -702,10 +703,11 @@ def _search_model(
         new = [_spectral_term(info, x) for x in range(terms.size + 1, to + 1)]
         return np.concatenate([terms, new]) if new else terms
 
-    if not exact and cap < L:
+    if not exact and cap < L and (L - 1) ** 2 <= _TABLE_LIMIT:
         # Every quilt within the first cap is charged at least the term of
         # one of its offsets. If none is below the budget, every capped quilt
-        # scores inf, so the first step can certify no node; skip it.
+        # scores inf, so the first step can certify no node; skip it, where
+        # the full reach's table is within the limit.
         terms = extend_terms(_FIRST_CAP)
         if terms.min() >= epsilon:
             cap = L
@@ -731,10 +733,10 @@ def _search_model(
             )[1][classes]
 
     def node_blocks(i: NDArray[np.int64], na: NDArray[np.int64], nb: NDArray[np.int64],
-                    bound: NDArray[np.float64]) -> Iterator[tuple[NDArray[np.int64], _Winners]]:
+                    bound: float) -> Iterator[tuple[NDArray[np.int64], _Winners]]:
         """Blocks ``(rows, winners)`` that score the nodes ``i[rows]`` at
-        offsets up to ``na[rows]`` and ``nb[rows]``; ``bound`` is each
-        node's score past which its winner is not kept."""
+        offsets up to ``na[rows]`` and ``nb[rows]``; ``bound`` is the step's
+        score past which a winner is not kept."""
         nonlocal blocks
         if not exact:
             for rows in _blocks(na.tolist(), nb.tolist(), lambda ma, mb: ma + mb):
@@ -763,7 +765,7 @@ def _search_model(
                 influences = _exact_influences(
                     log_rows[classes[j - 1]], past,
                     log_powers[1 : ma + 1], right_max[1 : mb + 1],
-                    _cut(nearby, ja, jb, epsilon, bound[rows]),
+                    _cut(nearby, ja, jb, epsilon, bound),
                 )
                 blocks += 1
                 yield rows, _best_quilts(nearby, L, epsilon, *influences)
@@ -782,10 +784,9 @@ def _search_model(
             terms = extend_terms(top)
             winner = _two_sided_winners(epsilon, 2.0 * terms[:, None] + terms[None, :])
         inner = (na == cap) & (nb == cap)
-        # A node's winner is kept if it scores below (cap + 1) / epsilon,
-        # or if this step is the node's last (see below).
-        last = ~inner & (na + nb == L - 1)
-        bound = np.where(last, L, min(L, cap + 1)) / epsilon
+        # A node's winner is kept if it scores below (cap + 1) / epsilon, or
+        # at the full reach, the last step of every node (see below).
+        bound = (L if cap == L else cap + 1) / epsilon
         own = np.arange(open_nodes.size)
         if inner.any():
             # The boundary nodes are scored from their own inputs, and so is
@@ -797,7 +798,7 @@ def _search_model(
             shared += ids.size - first.size
         distinct += own.size
         s, a, b = np.empty(open_nodes.size), np.zeros_like(open_nodes), np.zeros_like(open_nodes)
-        for rows, winners in node_blocks(open_nodes[own], na[own], nb[own], bound[own]):
+        for rows, winners in node_blocks(open_nodes[own], na[own], nb[own], bound):
             s[own[rows]], a[own[rows]], b[own[rows]] = winners
         if inner.any():
             # No one-sided or empty quilt can clear an interior node's bound,
@@ -808,10 +809,11 @@ def _search_model(
             two = (a[first] > 0) & (b[first] > 0)
             s[inner] = np.where(two, s[first], np.inf)[ids]
             a[inner], b[inner] = a[first][ids], b[first][ids]
-        # An interior node at its full reach (2 cap = L - 1) is not certified
-        # by it: its one-sided and empty quilts were scored at its key's
-        # first node, whose nearby counts are not its own.
-        done = (s < (cap + 1) / epsilon) | last
+        # A capped step has L > 2 cap, so a node there is at its full reach
+        # only if it is interior (2 cap = L - 1), and such a node is not
+        # certified by it: its one-sided and empty quilts were scored at its
+        # key's first node, whose nearby counts are not its own.
+        done = (s < (cap + 1) / epsilon) | (cap == L)
         k = open_nodes[done] - 1
         win_s[k], win_a[k], win_b[k] = s[done], a[done], b[done]
         open_nodes = open_nodes[~done]
@@ -848,9 +850,11 @@ def quilt_scores(
     Each step admits offsets up to one cap, shared by every node still
     open, and doubles it for the next; a node stops once no quilt outside
     the cap can win at it, so the result is the full search's bit for bit
-    (see the module docstring). An approx search in which no spectral term within the first
-    cap is below ``epsilon`` starts at the full reach, since its first step
-    would score every capped quilt ``inf`` and certify no node. An exact
+    (see the module docstring). An approx search in which no spectral term
+    within the first cap is below ``epsilon`` starts at the full reach,
+    since its first step would score every capped quilt ``inf`` and certify
+    no node, but only where the full reach's two-sided table is within the
+    limit below; otherwise it doubles from the first cap. An exact
     search steps each model's marginal recursion only to its first bitwise
     repeated row and reads every node's law as one of the distinct rows
     through its class (see :func:`_marginals`), so it keeps no table of

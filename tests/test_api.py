@@ -1,6 +1,6 @@
-"""Export lists: every listed name exists, and none is listed twice; the
-README's library example runs and prints what it states; only the CLI
-prints."""
+"""Export lists: every listed name exists, none is listed twice, and the
+package re-exports each module's list; the README's library example runs
+and prints what it states; only the CLI prints."""
 
 import ast
 import importlib
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mquilt
-from mquilt import mechanism, oracle
+from mquilt import chains, composition, fit, influence, mechanism, oracle, storage
 
 MODULES = ["mquilt"] + [
     f"mquilt.{m.name}"
@@ -27,6 +27,18 @@ def test_exported_names_resolve_without_duplicates(name):
         n for n in set(exported) if exported.count(n) > 1
     )
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_exports_each_modules_names_in_order():
+    # Each module's __all__ is the one list of its public names; the
+    # package re-exports them all, the same objects, and nothing else but
+    # the base error and the version.
+    modules = [chains, influence, mechanism, composition, oracle, fit, storage]
+    names = [n for module in modules for n in module.__all__]
+    assert mquilt.__all__ == names + ["MquiltError", "__version__"]
+    for module in modules:
+        for n in module.__all__:
+            assert getattr(mquilt, n) is getattr(module, n), (module.__name__, n)
 
 
 def test_brute_force_scorer_lives_in_the_oracle():

@@ -726,22 +726,87 @@ def _long_approx_count(tmp_path, epsilon):
 
 
 def test_cli_approx_count_over_the_table_limit_exits_2(tmp_path, capsys):
-    # At this budget no spectral term within the first cap is below it, so
-    # the search starts at the full reach, whose 99999 x 99999 two-sided
-    # table is refused before it is built, with no traceback.
-    assert main(_long_approx_count(tmp_path, 0.01)) == 2
+    # Under a lowered limit the doubling caps outgrow it: at this budget no
+    # spectral term within the first cap is below it, so the nodes take a
+    # second step, whose 16 x 16 two-sided table is refused before it is
+    # built, with no traceback.
+    limit = mechanism._FIRST_CAP ** 2
+    with mock.patch.object(mechanism, "_TABLE_LIMIT", limit):
+        assert main(_long_approx_count(tmp_path, 0.01)) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
-    assert err.startswith("error: the approx search of node ") and "limit is 16777216" in err
+    assert err.startswith("error: the approx search of node ") and f"limit is {limit}" in err
 
 
 def test_cli_approx_count_over_a_long_window_runs(tmp_path, capsys):
-    # At budget 1 the nodes step through doubling caps and the two-sided
-    # tables stay small.
-    assert main(_long_approx_count(tmp_path, 1.0) + ["--json"]) == 0
-    record = json.loads(capsys.readouterr().out.splitlines()[-1])["record"]
-    assert round(record["sigma_max"] * record["epsilon"], 6) == 30.777758
-    assert len(record["active_quilts"]["0"]) == 32
+    # The nodes step through doubling caps and the two-sided tables stay
+    # small. Below budget t(8) = 0.7216 no spectral term within the first
+    # cap is below the budget, yet the full reach's 99999 x 99999 table is
+    # over the limit, so the search doubles from the first cap all the same.
+    for epsilon, sigma_eps, runs in [(1.0, 30.777758, 32), (0.5, 34.215475, 35),
+                                     (0.01, 53.056427, 54)]:
+        assert main(_long_approx_count(tmp_path, epsilon) + ["--json"]) == 0
+        record = json.loads(capsys.readouterr().out.splitlines()[-1])["record"]
+        assert round(record["sigma_max"] * record["epsilon"], 6) == sigma_eps
+        assert len(record["active_quilts"]["0"]) == runs
+
+
+def _refusal_inputs(tmp_path) -> dict[str, str]:
+    """Paths for the refusal cases: a model and its data, a ledger whose two
+    entries were released under different models, a missing ledger, a JSON
+    array and a CSV without the ``state`` header."""
+    model_path, data_path = _write_inputs(tmp_path)
+    other = tmp_path / "other.json"
+    save_model(ChainModel.from_arrays([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]]), other)
+    ledger = tmp_path / "ledger.jsonl"
+    for seed, model in enumerate([model_path, str(other)], start=1):
+        assert main(["release", "--model", model, "--data", data_path, "--query", "count:0",
+                     "--epsilon", "1", "--seed", str(seed), "--ledger", str(ledger)]) == 0
+    (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "headless.csv").write_text("0\n1\n")
+    return {"model": model_path, "data": data_path, "ledger": str(ledger),
+            "missing": str(tmp_path / "missing.jsonl"), "array": str(tmp_path / "array.json"),
+            "headless": str(tmp_path / "headless.csv")}
+
+
+_RELEASE = ["release", "--model", "{model}", "--epsilon", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_RELEASE + ["--data", "{data}", "--query", "count:0", "--window", "3-9"],
+     "window must look like 'start:end', got '3-9'"),
+    (_RELEASE + ["--data", "{data}", "--query", "sum"],
+     "unknown query 'sum'; use 'count:<state>' or 'histogram'"),
+    (["compose", "--ledger", "{ledger}", "--ids", "1,9", "--rule", "thm6"],
+     "ledger has no entries [9]"),
+    (["compose", "--ledger", "{ledger}", "--ids", "1,2", "--rule", "auto"],
+     "ledger entries were released under different model sets"),
+    (["compose", "--ledger", "{ledger}", "--ids", "1", "--rule", "thm2"],
+     "rule thm2 composes exactly 2 releases"),
+    (["compose", "--ledger", "{missing}", "--ids", "1", "--rule", "thm6"], "no ledger at "),
+    (["gap", "--model", "{array}"], "does not hold a model object"),
+    (_RELEASE + ["--data", "{headless}", "--query", "count:0"],
+     "is missing the 'state' header"),
+], ids=["window-without-colon", "unknown-query", "missing-entry", "mixed-model-sets",
+        "thm2-one-id", "missing-ledger", "gap-on-json-array", "csv-without-header"])
+def test_cli_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv, message):
+    paths = _refusal_inputs(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_ledger_with_blank_lines_still_reads(tmp_path):
+    ledger = Path(_refusal_inputs(tmp_path)["ledger"])
+
+    def read():
+        return [(e.entry_id, e.record.to_dict()) for e in read_ledger(ledger)]
+
+    entries = read()
+    ledger.write_text("\n" + ledger.read_text().replace("\n", "\n\n  \n"))
+    assert read() == entries and [i for i, _ in entries] == [1, 2]
 
 
 def test_cli_missing_files_exit_2(tmp_path, capsys):
