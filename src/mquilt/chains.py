@@ -1,9 +1,9 @@
 """Finite time-homogeneous Markov chain models.
 
-This module holds the chain representation used everywhere else: validation,
-marginals, transition powers, the spectral quantities of the multiplicative
-reversiblization (stationary distribution, time reversal, eigenvalues,
-eigen-gap), and seeded trajectory sampling.
+This module holds the chain representation used everywhere else, checked
+once when it is built, and its marginals, transition powers, the spectral
+quantities of the multiplicative reversiblization (stationary distribution,
+time reversal, eigenvalues, eigen-gap), and seeded trajectory sampling.
 
 Conventions
 -----------
@@ -55,13 +55,14 @@ _SUM_ROUNDING = 4 * np.finfo(np.float64).eps
 """Per-entry slack on a row sum that still counts as exactly 1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainModel:
     """A finite Markov chain: state labels, initial law, transition matrix.
 
-    Construction performs no checking beyond array conversion; call
-    :func:`validate` to enforce the probabilistic invariants and obtain a
-    row-normalized copy.
+    A model is valid once built: construction runs :func:`validate` and
+    keeps read-only copies of its normalized arrays, so every function that
+    takes a model may rely on the probabilistic invariants. Two models are
+    equal when their labels and both arrays are, bit for bit.
 
     Attributes
     ----------
@@ -71,6 +72,11 @@ class ChainModel:
         Distribution of ``X_1``.
     transition : ndarray of shape (k, k)
         Row-stochastic matrix, ``transition[u, v] = P(X_{t+1}=v | X_t=u)``.
+
+    Raises
+    ------
+    DuplicateLabel, NegativeEntry, NonStochasticRow, BadInitial
+        As :func:`validate` does.
     """
 
     states: tuple[str, ...]
@@ -78,13 +84,26 @@ class ChainModel:
     transition: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
-        q = np.array(self.initial, dtype=np.float64)
-        P = np.array(self.transition, dtype=np.float64)
+        states = tuple(str(s) for s in self.states)
+        q, P = validate(
+            states,
+            np.array(self.initial, dtype=np.float64),
+            np.array(self.transition, dtype=np.float64),
+        )
         q.setflags(write=False)
         P.setflags(write=False)
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "initial", q)
         object.__setattr__(self, "transition", P)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChainModel):
+            return NotImplemented
+        return (
+            self.states == other.states
+            and np.array_equal(self.initial, other.initial)
+            and np.array_equal(self.transition, other.transition)
+        )
 
     @property
     def k(self) -> int:
@@ -111,14 +130,6 @@ class ChainModel:
         except ValueError:
             raise BadState(f"unknown state label {label!r}") from None
 
-    def equal_to(self, other: "ChainModel") -> bool:
-        """Exact equality of labels and parameter arrays."""
-        return (
-            self.states == other.states
-            and np.array_equal(self.initial, other.initial)
-            and np.array_equal(self.transition, other.transition)
-        )
-
 
 @dataclass(frozen=True)
 class StateSequence:
@@ -143,28 +154,31 @@ class StateSequence:
         return iter(self.values.tolist())
 
 
-def validate(model: ChainModel) -> ChainModel:
-    """Check model invariants and return a row-normalized copy.
+def validate(
+    states: tuple[str, ...], initial: NDArray[np.float64], transition: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Check a model's parts and return its row-normalized ``(initial,
+    transition)``; :class:`ChainModel` runs this once, when it is built.
 
     Checks run in a fixed order and the first failure wins: duplicate
     labels, array shapes, negative entries, transition row sums, initial
     sum. After all checks pass, negative drift is clipped to 0 and rows
     and the initial law whose sums are off 1 by more than rounding are
-    rescaled, so tiny input drift does not propagate and
-    ``validate(validate(m))`` equals ``validate(m)`` bit for bit.
+    rescaled, so tiny input drift does not propagate, and validating a
+    model's own arrays returns them bit for bit.
 
     Raises
     ------
     DuplicateLabel, NegativeEntry, NonStochasticRow, BadInitial
     """
-    if len(set(model.states)) != len(model.states):
+    if len(set(states)) != len(states):
         seen: set[str] = set()
-        for s in model.states:
+        for s in states:
             if s in seen:
                 raise DuplicateLabel(f"state label {s!r} appears more than once")
             seen.add(s)
-    k = model.k
-    q, P = model.initial, model.transition
+    k = len(states)
+    q, P = initial, transition
     tol = STOCHASTIC_TOL
     if P.ndim != 2 or P.shape != (k, k):
         raise MquiltError(
@@ -188,7 +202,7 @@ def validate(model: ChainModel) -> ChainModel:
         raise BadInitial(f"initial distribution sums to {q.sum()}, not 1")
     P = np.clip(P, 0.0, None)
     q = np.clip(q, 0.0, None)
-    return ChainModel(model.states, _rescaled(q[None, :])[0], _rescaled(P))
+    return _rescaled(q[None, :])[0], _rescaled(P)
 
 
 def _rescaled(rows: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -197,8 +211,8 @@ def _rescaled(rows: NDArray[np.float64]) -> NDArray[np.float64]:
     A row of ``k`` entries counts as summing to 1 when its sum is within
     ``4 k`` machine epsilons of 1, several times what the rounding of one
     division and one sum can leave. A rescaled row lands inside that
-    margin, so rescaling is a fixed point: validating a validated model
-    returns it bit for bit.
+    margin, so rescaling is a fixed point: validating a model's own arrays
+    returns them bit for bit.
     """
     sums = rows.sum(axis=1, keepdims=True)
     off = np.abs(sums - 1.0) > _SUM_ROUNDING * rows.shape[1]
@@ -305,7 +319,6 @@ def spectral(model: ChainModel) -> SpectralInfo:
     ZeroStationaryEntry
         If the stationary distribution has a numerically zero entry.
     """
-    model = validate(model)
     P, k = model.transition, model.k
     adj = P > 0.0
     if not np.linalg.matrix_power(adj | np.eye(k, dtype=bool), k - 1).all():
@@ -341,7 +354,6 @@ def sample(model: ChainModel, T: int, seed: int) -> StateSequence:
     """
     if T < 1:
         raise InvalidTime(f"trajectory length must be >= 1, got {T}")
-    model = validate(model)
     rng = np.random.default_rng(seed)
     u = rng.random(T)
     out = np.empty(T, dtype=np.int64)
@@ -365,6 +377,4 @@ def random_model(k: int, rng: np.random.Generator) -> ChainModel:
         raise MquiltError(f"need at least one state, got k={k}")
     P = rng.random((k, k)) + 0.05
     q = rng.random(k) + 0.05
-    return validate(
-        ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
-    )
+    return ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import ChainModel, StateSequence, random_model, sample, spectral, validate
+from .chains import ChainModel, StateSequence, random_model, sample, spectral
 from .composition import (
     CompositionReport,
     compose_auto,
@@ -124,8 +124,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    model = validate(load_model(args.model))
-    info = spectral(model)
+    info = spectral(load_model(args.model))
     threshold = approx_offset_threshold(info)
     payload = {
         "stationary": info.stationary.tolist(),
@@ -227,10 +226,7 @@ def _shared_models(entries: Sequence[LedgerEntry]) -> tuple[ChainModel, ...]:
     """The candidate models every entry was released under; refuse a mix."""
     base = entries[0].framework.models
     for e in entries[1:]:
-        models = e.framework.models
-        if len(models) != len(base) or not all(
-            a.equal_to(b) for a, b in zip(models, base)
-        ):
+        if e.framework.models != base:
             raise MixedFrameworks(
                 "ledger entries were released under different model sets"
             )
@@ -297,11 +293,7 @@ def _cmd_verify_soundness(args) -> int:
     lines = []
     results = []
     for trial in range(args.seeds):
-        model = (
-            validate(load_model(args.model))
-            if args.model
-            else random_model(args.k, rng)
-        )
+        model = load_model(args.model) if args.model else random_model(args.k, rng)
         T = args.T
         fw = Framework(T, Window(1, T), (model,))
         q = count_state_query(int(rng.integers(0, model.k)), model.k)
@@ -415,8 +407,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = validate(load_model(args.model))
-    seq = sample(model, args.T, args.seed)
+    seq = sample(load_model(args.model), args.T, args.seed)
     save_sequence(seq, args.out)
     _emit(
         args,

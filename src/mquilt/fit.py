@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import ChainModel, validate
+from .chains import ChainModel
 from .errors import AlphabetMismatch, EmptyInput, MquiltError
 
 __all__ = ["fit_chain"]
@@ -27,7 +27,7 @@ def fit_chain(
     never left has no estimable row and the fit is refused rather than
     guessed. ``states``, when given, must hold exactly ``k`` labels.
     Smoothing so large that the counts overflow is refused, and the fitted
-    model is validated before it is returned.
+    model is validated when it is built.
     """
     if not 0 <= smoothing < np.inf:  # NaN fails both comparisons
         raise MquiltError(f"smoothing must be in [0, inf), got {smoothing}")
@@ -64,4 +64,4 @@ def fit_chain(
         )
     transition = pairs / row_sums[:, None]
     initial = first / total
-    return validate(ChainModel.from_arrays(initial, transition, states))
+    return ChainModel.from_arrays(initial, transition, states)

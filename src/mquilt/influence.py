@@ -44,13 +44,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .chains import (
-    ChainModel,
-    SpectralInfo,
-    marginal,
-    transition_power,
-    validate,
-)
+from .chains import ChainModel, SpectralInfo, marginal, transition_power
 from .errors import BadShape, EmptyThetaSet
 
 __all__ = [
@@ -299,7 +293,6 @@ def exact_max_influence(model: ChainModel, shape: QuiltShape) -> float:
     This is a one-node block of :func:`_exact_influences` at one offset
     pair; the quilt search runs the kernel over every offset.
     """
-    model = validate(model)
     if shape.is_empty:
         return 0.0
     i, a, b = shape.node, shape.left, shape.right

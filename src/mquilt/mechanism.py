@@ -121,7 +121,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .chains import ChainModel, SpectralInfo, StateSequence, marginal, spectral, validate
+from .chains import ChainModel, SpectralInfo, StateSequence, marginal, spectral
 from .errors import (
     BadState,
     EmptyThetaSet,
@@ -188,6 +188,8 @@ class Framework:
 
     The secrets are the values of every node inside ``window``; the
     adversary's belief is one of ``models``, all over the same state space.
+    Each model is valid once built, so the framework checks only that they
+    share their labels, and compares equal to another with equal fields.
     """
 
     horizon: int
@@ -199,7 +201,7 @@ class Framework:
             raise MquiltError(f"horizon must be >= 1, got {self.horizon}")
         if not self.models:
             raise EmptyThetaSet("a framework needs at least one chain model")
-        models = tuple(validate(m) for m in self.models)
+        models = tuple(self.models)
         first = models[0]
         for m in models[1:]:
             if m.states != first.states:
@@ -220,7 +222,9 @@ class Framework:
         return self.models[0].states
 
     def window_model(self, model: ChainModel) -> ChainModel:
-        """The window's own chain: same transitions, initial law at start."""
+        """The window's own chain: same transitions, initial law at start,
+        normalized as every model is when built. The quilt search builds
+        none: it steps from the unnormalized law (see :func:`_marginals`)."""
         return ChainModel(model.states, marginal(model, self.window.start), model.transition)
 
 
@@ -590,11 +594,18 @@ def _best_quilts(
     return s[rows, pick], a[rows, pick], b[rows, pick]
 
 
-def _marginals(model: ChainModel, L: int) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
-    """Marginal laws of the first ``L`` nodes as ``(rows, classes)``: the
-    distinct rows the recursion steps through, and each node's class, the
-    index of the least row equal to its law bit for bit, so node ``i``'s law
-    is ``rows[classes[i - 1]]``.
+def _marginals(
+    model: ChainModel, L: int, start: int = 1
+) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """Marginal laws of the ``L`` nodes from node ``start`` on as ``(rows,
+    classes)``: the distinct rows the recursion steps through, and each
+    node's class, the index of the least row equal to its law bit for bit,
+    so the law of the search's node ``i`` is ``rows[classes[i - 1]]``.
+
+    The recursion starts at ``marginal(model, start)`` as it is, which at
+    ``start = 1`` is ``model.initial`` bit for bit. Building a model of the
+    window would normalize that law again and could move its last bits,
+    and every score after them.
 
     The recursion is a function of the previous row's bits, so once row
     ``t`` repeats an earlier row ``s`` bit for bit, every later row repeats
@@ -605,7 +616,8 @@ def _marginals(model: ChainModel, L: int) -> tuple[NDArray[np.float64], NDArray[
     chains at k = 3, 5, 10 and 30 cycle with a period of 3 or more (up to
     4, 7, 12 and 25 rows), and every one of them repeats a row by step 51.
     """
-    row, seen = model.initial, {model.initial.tobytes(): 0}
+    row = marginal(model, start)
+    seen = {row.tobytes(): 0}
     classes = np.arange(L)
     for t in range(1, L):
         nxt = np.maximum(row @ model.transition, 0.0)
@@ -843,7 +855,8 @@ def quilt_scores(
     winning quilts of the searched nodes, with global node indices, as runs.
 
     ``scope`` chooses the node loop: ``"window"`` treats the release window
-    as its own chain (initial law advanced to the window start), while
+    as its own chain (initial law advanced to the window start, as
+    :func:`_marginals` steps it), while
     ``"chain"`` searches every node of the full horizon, which can only
     raise the noise scale.
 
@@ -878,11 +891,9 @@ def quilt_scores(
     if scope == "window":
         L = framework.window.length
         offset = framework.window.start - 1
-        search_models = [framework.window_model(m) for m in framework.models]
     else:
         L = framework.horizon
         offset = 0
-        search_models = list(framework.models)
     # The empty quilt scores L / epsilon, the largest scale the search can
     # return; that times the largest unit_laplace draw (52 ln 2) must be finite.
     if not math.isfinite(L / float(epsilon) * (52 * math.log(2))):
@@ -890,9 +901,9 @@ def quilt_scores(
 
     sigma_max = 0.0
     active: dict[int, QuiltRuns] = {}
-    for idx, model in enumerate(search_models):
+    for idx, model in enumerate(framework.models):
         if variant is Variant.EXACT:
-            marginals, info = _marginals(model, L), None
+            marginals, info = _marginals(model, L, offset + 1), None
         else:
             marginals, info = None, spectral(model)
         runs, caps, most, blocks, distinct, shared = _search_model(

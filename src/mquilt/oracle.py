@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .chains import ChainModel, marginal, validate
+from .chains import ChainModel, marginal
 from .errors import (
     BadShape,
     InvalidEpsilon,
@@ -93,7 +93,6 @@ def sequence_probs(model: ChainModel, seqs: NDArray[np.int64]) -> NDArray[np.flo
     """Probability of each enumerated trajectory under the model, its
     factors multiplied from the first step to the last. Each step's
     transition factors are one gather from the flattened matrix."""
-    model = validate(model)
     k, flat = model.k, model.transition.ravel()
     probs = model.initial[seqs[:, 0]]
     for t in range(1, seqs.shape[1]):
@@ -397,7 +396,6 @@ def enumerated_max_influence(
     one gives ``inf``. Raises ``InvalidTime`` for a node outside
     ``1..horizon``.
     """
-    model = validate(model)
     T = horizon if horizon is not None else max([node, *node_set])
     bad = [n for n in (node, *node_set) if not 1 <= n <= T]
     if bad:

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chains import ChainModel, StateSequence
-from .errors import FormatError
+from .errors import FormatError, MquiltError
 from .mechanism import Framework, ReleaseRecord, Window, quilt_scores
 
 __all__ = [
@@ -67,8 +67,15 @@ def model_to_dict(model: ChainModel) -> dict:
 
 
 def model_from_dict(d: dict) -> ChainModel:
+    """The model a document holds. A malformed document raises
+    ``FormatError``; a well-formed but invalid model, the error
+    :class:`~mquilt.chains.ChainModel` raises for it."""
     try:
+        if not isinstance(d["states"], list):
+            raise TypeError("'states' is not an array of labels")
         return ChainModel.from_arrays(d["initial"], d["transition"], d["states"])
+    except MquiltError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed model document: {exc}") from exc
 
@@ -178,18 +185,23 @@ def _line_doc(line: bytes, where: str, skim: bool = False) -> dict:
 
 def _last_line(fh) -> tuple[bytes, bool]:
     """The last non-blank line of a binary file, read backwards from its end
-    in blocks, and whether the file ends with a newline."""
+    in blocks, and whether the file ends with a newline. Only each new block
+    is searched for the newline, so the cost is linear in the line's length."""
     pos = fh.seek(0, os.SEEK_END)
-    tail = b""
+    blocks: list[bytes] = []  # from the end of the file back
+    blank = True  # whether the blocks read hold only whitespace
     while pos > 0:
         step = min(_TAIL_BLOCK, pos)
         pos -= step
         fh.seek(pos)
-        tail = fh.read(step) + tail
-        body = tail.rstrip()
+        blocks.append(fh.read(step))
+        body = blocks[-1].rstrip() if blank else blocks[-1]
+        blank = not body
         cut = body.rfind(b"\n")
         if cut >= 0:
-            return body[cut + 1 :], tail.endswith(b"\n")
+            line = body[cut + 1 :] + b"".join(blocks[-2::-1])
+            return line.rstrip(), blocks[0].endswith(b"\n")
+    tail = b"".join(reversed(blocks))
     return tail.strip(), tail.endswith(b"\n")
 
 

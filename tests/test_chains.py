@@ -123,7 +123,7 @@ def test_stationary_law_is_invariant():
     one = ChainModel.from_arrays([1.0], [[1.0]])
     for m in (one, two, sticky):
         pi = spectral(m).stationary
-        np.testing.assert_allclose(pi @ validate(m).transition, pi, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pi @ m.transition, pi, rtol=0, atol=1e-13)
         assert pi.sum() == pytest.approx(1.0, abs=1e-13)
     np.testing.assert_array_equal(spectral(one).stationary, [1.0])
     np.testing.assert_allclose(
@@ -229,27 +229,23 @@ def test_spectral_ergodicity_verdicts_match_graph_search():
 
 
 def test_validate_duplicate_labels():
-    m = ChainModel(("a", "a"), np.array([0.5, 0.5]), np.eye(2))
     with pytest.raises(DuplicateLabel):
-        validate(m)
+        ChainModel(("a", "a"), np.array([0.5, 0.5]), np.eye(2))
 
 
 def test_validate_negative_entry():
-    m = ChainModel.from_arrays([0.5, 0.5], [[1.1, -0.1], [0.5, 0.5]])
     with pytest.raises(NegativeEntry):
-        validate(m)
+        ChainModel.from_arrays([0.5, 0.5], [[1.1, -0.1], [0.5, 0.5]])
 
 
 def test_validate_bad_row_sum():
-    m = ChainModel.from_arrays([0.5, 0.5], [[0.6, 0.6], [0.5, 0.5]])
     with pytest.raises(NonStochasticRow):
-        validate(m)
+        ChainModel.from_arrays([0.5, 0.5], [[0.6, 0.6], [0.5, 0.5]])
 
 
 def test_validate_bad_initial_sum():
-    m = ChainModel.from_arrays([0.7, 0.7], [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(BadInitial):
-        validate(m)
+        ChainModel.from_arrays([0.7, 0.7], [[0.5, 0.5], [0.5, 0.5]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -263,15 +259,13 @@ def test_validate_refuses_non_finite_entries(bad):
 
 
 def test_validate_initial_shape_mismatch():
-    m = ChainModel(("0", "1"), np.array([1.0]), np.eye(2))
     with pytest.raises(BadInitial):
-        validate(m)
+        ChainModel(("0", "1"), np.array([1.0]), np.eye(2))
 
 
 def test_validate_nonsquare_transition():
-    m = ChainModel(("0", "1"), np.array([0.5, 0.5]), np.ones((2, 3)) / 3)
     with pytest.raises(MquiltError):
-        validate(m)
+        ChainModel(("0", "1"), np.array([0.5, 0.5]), np.ones((2, 3)) / 3)
 
 
 def test_validate_normalizes_tiny_drift():
@@ -279,9 +273,8 @@ def test_validate_normalizes_tiny_drift():
     m = ChainModel.from_arrays(
         [0.5 + drift, 0.5], [[0.25, 0.75 + drift], [0.5, 0.5]]
     )
-    out = validate(m)
-    np.testing.assert_allclose(out.transition.sum(axis=1), 1.0, atol=0)
-    assert out.initial.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(m.transition.sum(axis=1), 1.0, atol=0)
+    assert m.initial.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_validate_is_a_fixed_point():
@@ -290,10 +283,8 @@ def test_validate_is_a_fixed_point():
         k = int(rng.integers(1, 40))
         P = rng.random((k, k)) + rng.choice([0.0, 0.05])
         q = rng.random(k) + 0.05
-        once = validate(
-            ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
-        )
-        twice = validate(once)
+        once = ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
+        twice = ChainModel(once.states, once.initial, once.transition)
         assert twice.initial.tobytes() == once.initial.tobytes()
         assert twice.transition.tobytes() == once.transition.tobytes()
 
@@ -326,5 +317,5 @@ def test_random_model_always_validates():
     rng = np.random.default_rng(3)
     for _ in range(25):
         m = random_model(int(rng.integers(1, 6)), rng)
-        validate(m)
+        validate(m.states, m.initial, m.transition)
         spectral(m)

@@ -35,6 +35,7 @@ from mquilt.mechanism import (
     count_state_query,
     release,
 )
+from mquilt.oracle import empirical_epsilon, enumerate_sequences, release_values
 
 IND = ChainModel.from_arrays([0.3, 0.7], [[0.3, 0.7], [0.3, 0.7]])
 FAST = ChainModel.from_arrays([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])
@@ -423,3 +424,67 @@ def test_auto_is_no_worse_than_any_rule_that_accepts_the_pair(pair, divergence):
         except MquiltError:  # the rule's preconditions refuse this pair
             continue
         assert auto <= eps, (name, auto, eps)
+
+
+def _audited_chain(seed, k, kind):
+    """A chain of random rows ("rough"), the same with zeros in its rows
+    and initial law ("rough-with-zeros"), a sticky chain, or a chain whose
+    state 0 absorbs. Only "rough" and "sticky" chains are surely
+    irreducible and aperiodic, as the approx variant needs."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((k, k)) + 0.05
+    q = rng.random(k) + 0.05
+    if kind == "rough-with-zeros":
+        P[rng.random((k, k)) < 0.3] = 0.0
+        P[np.arange(k), rng.integers(0, k, k)] += 0.05  # no empty row
+        q[rng.random(k) < 0.5] = 0.0
+        q[rng.integers(k)] += 0.05
+    P /= P.sum(axis=1, keepdims=True)
+    if kind == "sticky":
+        P = 0.1 * P + 0.9 * np.eye(k)
+    elif kind == "absorbing":
+        P[0] = np.eye(k)[0]
+    return ChainModel.from_arrays(q / q.sum(), P)
+
+
+@st.composite
+def _audited_pairs(draw):
+    """Two count releases of a chain of 2 or 3 states over at most 8 nodes,
+    in one window (composed by thm6) or in two disjoint windows (thm2)."""
+    k = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["rough", "rough-with-zeros", "sticky", "absorbing"]))
+    model = _audited_chain(draw(st.integers(0, 2**32 - 1)), k, kind)
+    variants = [Variant.EXACT, Variant.APPROX] if kind in ("rough", "sticky") else [Variant.EXACT]
+    T = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        start = draw(st.integers(1, T))
+        windows = [Window(start, draw(st.integers(start, T)))] * 2
+    else:
+        a = draw(st.integers(1, T - 1))
+        b = draw(st.integers(a, T - 1))
+        c = draw(st.integers(b + 1, T))
+        windows = [Window(a, b), Window(c, draw(st.integers(c, T)))]
+    queries = [count_state_query(draw(st.integers(0, k - 1)), k) for _ in windows]
+    records = [
+        release(StateSequence(np.zeros(win.length, dtype=np.int64)), query,
+                draw(st.floats(0.1, 5.0)), Framework(T, win, (model,)),
+                draw(st.sampled_from(variants)), seed=n)
+        for n, (win, query) in enumerate(zip(windows, queries))
+    ]
+    return model, T, records, queries
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_audited_pairs())
+def test_auto_budget_bounds_the_exact_joint_epsilon(pair):
+    # The oracle's worst log ratio of the joint output law, over every node
+    # of either window, never exceeds the budget compose_auto prints.
+    model, T, records, queries = pair
+    report = compose_auto(records, (model,))
+    assert report.rule in (CompositionRule.MQM_SEQUENTIAL, CompositionRule.GENERAL_PARALLEL)
+    seqs = enumerate_sequences(model.k, T)
+    releases = [release_values(r, q, seqs) for r, q in zip(records, queries)]
+    nodes = sorted({i for r in records for i in range(r.window.start, r.window.end + 1)})
+    joint = empirical_epsilon(Framework(T, Window(1, T), (model,)), releases,
+                              secret_nodes=nodes, seqs=seqs)
+    assert joint.value <= report.epsilon + 1e-9, (joint.value, report.epsilon)

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import multiprocessing
 from pathlib import Path
@@ -6,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mquilt import cli, mechanism, oracle, storage
 from mquilt.chains import ChainModel, StateSequence, random_model, sample
@@ -446,7 +449,7 @@ def test_read_ledger_by_ids_matches_full_read(tmp_path, capsys):
             assert got.framework.window == exp.framework.window
             assert len(got.framework.models) == len(exp.framework.models)
             assert all(
-                a.equal_to(b)
+                a == b
                 for a, b in zip(got.framework.models, exp.framework.models)
             )
     # Damage on a line that was not asked for is still refused.
@@ -479,6 +482,18 @@ def test_append_decodes_only_the_last_line(tmp_path, monkeypatch):
     monkeypatch.setattr(storage, "_loads", counting_loads)
     assert append_release(path, fw, [rec])[0].entry_id == 501
     assert len(calls) <= 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([b"\n", b" ", b"\r", b"a", b"}"]), max_size=24),
+       st.integers(1, 5))
+def test_last_line_is_the_last_non_blank_line(pieces, block):
+    # Blocks of a few bytes put newlines and blank runs on block edges.
+    data = b"".join(pieces)
+    body = data.rstrip()
+    want = body.rsplit(b"\n", 1)[1] if b"\n" in body else body.strip()
+    with mock.patch.object(storage, "_TAIL_BLOCK", block):
+        assert storage._last_line(io.BytesIO(data)) == (want, data.endswith(b"\n"))
 
 
 def _histogram(k=30, L=40, eps=3.0, variant=Variant.APPROX, seed=1):
@@ -599,7 +614,7 @@ def test_v1_ledger_reads_composes_and_replays_beside_v2_releases(tmp_path, capsy
     assert [e.record for e in full] == [rec for _, rec in written]
     for e, (fw, _) in zip(full, written):
         assert e.framework.window == fw.window
-        assert all(a.equal_to(b) for a, b in zip(e.framework.models, fw.models))
+        assert all(a == b for a, b in zip(e.framework.models, fw.models))
     for ids in ([2, 5], [7, 1, 3], [6]):
         assert [e.record for e in read_ledger(path, ids)] == [
             full[i - 1].record for i in sorted(ids)
@@ -807,6 +822,50 @@ def test_ledger_with_blank_lines_still_reads(tmp_path):
     entries = read()
     ledger.write_text("\n" + ledger.read_text().replace("\n", "\n\n  \n"))
     assert read() == entries and [i for i, _ in entries] == [1, 2]
+
+
+def test_equal_models_and_ledger_reads_compare_equal(tmp_path):
+    # Models compare by labels and both arrays, so frameworks and ledger
+    # entries that hold them compare by value too.
+    ledger = _refusal_inputs(tmp_path)["ledger"]
+    assert read_ledger(ledger) == read_ledger(ledger)
+    again = ChainModel.from_arrays([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]])
+    assert again == LAZY and again is not LAZY
+    assert again != ChainModel.from_arrays([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]], ["a", "b"])
+    assert again != ChainModel.from_arrays([0.5, 0.5], [[0.8, 0.2], [0.3, 0.7]])
+    assert again != ChainModel.from_arrays([0.6, 0.4], [[0.8, 0.2], [0.4, 0.6]])
+
+
+_INVALID_MODELS = {
+    "negative-entry": ({"transition": [[1.1, -0.1], [0.3, 0.7]]},
+                       "transition[0][1] = -0.1 is negative"),
+    "duplicate-labels": ({"states": ["a", "a"]}, "state label 'a' appears more than once"),
+    "row-sum": ({"transition": [[0.6, 0.6], [0.3, 0.7]]},
+                "transition row 0 sums to 1.2, not 1"),
+    "string-states": ({"states": "ab"},
+                      "malformed model document: 'states' is not an array of labels"),
+}
+_MODEL_VERBS = {
+    "gap": ["gap"],
+    "simulate": ["simulate", "--T", "5", "--seed", "1", "--out", "{out}"],
+    "release": ["release", "--data", "{data}", "--query", "count:a", "--epsilon", "1",
+                "--seed", "1"],
+    "verify-soundness": ["verify", "soundness", "--T", "4", "--seeds", "1"],
+}
+
+
+@pytest.mark.parametrize("verb", list(_MODEL_VERBS))
+@pytest.mark.parametrize("fault", list(_INVALID_MODELS))
+def test_cli_refuses_an_invalid_model_file(tmp_path, capsys, fault, verb):
+    changes, message = _INVALID_MODELS[fault]
+    model, data, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "sim.csv"
+    valid = {**model_to_dict(LAZY), "states": ["a", "b"]}
+    model.write_text(json.dumps({**valid, **changes}))
+    save_sequence([0, 1, 0, 0], data)
+    argv = [a.format(data=data, out=out) for a in _MODEL_VERBS[verb]]
+    assert main(argv + ["--model", str(model)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_cli_missing_files_exit_2(tmp_path, capsys):

@@ -619,8 +619,9 @@ def _unshared_search_model(model, marginals, info, L, epsilon):
 def _unshared(fw, eps, scope="window"):
     """The exact search with no node sharing another's kernel call. Each of
     its model searches is also run by the shared search, which must agree
-    node for node. Both take the marginals stepped to the last node, with
-    each node's class its least bitwise equal row."""
+    node for node. Both take the marginals stepped from the first searched
+    node's law to the last node, with each node's class its least bitwise
+    equal row."""
     shared = mechanism._search_model
 
     def search(*args):
@@ -628,8 +629,9 @@ def _unshared(fw, eps, scope="window"):
         assert shared(*args)[0] == want[0]
         return want
 
-    def stepped(model, L):
-        table = _stepped_marginals(model, L)
+    def stepped(model, L, start):
+        first = mock.Mock(k=model.k, initial=marginal(model, start), transition=model.transition)
+        table = _stepped_marginals(first, L)
         return table, np.array(_least_equal_rows(table))
 
     with mock.patch.object(mechanism, "_search_model", search), \
