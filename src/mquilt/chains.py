@@ -105,6 +105,11 @@ class ChainModel:
             and np.array_equal(self.transition, other.transition)
         )
 
+    def __reduce__(self):
+        # Pickling and deep copies rebuild through construction, so the
+        # copy's arrays are read-only too; validate is a fixed point.
+        return ChainModel, (self.states, self.initial, self.transition)
+
     @property
     def k(self) -> int:
         """Number of states."""
@@ -120,7 +125,9 @@ class ChainModel:
         """Build a model, defaulting labels to ``"0", "1", ...``."""
         q = np.asarray(initial, dtype=np.float64)
         if states is None:
-            states = tuple(str(i) for i in range(q.shape[-1]))
+            if q.ndim != 1:
+                raise BadInitial(f"initial distribution must be 1-D, got shape {q.shape}")
+            states = tuple(str(i) for i in range(q.size))
         return cls(tuple(states), q, np.asarray(transition, dtype=np.float64))
 
     def state_index(self, label: str) -> int:

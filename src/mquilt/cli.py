@@ -34,11 +34,8 @@ from .influence import QuiltShape, Variant, approx_max_influence, approx_offset_
 from .mechanism import (
     Framework,
     Window,
-    _window_values,
     count_state_query,
-    quilt_scores,
     release,
-    release_record,
 )
 from .oracle import (
     check_joint_remote_bound,
@@ -166,19 +163,11 @@ def _cmd_release(args) -> int:
         raise FormatError(
             f"unknown query {args.query!r}; use 'count:<state>' or 'histogram'"
         )
-    _window_values(data, framework)  # data that misses the window is never searched
-
-    # The queries split the budget, which thm6 sums back, and share one search;
-    # each draws its noise in turn from one generator (OS entropy without a seed).
-    epsilon = args.epsilon / len(queries)
-    search = quilt_scores(framework, epsilon, variant, scope=args.scope)
-    rng = np.random.default_rng(args.seed)
-    records = [
-        release_record(
-            search, data, q, epsilon, framework, variant, rng, scope=args.scope
-        )
-        for q in queries
-    ]
+    # The queries split the budget, which thm6 sums back, and share one search.
+    records = release(
+        data, queries, args.epsilon / len(queries), framework, variant, args.seed,
+        scope=args.scope,
+    )
     entries = append_release(args.ledger, framework, records) if args.ledger else []
     ids = [e.entry_id for e in entries]
 
@@ -298,7 +287,7 @@ def _cmd_verify_soundness(args) -> int:
         fw = Framework(T, Window(1, T), (model,))
         q = count_state_query(int(rng.integers(0, model.k)), model.k)
         data = StateSequence(rng.integers(0, model.k, T))
-        rec = release(data, q, args.epsilon, fw, variant, int(rng.integers(2**32)))
+        (rec,) = release(data, [q], args.epsilon, fw, variant, int(rng.integers(2**32)))
         seqs = enumerate_sequences(model.k, T)
         vals, sigma = release_values(rec, q, seqs)
         emp = empirical_epsilon(fw, [(vals, sigma)], seqs=seqs)

@@ -74,7 +74,7 @@ class BadState(MquiltError):
 
 
 class EmptyInput(MquiltError):
-    """A composition rule received no release records."""
+    """A composition rule received no release records, or a release no queries."""
 
 
 class MixedFrameworks(MquiltError):

@@ -108,7 +108,10 @@ Neither variant builds a two-sided table of more than
 :class:`~mquilt.errors.TooLarge`.
 
 Scores depend only on the framework, the budget, and the variant, never on
-the observed data, so records can be replayed and audited.
+the observed data, so records can be replayed and audited. For the same
+reason :func:`release`, the one release function, searches once for a list
+of queries over one window, the buckets of a histogram say, and draws each
+query's noise in turn from one generator.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -124,6 +127,7 @@ from numpy.typing import NDArray
 from .chains import ChainModel, SpectralInfo, StateSequence, marginal, spectral
 from .errors import (
     BadState,
+    EmptyInput,
     EmptyThetaSet,
     InvalidEpsilon,
     LengthMismatch,
@@ -152,7 +156,6 @@ __all__ = [
     "ReleaseRecord",
     "quilt_scores",
     "release",
-    "release_record",
     "unit_laplace",
 ]
 
@@ -687,7 +690,7 @@ def _search_model(
     info: SpectralInfo | None,
     L: int,
     epsilon: float,
-) -> tuple[list[list], dict[int, int], int, int, int, int]:
+) -> tuple[list[list], dict[int, int], int, int, int]:
     """Best quilt of every local node over all offsets, as runs
     ``[first, last, left, right, score]`` of consecutive local nodes with
     one shape and score.
@@ -702,9 +705,9 @@ def _search_model(
     still open shares one offset cap per step, which doubles until the
     node's winner is certified (see the module docstring); cap ``L`` stands
     for every node's full reach.
-    Also returns the node steps taken at each cap, the number of steps,
-    the number of exact-kernel blocks, and the numbers of node steps
-    scored from their own inputs and served from another node's winner.
+    Also returns the node steps taken at each cap, the number of
+    exact-kernel blocks, and the numbers of node steps scored from their
+    own inputs and served from another node's winner.
     """
     exact = marginals is not None
     cap = L if 2 * _FIRST_CAP >= L else _FIRST_CAP
@@ -839,7 +842,7 @@ def _search_model(
         for f, l, a, b, s in zip(firsts.tolist(), lasts.tolist(), win_a[firsts].tolist(),
                                  win_b[firsts].tolist(), win_s[firsts].tolist())
     ]
-    return runs, caps, len(caps), blocks, distinct, shared
+    return runs, caps, blocks, distinct, shared
 
 
 def quilt_scores(
@@ -906,13 +909,13 @@ def quilt_scores(
             marginals, info = _marginals(model, L, offset + 1), None
         else:
             marginals, info = None, spectral(model)
-        runs, caps, most, blocks, distinct, shared = _search_model(
+        runs, caps, blocks, distinct, shared = _search_model(
             model, marginals, info, L, epsilon)
         _log.debug(
             "model %d (%s): %d nodes, node steps at caps %s, at most %d per node, "
             "%d kernel blocks, %d distinct node inputs, %d nodes served from the shared "
             "table, %d quilt runs",
-            idx, variant.value, L, dict(sorted(caps.items())), most, blocks, distinct, shared,
+            idx, variant.value, L, dict(sorted(caps.items())), len(caps), blocks, distinct, shared,
             len(runs),
         )
         active[idx] = QuiltRuns._canonical(tuple(
@@ -923,7 +926,30 @@ def quilt_scores(
     return sigma_max, active
 
 
-def _window_values(data: StateSequence, framework: Framework) -> NDArray[np.int64]:
+def release(
+    data: StateSequence,
+    queries: Sequence[LipschitzQuery],
+    epsilon: float,
+    framework: Framework,
+    variant: Variant,
+    seed: int | np.random.Generator | None = None,
+    *,
+    scope: str = "window",
+) -> list[ReleaseRecord]:
+    """Release noisy values of ``queries`` over the framework's window, each
+    at budget ``epsilon``.
+
+    The data are checked against the window, then :func:`quilt_scores` runs
+    once: its scale depends on neither the data nor the query, so the
+    queries (the buckets of a histogram, say) share it, and Theorem 6 adds
+    their budgets. Each query value is rescaled to sensitivity 1, then
+    Laplace noise at that scale is added, the queries drawing in turn from
+    ``default_rng(seed)``: a fixed seed reproduces the draws, ``None`` draws
+    on fresh OS entropy, and a ``Generator`` is drawn from as it stands.
+    Each record carries its noisy output, the scale, and the winning
+    quilts, but not the seed; consumers un-scale on read. An empty
+    ``queries`` raises :class:`~mquilt.errors.EmptyInput` before any search.
+    """
     values = data.values if isinstance(data, StateSequence) else np.asarray(data)
     if values.ndim != 1 or values.size != framework.window.length:
         raise LengthMismatch(
@@ -931,69 +957,22 @@ def _window_values(data: StateSequence, framework: Framework) -> NDArray[np.int6
         )
     if values.size and (values.min() < 0 or values.max() >= framework.k):
         raise BadState(f"data mentions states outside 0..{framework.k - 1}")
-    return values
-
-
-def release(
-    data: StateSequence,
-    query: LipschitzQuery,
-    epsilon: float,
-    framework: Framework,
-    variant: Variant,
-    seed: int | np.random.Generator | None = None,
-    *,
-    scope: str = "window",
-) -> ReleaseRecord:
-    """Release one noisy query value over the framework's window.
-
-    Runs :func:`quilt_scores` and hands its result to
-    :func:`release_record`, which adds the noise.
-    """
-    _window_values(data, framework)
-    search = quilt_scores(framework, epsilon, variant, scope=scope)
-    return release_record(
-        search, data, query, epsilon, framework, variant, seed, scope=scope
-    )
-
-
-def release_record(
-    search: tuple[float, Mapping[int, QuiltRuns]],
-    data: StateSequence,
-    query: LipschitzQuery,
-    epsilon: float,
-    framework: Framework,
-    variant: Variant,
-    seed: int | np.random.Generator | None = None,
-    *,
-    scope: str = "window",
-) -> ReleaseRecord:
-    """Release a noisy query value at the scale a finished search found.
-
-    ``search`` is what :func:`quilt_scores` returned for ``framework``,
-    ``epsilon``, ``variant`` and ``scope``; it does not depend on the data
-    or the query, so several queries over one window (the buckets of a
-    histogram) can share it. The query value is rescaled to sensitivity 1,
-    then Laplace noise at the searched scale is added, drawn from
-    ``default_rng(seed)``: a fixed seed reproduces the draw, ``None`` draws
-    on fresh OS entropy, and a ``Generator`` is drawn from as it stands, so
-    the buckets of a histogram can take their draws in turn from one
-    generator. The returned record carries the noisy output, the
-    scale, and the winning quilts, but not the seed; consumers un-scale on
-    read.
-    """
-    values = _window_values(data, framework)
-    sigma_max, active = search
+    if not queries:
+        raise EmptyInput("no queries to release")
+    sigma_max, active = quilt_scores(framework, epsilon, variant, scope=scope)
     rng = np.random.default_rng(seed)
-    noise = unit_laplace(rng)
-    scaled = float(query.evaluate(values)) / query.lipschitz_constant
-    return ReleaseRecord(
-        variant=variant,
-        epsilon=float(epsilon),
-        sigma_max=float(sigma_max),
-        output=scaled + sigma_max * noise,
-        query_id=query.identifier,
-        lipschitz_constant=float(query.lipschitz_constant),
-        window=framework.window,
-        active_quilts=active,
-        scope=scope,
-    )
+    return [
+        ReleaseRecord(
+            variant=variant,
+            epsilon=float(epsilon),
+            sigma_max=float(sigma_max),
+            output=float(q.evaluate(values)) / q.lipschitz_constant
+            + sigma_max * unit_laplace(rng),
+            query_id=q.identifier,
+            lipschitz_constant=float(q.lipschitz_constant),
+            window=framework.window,
+            active_quilts=active,
+            scope=scope,
+        )
+        for q in queries
+    ]

@@ -73,6 +73,10 @@ def model_from_dict(d: dict) -> ChainModel:
     try:
         if not isinstance(d["states"], list):
             raise TypeError("'states' is not an array of labels")
+        for n, label in enumerate(d["states"]):
+            # bool is an int, but JSON true and false are not numbers
+            if isinstance(label, bool) or not isinstance(label, (str, int, float)):
+                raise TypeError(f"state label {n} is {json.dumps(label)}, not a string or number")
         return ChainModel.from_arrays(d["initial"], d["transition"], d["states"])
     except MquiltError:
         raise

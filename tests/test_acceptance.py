@@ -90,9 +90,9 @@ def test_criterion_2_release_soundness():
         model = random_model(2, rng)
         fw = Framework(4, Window(1, 4), (model,))
         for eps in (0.5, 1.0):
-            rec = release(
+            (rec,) = release(
                 StateSequence(np.zeros(4, dtype=np.int64)),
-                query,
+                [query],
                 eps,
                 fw,
                 Variant.EXACT,
@@ -122,8 +122,8 @@ def test_criterion_3_sequential_composition_soundness():
         model = random_model(2, rng)
         fw = Framework(4, Window(1, 4), (model,))
         data = StateSequence(rng.integers(0, 2, size=4))
-        ra = release(data, q0, 0.4, fw, Variant.EXACT, seed=n)
-        rb = release(data, q1, 0.8, fw, Variant.EXACT, seed=100 + n)
+        (ra,) = release(data, [q0], 0.4, fw, Variant.EXACT, seed=n)
+        (rb,) = release(data, [q1], 0.8, fw, Variant.EXACT, seed=100 + n)
         if any(
             x.shape != y.shape
             for x, y in zip(ra.active_quilts[0], rb.active_quilts[0])
@@ -158,8 +158,8 @@ def test_criterion_4_parallel_composition_soundness():
         fa = Framework(6, Window(1, 2), (model,))
         fb = Framework(6, Window(5, 6), (model,))
         blank = StateSequence(np.zeros(2, dtype=np.int64))
-        ra = release(blank, query, eps_a, fa, Variant.EXACT, seed=n)
-        rb = release(blank, query, eps_b, fb, Variant.EXACT, seed=n)
+        (ra,) = release(blank, [query], eps_a, fa, Variant.EXACT, seed=n)
+        (rb,) = release(blank, [query], eps_b, fb, Variant.EXACT, seed=n)
         fw_all = Framework(6, Window(1, 6), (model,))
         rep = compose_parallel_general(ra, rb, fw_all.models)
         assert rep.epsilon >= max(eps_a, eps_b) - 1e-12
@@ -268,14 +268,14 @@ def test_criterion_9_accountant_orderings():
         data = StateSequence(np.zeros(4, dtype=np.int64))
         eps_a = float(rng.uniform(0.3, 1.5))
         eps_b = float(rng.uniform(0.3, 1.5))
-        ra = release(data, query, eps_a, fw, Variant.EXACT, seed=n)
+        (ra,) = release(data, [query], eps_a, fw, Variant.EXACT, seed=n)
         try:
-            rb = release(data, query, eps_b, fw, Variant.EXACT, seed=n + 50)
+            (rb,) = release(data, [query], eps_b, fw, Variant.EXACT, seed=n + 50)
             rep1 = compose_sequential_legacy([ra, rb])
         except QuiltMismatch:
             # different budgets moved a winning quilt; an equal-budget pair
             # always satisfies the identical-quilts precondition
-            rb = release(data, query, eps_a, fw, Variant.EXACT, seed=n + 50)
+            (rb,) = release(data, [query], eps_a, fw, Variant.EXACT, seed=n + 50)
             rep1 = compose_sequential_legacy([ra, rb])
         rep6 = compose_sequential_mqm([ra, rb])
         assert rep6.epsilon <= rep1.epsilon + 1e-12, (rep6.epsilon, rep1.epsilon)
@@ -297,8 +297,8 @@ def test_criterion_9_accountant_orderings():
         fa = Framework(t4, Window(1, t2), (FAST,))
         fb = Framework(t4, Window(t3, t4), (FAST,))
         blank = StateSequence(np.zeros(span, dtype=np.int64))
-        ra = release(blank, query, eps_a, fa, Variant.APPROX, seed=1)
-        rb = release(blank, query, eps_b, fb, Variant.APPROX, seed=2)
+        (ra,) = release(blank, [query], eps_a, fa, Variant.APPROX, seed=1)
+        (rb,) = release(blank, [query], eps_b, fb, Variant.APPROX, seed=2)
         rep3 = compose_parallel_mqm_approx(ra, rb, (FAST,))
         if rep3.rule.value != "thm3":
             continue  # preconditions not met; draw another pair

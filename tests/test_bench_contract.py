@@ -45,3 +45,14 @@ def test_one_traced_pass_has_no_failed_operation(bench, workload, tmp_path):
     assert failed == 0, "\n".join(errors)
     metrics = tracer.metrics(1.0)
     assert sum(m["value"] for k, m in metrics.items() if k.endswith(".calls")) > 0
+
+
+def test_a_traced_release_pass_times_the_release_layer(bench, tmp_path):
+    # The CLI releases through mechanism.release, so the layer the tracer
+    # wraps under that name is on the path and reads a positive time.
+    workloads, run, spans, calibration = bench
+    tracer = spans.Tracer()
+    tracer.install()
+    run.run_passes(workloads.WORKLOADS["release-exact"](1, tmp_path), 0.0,
+                   calibration.Clock(), tracer)
+    assert tracer.metrics(1.0)["mechanism.release.s"]["value"] > 0

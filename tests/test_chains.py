@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -261,6 +263,10 @@ def test_validate_refuses_non_finite_entries(bad):
 def test_validate_initial_shape_mismatch():
     with pytest.raises(BadInitial):
         ChainModel(("0", "1"), np.array([1.0]), np.eye(2))
+    # Default labels are read off the initial law, which must be 1-D.
+    for initial in (1.0, [[1.0]], [[0.5, 0.5]]):
+        with pytest.raises(BadInitial, match="must be 1-D"):
+            ChainModel.from_arrays(initial, [[1.0]])
 
 
 def test_validate_nonsquare_transition():
@@ -287,6 +293,14 @@ def test_validate_is_a_fixed_point():
         twice = ChainModel(once.states, once.initial, once.transition)
         assert twice.initial.tobytes() == once.initial.tobytes()
         assert twice.transition.tobytes() == once.transition.tobytes()
+
+
+def test_pickled_and_copied_models_are_rebuilt_read_only():
+    m = ChainModel.from_arrays([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]], ["a", "b"])
+    for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert again == m and again is not m
+        assert not again.initial.flags.writeable
+        assert not again.transition.flags.writeable
 
 
 def test_state_index_round_trip_and_unknown():

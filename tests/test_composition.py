@@ -60,7 +60,8 @@ def _stub(eps, window=Window(1, 3), shape_args=(1, 1), node=2, variant=Variant.E
 def _released(eps, win, variant=Variant.EXACT, model=IND, T=5, seed=1):
     fw = Framework(T, Window(*win), (model,))
     data = StateSequence(np.zeros(fw.window.length, dtype=np.int64))
-    return release(data, count_state_query(0, 2), eps, fw, variant, seed=seed)
+    (rec,) = release(data, [count_state_query(0, 2)], eps, fw, variant, seed=seed)
+    return rec
 
 
 def test_budget_sum_rule():
@@ -388,8 +389,8 @@ def _record_pairs(draw):
     eps_b = draw(st.one_of(st.just(eps_a), st.floats(0.2, 12.0)))
     records = [
         release(StateSequence(np.zeros(win.length, dtype=np.int64)),
-                count_state_query(0, 2), eps, Framework(horizon, win, models),
-                draw(variants), seed=n)
+                [count_state_query(0, 2)], eps, Framework(horizon, win, models),
+                draw(variants), seed=n)[0]
         for n, (win, eps) in enumerate([(first, eps_a), (second, eps_b)])
     ]
     if draw(st.booleans()):
@@ -466,9 +467,9 @@ def _audited_pairs(draw):
         windows = [Window(a, b), Window(c, draw(st.integers(c, T)))]
     queries = [count_state_query(draw(st.integers(0, k - 1)), k) for _ in windows]
     records = [
-        release(StateSequence(np.zeros(win.length, dtype=np.int64)), query,
+        release(StateSequence(np.zeros(win.length, dtype=np.int64)), [query],
                 draw(st.floats(0.1, 5.0)), Framework(T, win, (model,)),
-                draw(st.sampled_from(variants)), seed=n)
+                draw(st.sampled_from(variants)), seed=n)[0]
         for n, (win, query) in enumerate(zip(windows, queries))
     ]
     return model, T, records, queries

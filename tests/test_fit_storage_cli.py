@@ -120,6 +120,14 @@ def test_model_dict_round_trip_survives_json():
     np.testing.assert_array_equal(back.transition, LAZY.transition)
 
 
+def test_model_labels_are_json_strings_or_numbers():
+    doc = model_to_dict(LAZY)
+    assert model_from_dict({**doc, "states": ["a", 1.5]}).states == ("a", "1.5")
+    for bad in (["a"], {"b": 1}, True, None):
+        with pytest.raises(FormatError, match="state label 0 is "):
+            model_from_dict({**doc, "states": [bad, "y"]})
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")
@@ -157,7 +165,8 @@ def test_framework_dict_round_trip():
 def _make_record(eps=0.7, seed=4):
     fw = Framework(4, Window(1, 4), (LAZY,))
     data = StateSequence(np.array([0, 1, 0, 0]))
-    return fw, release(data, count_state_query(0, 2), eps, fw, Variant.EXACT, seed)
+    (rec,) = release(data, [count_state_query(0, 2)], eps, fw, Variant.EXACT, seed)
+    return fw, rec
 
 
 def test_ledger_ids_increase(tmp_path):
@@ -195,7 +204,7 @@ def test_ledger_replay_matches_random_chains(tmp_path, k, variant):
         model = ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
         fw = Framework(40, Window(10, 33), (model,))
         data = StateSequence(rng.integers(0, k, 24))
-        rec = release(data, count_state_query(0, k), 1.5, fw, variant, n)
+        (rec,) = release(data, [count_state_query(0, k)], 1.5, fw, variant, n)
         append_release(path, fw, [rec])
     entries = read_ledger(path)
     assert len(entries) == 20
@@ -245,7 +254,7 @@ def _offset_window_line(**record_changes) -> str:
     """A line over nodes 2..5 of a 6-node horizon."""
     fw = Framework(6, Window(2, 5), (LAZY,))
     data = StateSequence(np.array([0, 1, 0, 0]))
-    rec = release(data, count_state_query(0, 2), 0.7, fw, Variant.EXACT, 4)
+    (rec,) = release(data, [count_state_query(0, 2)], 0.7, fw, Variant.EXACT, 4)
     return _v1_line(1, fw, rec, **record_changes)
 
 
@@ -436,7 +445,7 @@ def test_read_ledger_by_ids_matches_full_read(tmp_path, capsys):
     # Model sets alternate in runs, so a framework kept from one entry
     # would be wrong for the next.
     for n, fw in enumerate([one, one, two, one, two, two, one]):
-        rec = release(data, count_state_query(0, 2), 0.5 + n, fw, Variant.EXACT, n)
+        (rec,) = release(data, [count_state_query(0, 2)], 0.5 + n, fw, Variant.EXACT, n)
         append_release(path, fw, [rec])
     full = read_ledger(path)
     assert full[0].framework is full[1].framework
@@ -505,13 +514,8 @@ def _histogram(k=30, L=40, eps=3.0, variant=Variant.APPROX, seed=1):
     model = ChainModel.from_arrays(q / q.sum(), P / P.sum(axis=1, keepdims=True))
     fw = Framework(L + 20, Window(11, L + 10), (model,))
     data = StateSequence(rng.integers(0, k, L))
-    search = mechanism.quilt_scores(fw, eps / k, variant)
-    gen = np.random.default_rng(seed)
-    records = [
-        mechanism.release_record(search, data, count_state_query(s, k), eps / k, fw,
-                                 variant, gen)
-        for s in range(k)
-    ]
+    records = release(data, [count_state_query(s, k) for s in range(k)], eps / k, fw,
+                      variant, seed)
     return fw, records
 
 
@@ -591,9 +595,9 @@ def test_v1_ledger_reads_composes_and_replays_beside_v2_releases(tmp_path, capsy
     rng = np.random.default_rng(6)
     data = StateSequence(rng.integers(0, 2, 12))
     v1 = [
-        (early, release(data, count_state_query(0, 2), 0.6, early, Variant.EXACT, 1)),
-        (early, release(data, count_state_query(1, 2), 0.9, early, Variant.EXACT, 2)),
-        (late, release(data, count_state_query(0, 2), 0.7, late, Variant.APPROX, 3)),
+        (early, *release(data, [count_state_query(0, 2)], 0.6, early, Variant.EXACT, 1)),
+        (early, *release(data, [count_state_query(1, 2)], 0.9, early, Variant.EXACT, 2)),
+        (late, *release(data, [count_state_query(0, 2)], 0.7, late, Variant.APPROX, 3)),
     ]
     path.write_text(
         _v1_line(1, *v1[0]) + "\n"
@@ -603,7 +607,7 @@ def test_v1_ledger_reads_composes_and_replays_beside_v2_releases(tmp_path, capsy
     v2 = [
         (fw, rec)
         for fw in (early, late)
-        for rec in [release(data, count_state_query(s, 2), 0.4, fw, Variant.EXACT, s)
+        for rec in [release(data, [count_state_query(s, 2)], 0.4, fw, Variant.EXACT, s)[0]
                     for s in range(2)]
     ]
     append_release(path, early, [rec for _, rec in v2[:2]])
@@ -844,6 +848,9 @@ _INVALID_MODELS = {
                 "transition row 0 sums to 1.2, not 1"),
     "string-states": ({"states": "ab"},
                       "malformed model document: 'states' is not an array of labels"),
+    "non-scalar-label": ({"states": ["a", {"b": 1}]},
+                         'malformed model document: state label 1 is {"b": 1}, '
+                         "not a string or number"),
 }
 _MODEL_VERBS = {
     "gap": ["gap"],
@@ -1011,7 +1018,7 @@ def test_cli_refuses_negative_seeds(tmp_path, capsys):
 
 def test_cli_release_refuses_misfit_data_before_searching(tmp_path, capsys, monkeypatch):
     model_path, data_path = _write_inputs(tmp_path)
-    monkeypatch.setattr(cli, "quilt_scores", lambda *a, **kw: pytest.fail("searched"))
+    monkeypatch.setattr(mechanism, "quilt_scores", lambda *a, **kw: pytest.fail("searched"))
     for query in ("count:0", "histogram"):
         argv = ["release", "--model", model_path, "--data", data_path, "--query",
                 query, "--epsilon", "1", "--window", "1:4"]
@@ -1077,7 +1084,6 @@ def test_cli_histogram_runs_one_search(tmp_path, capsys, monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(mechanism, "quilt_scores", counting)
-    monkeypatch.setattr(cli, "quilt_scores", counting)
     argv = ["release", "--model", str(model_path), "--data", str(data_path),
             "--query", "histogram", "--epsilon", "1.2", "--variant", "approx",
             "--seed", "9", "--json"]
@@ -1090,12 +1096,12 @@ def test_cli_histogram_runs_one_search(tmp_path, capsys, monkeypatch):
     fw = Framework(30, Window(1, 30), (model,))
     rng = np.random.default_rng(9)
     for s, got in enumerate(records):
-        want = release(StateSequence(values), count_state_query(s, 3), 1.2 / 3, fw,
-                       Variant.APPROX, rng)
+        (want,) = release(StateSequence(values), [count_state_query(s, 3)], 1.2 / 3, fw,
+                          Variant.APPROX, rng)
         assert got == json.loads(json.dumps(want.to_dict()))
         assert mechanism.ReleaseRecord.from_dict(got) == want
-    first = release(StateSequence(values), count_state_query(0, 3), 1.2 / 3, fw,
-                    Variant.APPROX, 9)
+    (first,) = release(StateSequence(values), [count_state_query(0, 3)], 1.2 / 3, fw,
+                       Variant.APPROX, 9)
     assert records[0] == json.loads(json.dumps(first.to_dict()))
 
 

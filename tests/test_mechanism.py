@@ -21,6 +21,7 @@ from mquilt.chains import ChainModel, StateSequence, marginal, random_model, tra
 from mquilt.errors import (
     BadShape,
     BadState,
+    EmptyInput,
     EmptyThetaSet,
     InvalidEpsilon,
     LengthMismatch,
@@ -215,14 +216,14 @@ def _chain(seed, k, stay=0.0):
 @contextlib.contextmanager
 def _node_steps():
     """Record, per model searched inside the block, the node steps taken at
-    each cap (cap ``L`` is a node's full reach) and the most steps one node
-    took."""
+    each cap (cap ``L`` is a node's full reach) and the number of steps,
+    the most one node took."""
     work = []
     inner = mechanism._search_model
 
     def recording(*args):
         out = inner(*args)
-        work.append(out[1:3])
+        work.append((out[1], len(out[1])))
         return out
 
     with mock.patch.object(mechanism, "_search_model", recording):
@@ -528,14 +529,13 @@ def _per_node_search(L, epsilon, step):
     score, never from a shared two-sided one. This is not the search's
     schedule, whose open nodes share one doubling cap per step, and is kept
     so on purpose: the gates compare runs, not caps, and the result does not
-    depend on the schedule. Returns the runs, the steps at each cap, the
-    most steps of one node and the number of steps."""
+    depend on the schedule. Returns the runs, the steps at each cap and the
+    number of steps."""
     first = L if 2 * mechanism._FIRST_CAP >= L else mechanism._FIRST_CAP
-    winners, caps, most = [], {}, 0
+    winners, caps = [], {}
     for i in range(1, L + 1):
-        cap, n = first, 0
+        cap = first
         while True:
-            n += 1
             caps[cap] = caps.get(cap, 0) + 1
             na, nb = min(i - 1, cap), min(L - i, cap)
             best = step(i, na, nb)
@@ -544,9 +544,8 @@ def _per_node_search(L, epsilon, step):
             cap = max(2 * cap, math.floor(best[0] * epsilon) + 1)
             if 2 * cap >= L:
                 cap = L
-        most = max(most, n)
         winners.append(best)
-    return _as_runs(winners), caps, most, sum(caps.values())
+    return _as_runs(winners), caps, sum(caps.values())
 
 
 _Candidate = tuple[float, int, int, int, int]
@@ -612,8 +611,8 @@ def _unshared_search_model(model, marginals, info, L, epsilon):
         two = _two_sided_best(epsilon, e_two)
         return _best_quilt(i, L, epsilon, e_left, e_right, two)
 
-    runs, caps, most, steps = _per_node_search(L, epsilon, step)
-    return runs, caps, most, steps, steps, 0
+    runs, caps, steps = _per_node_search(L, epsilon, step)
+    return runs, caps, steps, steps, 0
 
 
 def _unshared(fw, eps, scope="window"):
@@ -894,8 +893,8 @@ def _per_node_approx_search_model(model, marginals, info, L, epsilon):
         two = _two_sided_best(epsilon, 2.0 * terms[:na, None] + terms[None, :nb])
         return _best_quilt(i, L, epsilon, 2.0 * terms[:na], terms[:nb], two)
 
-    runs, caps, most, steps = _per_node_search(L, epsilon, step)
-    return runs, caps, most, 0, steps, 0
+    runs, caps, steps = _per_node_search(L, epsilon, step)
+    return runs, caps, 0, steps, 0
 
 
 def _per_node_approx(fw, eps, scope="window"):
@@ -1446,12 +1445,12 @@ def test_release_determinism_and_decomposition():
     fw = _full(LAZY, 5)
     q = count_state_query(1, 2)
     data = StateSequence(np.array([0, 1, 1, 0, 1]))
-    rec1 = release(data, q, 1.0, fw, Variant.EXACT, seed=99)
-    rec2 = release(data, q, 1.0, fw, Variant.EXACT, seed=99)
+    (rec1,) = release(data, [q], 1.0, fw, Variant.EXACT, seed=99)
+    (rec2,) = release(data, [q], 1.0, fw, Variant.EXACT, seed=99)
     assert rec1.output == rec2.output
     noise = unit_laplace(np.random.default_rng(99))
     assert rec1.output == pytest.approx(3.0 + rec1.sigma_max * noise, abs=1e-12)
-    rec3 = release(data, q, 1.0, fw, Variant.EXACT, seed=100)
+    (rec3,) = release(data, [q], 1.0, fw, Variant.EXACT, seed=100)
     assert rec3.output != rec1.output
 
 
@@ -1462,7 +1461,7 @@ def test_release_scales_by_lipschitz_constant():
         "count2", lambda v: 2.0 * float(np.count_nonzero(v == 1)), 2.0
     )
     data = StateSequence(np.array([1, 1, 0, 1]))
-    rec = release(data, doubled, 1.0, fw, Variant.EXACT, seed=5)
+    (rec,) = release(data, [doubled], 1.0, fw, Variant.EXACT, seed=5)
     noise = unit_laplace(np.random.default_rng(5))
     assert rec.output == pytest.approx(3.0 + rec.sigma_max * noise, abs=1e-12)
 
@@ -1471,13 +1470,38 @@ def test_release_input_validation():
     fw = _full(LAZY, 5)
     q = count_state_query(0, 2)
     with pytest.raises(LengthMismatch):
-        release(StateSequence(np.array([0, 1])), q, 1.0, fw, Variant.EXACT, 1)
+        release(StateSequence(np.array([0, 1])), [q], 1.0, fw, Variant.EXACT, 1)
     with pytest.raises(BadState):
-        release(StateSequence(np.array([0, 1, 2, 0, 1])), q, 1.0, fw, Variant.EXACT, 1)
+        release(StateSequence(np.array([0, 1, 2, 0, 1])), [q], 1.0, fw, Variant.EXACT, 1)
     with pytest.raises(InvalidEpsilon):
         release(
-            StateSequence(np.array([0, 1, 0, 0, 1])), q, -1.0, fw, Variant.EXACT, 1
+            StateSequence(np.array([0, 1, 0, 0, 1])), [q], -1.0, fw, Variant.EXACT, 1
         )
+
+
+def test_release_searches_once_for_its_queries_and_draws_in_turn():
+    fw = _full(LAZY, 5)
+    data = StateSequence(np.array([0, 1, 1, 0, 1]))
+    queries = [count_state_query(s, 2) for s in range(2)]
+    calls = []
+    search = mechanism.quilt_scores
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    with mock.patch.object(mechanism, "quilt_scores", counting):
+        with pytest.raises(LengthMismatch):  # the data are checked first
+            release(StateSequence(np.array([0, 1])), [], 0.5, fw, Variant.EXACT, 3)
+        with pytest.raises(EmptyInput):
+            release(data, [], 0.5, fw, Variant.EXACT, 3)
+        assert calls == []
+        records = release(data, queries, 0.5, fw, Variant.EXACT, 3)
+    assert len(calls) == 1
+    rng = np.random.default_rng(3)
+    for rec, want in zip(records, (2.0, 3.0)):
+        assert rec.epsilon == 0.5 and rec.active_quilts == records[0].active_quilts
+        assert rec.output == want + rec.sigma_max * unit_laplace(rng)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -1505,7 +1529,7 @@ def test_record_round_trip():
     fw = Framework(6, Window(2, 5), (LAZY,))
     q = count_state_query(0, 2)
     data = StateSequence(np.array([0, 1, 0, 0]))
-    rec = release(data, q, 0.7, fw, Variant.EXACT, seed=11, scope="window")
+    (rec,) = release(data, [q], 0.7, fw, Variant.EXACT, seed=11, scope="window")
     back = ReleaseRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
     assert back.epsilon == rec.epsilon
     assert back.sigma_max == rec.sigma_max
@@ -1522,7 +1546,7 @@ def test_record_stores_quilts_as_runs_whose_size_does_not_grow_with_the_window(t
     for L in (4096, 20000):
         fw = Framework(L, Window(1, L), (model,))
         data = StateSequence(np.zeros(L, dtype=np.int64))
-        rec = release(data, count_state_query(0, 10), 1.0, fw, Variant.EXACT, seed=1)
+        (rec,) = release(data, [count_state_query(0, 10)], 1.0, fw, Variant.EXACT, seed=1)
         doc = rec.to_dict()
         runs = doc["active_quilts"]["0"]
         assert runs[0][0] == 1 and runs[-1][1] == L

@@ -94,9 +94,9 @@ def test_empirical_epsilon_bounded_by_budget():
         model = random_model(2, rng)
         fw = _full(model, 3)
         eps = float(rng.uniform(0.4, 1.5))
-        rec = release(
+        (rec,) = release(
             StateSequence(np.zeros(3, dtype=np.int64)),
-            query,
+            [query],
             eps,
             fw,
             Variant.EXACT,
@@ -113,9 +113,9 @@ def test_witness_reevaluation_agrees():
     for _ in range(5):
         model = random_model(2, rng)
         fw = _full(model, 3)
-        rec = release(
+        (rec,) = release(
             StateSequence(np.zeros(3, dtype=np.int64)),
-            query,
+            [query],
             0.9,
             fw,
             Variant.EXACT,
@@ -223,8 +223,8 @@ def test_release_values_slice_to_window():
     model = LAZY
     fw = Framework(3, Window(2, 3), (model,))
     query = count_state_query(0, 2)
-    rec = release(
-        StateSequence(np.zeros(2, dtype=np.int64)), query, 1.0, fw, Variant.EXACT, 2
+    (rec,) = release(
+        StateSequence(np.zeros(2, dtype=np.int64)), [query], 1.0, fw, Variant.EXACT, 2
     )
     seqs = enumerate_sequences(2, 3)
     vals, sigma = release_values(rec, query, seqs)
@@ -286,8 +286,8 @@ def _counting(query):
 def test_release_values_evaluates_the_query_once():
     fw = Framework(5, Window(2, 4), (LAZY,))
     query = count_state_query(1, 2)
-    rec = release(StateSequence(np.zeros(3, dtype=np.int64)), query, 1.0, fw,
-                  Variant.EXACT, 2)
+    (rec,) = release(StateSequence(np.zeros(3, dtype=np.int64)), [query], 1.0, fw,
+                     Variant.EXACT, 2)
     seqs = enumerate_sequences(2, 5)
     counted, calls = _counting(query)
     vals, _ = release_values(rec, counted, seqs)
