@@ -2,10 +2,9 @@
 
 Subcommands: ``fit`` (estimate a model from trajectories), ``gap``
 (spectral diagnostics), ``release`` (noisy query over a window),
-``compose`` (combine ledgered releases), ``verify`` (counterexample,
-soundness sweep, or internal identities), ``simulate`` (draw a
-trajectory). Exit codes: 0 success, 1 usage error, 2 domain error or
-failed verification.
+``compose`` (combine ledgered releases), ``verify`` (counterexample
+or soundness sweep), ``simulate`` (draw a trajectory). Exit codes: 0
+success, 1 usage error, 2 domain error or failed verification.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .composition import (
 )
 from .errors import FormatError, InvalidEpsilon, MixedFrameworks, MquiltError
 from .fit import fit_chain
-from .influence import QuiltShape, Variant, approx_max_influence, approx_offset_threshold, exact_max_influence
+from .influence import Variant, approx_offset_threshold
 from .mechanism import (
     Framework,
     Window,
@@ -38,12 +37,9 @@ from .mechanism import (
     release,
 )
 from .oracle import (
-    check_joint_remote_bound,
     empirical_epsilon,
     enumerate_sequences,
-    enumerated_max_influence,
     release_values,
-    score,
     verify_counterexample,
 )
 from .storage import (
@@ -163,6 +159,9 @@ def _cmd_release(args) -> int:
         raise FormatError(
             f"unknown query {args.query!r}; use 'count:<state>' or 'histogram'"
         )
+    if not (args.epsilon > 0 and math.isfinite(args.epsilon)):
+        # Refuse the budget as given, not the share of it each query gets.
+        raise InvalidEpsilon(f"budget must be positive and finite, got {args.epsilon}")
     # The queries split the budget, which thm6 sums back, and share one search.
     records = release(
         data, queries, args.epsilon / len(queries), framework, variant, args.seed,
@@ -309,92 +308,6 @@ def _cmd_verify_soundness(args) -> int:
     return 0 if failures == 0 else 2
 
 
-def _cmd_verify_lemmas(args) -> int:
-    rng = np.random.default_rng(7)
-    results: list[tuple[str, bool, str]] = []
-
-    worst = 0.0
-    for _ in range(20):
-        model = random_model(int(rng.integers(2, 4)), rng)
-        info = spectral(model)
-        i = int(rng.integers(2, 5))
-        a = int(rng.integers(1, i))
-        b = int(rng.integers(1, 4))
-        shape = QuiltShape(i, a, b)
-        ex = exact_max_influence(model, shape)
-        ap = approx_max_influence(info, shape)
-        worst = max(worst, ex - ap)
-    results.append(
-        (
-            "exact influence never exceeds spectral bound",
-            worst <= 1e-9,
-            f"worst exact-minus-bound {worst:.3g}",
-        )
-    )
-
-    worst_gap = 0.0
-    for _ in range(10):
-        model = random_model(2, rng)
-        i = int(rng.integers(2, 4))
-        a = int(rng.integers(1, i))
-        b = int(rng.integers(1, 3))
-        ex = exact_max_influence(model, QuiltShape(i, a, b))
-        en = enumerated_max_influence(model, i, [i - a, i + b], horizon=i + b)
-        worst_gap = max(worst_gap, abs(ex - en))
-    results.append(
-        (
-            "factorized influence matches joint enumeration",
-            worst_gap <= 1e-9,
-            f"worst difference {worst_gap:.3g}",
-        )
-    )
-
-    model = random_model(2, np.random.default_rng(3))
-    fw = Framework(4, Window(1, 4), (model,))
-    rb = check_joint_remote_bound(fw, count_state_query(1, 2), 1.0)
-    results.append(
-        (
-            "budget holds jointly with remote realizations",
-            rb.passed,
-            f"margin {rb.margin:.3g}",
-        )
-    )
-
-    empty = score(QuiltShape(3, None, None), 0.0, 0.5, 6)
-    results.append(
-        (
-            "empty quilt scores window over budget",
-            abs(empty - 12.0) < 1e-12,
-            f"score {empty}",
-        )
-    )
-
-    lines = [
-        f"{'PASS' if ok else 'FAIL'}: {name} ({evidence})"
-        for name, ok, evidence in results
-    ]
-    failures = sum(0 if ok else 1 for _, ok, _ in results)
-    lines.append(f"{len(results) - failures}/{len(results)} identities hold")
-    _emit(
-        args,
-        {
-            "results": [
-                {"name": n, "passed": ok, "evidence": ev} for n, ok, ev in results
-            ]
-        },
-        lines,
-    )
-    return 0 if failures == 0 else 2
-
-
-def _cmd_verify(args) -> int:
-    if args.what == "counterexample":
-        return _cmd_verify_counterexample(args)
-    if args.what == "soundness":
-        return _cmd_verify_soundness(args)
-    return _cmd_verify_lemmas(args)
-
-
 def _cmd_simulate(args) -> int:
     seq = sample(load_model(args.model), args.T, args.seed)
     save_sequence(seq, args.out)
@@ -464,19 +377,26 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("verify", help="run built-in verification routines")
-    p.add_argument("what", choices=["counterexample", "soundness", "lemmas"])
+    checks = sub.add_parser(
+        "verify", help="run built-in verification routines"
+    ).add_subparsers(dest="check", required=True)
+
+    p = checks.add_parser("counterexample", help="the two-node composition example")
     p.add_argument("--p", type=float, default=0.9)
     p.add_argument("--q", type=float, default=0.01)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_verify_counterexample)
+
+    p = checks.add_parser("soundness", help="released budgets against empirical epsilon")
     p.add_argument("--model", default=None)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--T", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--variant", choices=["exact", "approx"], default="exact")
-    p.add_argument("--seeds", type=_trials, default=5, help="trial count for soundness")
+    p.add_argument("--seeds", type=_trials, default=5, help="trial count")
     p.add_argument("--seeds-from", type=_seed, default=0, help="RNG seed for the sweep")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify_soundness)
 
     p = sub.add_parser("simulate", help="sample a trajectory from a model")
     p.add_argument("--model", required=True)

@@ -435,15 +435,6 @@ class RemoteBoundReport:
     def margin(self) -> float:
         return self.epsilon - self.worst_log_ratio
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "epsilon": self.epsilon,
-            "sigma_max": self.sigma_max,
-            "worst_log_ratio": self.worst_log_ratio,
-            "witness": self.witness,
-        }
-
 
 def check_joint_remote_bound(
     framework: Framework,

@@ -253,11 +253,16 @@ def test_validate_bad_initial_sum():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_validate_refuses_non_finite_entries(bad):
     # NaN fails every comparison, so it used to pass the sign and sum checks.
+    states, fair = ("0", "1"), [0.5, 0.5]
     for row in ([bad, 0.5], [bad, bad]):
         with pytest.raises(NonStochasticRow, match="row 1"):
-            validate(ChainModel.from_arrays([0.5, 0.5], [[0.5, 0.5], row]))
+            validate(states, np.array(fair), np.array([fair, row]))
+        with pytest.raises(NonStochasticRow, match="row 1"):
+            ChainModel.from_arrays(fair, [fair, row])
         with pytest.raises(BadInitial):
-            validate(ChainModel.from_arrays(row, [[0.5, 0.5], [0.5, 0.5]]))
+            validate(states, np.array(row), np.array([fair, fair]))
+        with pytest.raises(BadInitial):
+            ChainModel.from_arrays(row, [fair, fair])
 
 
 def test_validate_initial_shape_mismatch():

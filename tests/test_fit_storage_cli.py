@@ -992,6 +992,20 @@ def test_cli_soundness_refuses_a_sweep_of_no_trials(capsys, seeds):
     assert "trials passed" not in captured.out
 
 
+@pytest.mark.parametrize("query", ["count:0", "histogram"])
+@pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+def test_cli_release_refuses_the_budget_it_was_given(tmp_path, capsys, query, epsilon):
+    # A histogram splits the budget over its buckets; the refusal names the
+    # budget before the split.
+    model_path, data_path = _write_inputs(tmp_path)
+    argv = ["release", "--model", model_path, "--data", data_path, "--query", query,
+            "--epsilon", epsilon, "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: budget must be positive and finite, got {float(epsilon)}\n"
+    )
+
+
 def test_cli_release_refuses_a_budget_too_small_for_the_window(tmp_path, capsys):
     model_path, data_path = _write_inputs(tmp_path)
     for variant in ("exact", "approx"):
@@ -1296,12 +1310,26 @@ def test_cli_verify_counterexample_null_case(capsys):
     assert "sequential composition holds" in out
 
 
-def test_cli_verify_soundness_and_lemmas(capsys):
+def test_cli_verify_soundness(capsys):
     assert main(["verify", "soundness", "--T", "3", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
     assert "2/2" in out
-    assert main(["verify", "lemmas"]) == 0
-    assert "4/4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemmas"],
+        ["verify", "counterexample", "--k", "3"],
+        ["verify", "counterexample", "--seeds", "2"],
+        ["verify", "soundness", "--p", "0.5"],
+    ],
+)
+def test_cli_verify_refuses_options_of_another_check(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mquilt")
 
 
 def test_cli_verify_soundness_json_reports_each_trial(capsys):
